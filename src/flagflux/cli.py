@@ -106,6 +106,25 @@ def _as_int_tuple(value, label):
     raise click.UsageError("%s must be a list of integers" % label)
 
 
+def _as_int(value, label):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise click.UsageError("%s must be an integer, got %r" % (label, value))
+    return value
+
+
+def _as_str(value, label):
+    if not isinstance(value, str):
+        raise click.UsageError("%s must be a string, got %r" % (label, value))
+    return value
+
+
+def _rank_from_cfg(cfg):
+    rank = cfg.get("rank")
+    if rank is None:
+        raise click.UsageError("missing --rank (or config key \"rank\")")
+    return _as_int(rank, "rank")
+
+
 def _merge(ctx, config_path, flags):
     """Flags plus config file; the file wins per key, conflicts warned."""
     cfg = {}
@@ -132,22 +151,23 @@ def _merge(ctx, config_path, flags):
 
 def _spec_from_cfg(cfg, require_theta=False):
     series = cfg.get("series", "A")
-    rank = cfg.get("rank")
-    if rank is None:
-        raise click.UsageError("missing --rank (or config key \"rank\")")
+    rank = _rank_from_cfg(cfg)
     theta = cfg.get("theta")
     if theta is None:
         if require_theta:
             raise click.UsageError("missing --theta (or config key \"theta\")")
         theta = ()
-    return FlagSpec(series, int(rank), _as_int_tuple(theta, "theta"))
+    return FlagSpec(series, rank, _as_int_tuple(theta, "theta"))
 
 
 def _algebra_from_cfg(cfg):
     """Explicit Malcev string, or a flag spec whose nilradical we build."""
     if "algebra" in cfg:
         dim = cfg.get("dim")
-        presentation = parse_malcev(cfg["algebra"], None if dim is None else int(dim))
+        presentation = parse_malcev(
+            _as_str(cfg["algebra"], "algebra"),
+            None if dim is None else _as_int(dim, "dim"),
+        )
         return presentation, None, None
     spec = _spec_from_cfg(cfg)
     presentation, legend = nilradical_presentation(spec)
@@ -155,8 +175,7 @@ def _algebra_from_cfg(cfg):
 
 
 def _flux_from_cfg(cfg, dim):
-    text = cfg.get("flux", "0")
-    form = parse_form(text, 3)
+    form = parse_form(_as_str(cfg.get("flux", "0"), "flux"), 3)
     if form.max_index() > dim:
         raise MalcevValueError(
             "flux references index %d beyond dimension %d" % (form.max_index(), dim)
@@ -173,10 +192,7 @@ def _spec_json(spec):
 
 def _run_root_system(cfg):
     series = cfg.get("series", "A")
-    rank = cfg.get("rank")
-    if rank is None:
-        raise click.UsageError("missing --rank (or config key \"rank\")")
-    rank = int(rank)
+    rank = _rank_from_cfg(cfg)
     rs = build_root_system(series, rank)
     report = {
         "series": series,
@@ -332,9 +348,9 @@ def _text_dualize(report):
 def _run_correspond(cfg):
     presentation, ideal, flux, source = _dualize_core(cfg)
     bound = cfg.get("rank_bound")
-    result = correspond_presentation(
-        presentation, ideal, flux, None if bound is None else int(bound)
-    )
+    if bound is not None:
+        bound = _as_int(bound, "rank_bound")
+    result = correspond_presentation(presentation, ideal, flux, bound)
     report = {
         "algebra": print_malcev(presentation),
         "ideal": list(result.ideal),
@@ -460,6 +476,8 @@ def _run_gcs_transport(cfg):
         ],
     }
     if "dual" in cfg:
+        if not isinstance(cfg["dual"], dict):
+            raise click.UsageError("dual must be a JSON object")
         dual_spec = _spec_from_cfg(cfg["dual"])
         dual_rs = build_root_system(dual_spec.series, dual_spec.rank)
         dual_summands = isotropy_summands(dual_rs, dual_spec.theta)

@@ -74,6 +74,31 @@ class TestExitCodes:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("root-system", {"rank": [1]}, "rank"),
+            ("root-system", {"rank": True}, "rank"),
+            ("root-system", {"rank": "x"}, "rank"),
+            ("nilradical", {"rank": [1]}, "rank"),
+            ("nilradical", {"rank": True}, "rank"),
+            ("nilradical", {"rank": "x"}, "rank"),
+            ("correspond", {"rank": 2, "ideal": [3], "rank_bound": [1]}, "rank_bound"),
+            ("correspond", {"rank": 2, "ideal": [3], "rank_bound": True}, "rank_bound"),
+            ("dualize", {"rank": 2, "ideal": [3], "flux": 0}, "flux"),
+            ("dualize", {"algebra": 5, "ideal": [3]}, "algebra"),
+            ("dualize", {"algebra": "(0,0,-e^{12})", "dim": [3], "ideal": [3]}, "dim"),
+        ],
+    )
+    def test_wrong_config_type_is_two(self, runner, tmp_path, command, config, key):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert key in result.stderr
+
 
 class TestDeterminism:
     def test_byte_identical_repeat(self, runner):
@@ -270,6 +295,13 @@ class TestGcsTransport:
         cfg.write_text(json.dumps({"series": "A", "rank": 2, "theta": []}))
         result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
         assert result.exit_code == 2
+
+    def test_non_object_dual_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, dual=5)))
+        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "dual must be a JSON object" in result.stderr
 
     def test_unassigned_signature_is_domain_error(self, runner, tmp_path):
         broken = dict(self.CONFIG, blocks={"1,0": {"kind": "complex", "sign": 1}})

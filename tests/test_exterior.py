@@ -82,6 +82,17 @@ class TestWedge:
     def test_matches_oracle(self, f, g):
         assert wedge(f, g) == wedge_oracle(f, g)
 
+    def test_degree_beyond_64(self):
+        # Index merging keeps no fixed-size buffer, so there is no degree cap.
+        odd = Form.basis(*range(1, 80, 2))
+        even = Form.basis(*range(2, 81, 2))
+        top = wedge(odd, even)
+        assert top == wedge_oracle(odd, even) == Form.basis(*range(1, 81))
+        lower = Form.basis(*range(1, 80))
+        assert interior(80, top) == interior_oracle(80, top) == -lower
+        e80 = Form.basis(80)
+        assert wedge(e80, lower) == wedge_oracle(e80, lower) == -top
+
     @given(forms(1), forms(1), forms(1))
     def test_associative(self, f, g, h):
         assert wedge(wedge(f, g), h) == wedge(f, wedge(g, h))
