@@ -14,11 +14,7 @@ from importlib import resources
 import click
 from click.core import ParameterSource
 
-from .correspond import (
-    correspond_presentation,
-    default_rank_bound,
-    selfdual_flux,
-)
+from .correspond import correspond_presentation, selfdual_flux
 from .exterior import (
     MalcevSyntaxError,
     MalcevValueError,
@@ -350,6 +346,8 @@ def _run_correspond(cfg):
     bound = cfg.get("rank_bound")
     if bound is not None:
         bound = _as_int(bound, "rank_bound")
+        if bound < 1:
+            raise click.UsageError("rank_bound must be at least 1, got %d" % bound)
     result = correspond_presentation(presentation, ideal, flux, bound)
     report = {
         "algebra": print_malcev(presentation),
@@ -377,7 +375,8 @@ def _run_correspond(cfg):
 
 def _text_correspond(report):
     lines = _text_dualize(report)
-    lines.append("rank bound: %d" % report["rank_bound"])
+    bound = report["rank_bound"]
+    lines.append("rank bound: %s" % ("none" if bound is None else bound))
     if report["targets"]:
         lines.append("targets:")
         for t in report["targets"]:
@@ -451,8 +450,11 @@ def _run_gcs_transport(cfg):
         key = ",".join(str(c) for c in summand.signature)
         if key not in raw:
             raise MalcevValueError("no block assigned to signature (%s)" % key)
-        for root in summand.roots:
+        try:
             block = block_from_json(raw[key])
+        except TypeError as exc:
+            raise click.UsageError("block for signature (%s): %s" % (key, exc))
+        for root in summand.roots:
             blocks.append(block)
             assignment.append(
                 {
@@ -605,7 +607,10 @@ def cmd_dualize(ctx, series, rank, theta, ideal, flux, fmt, config_path):
 @_theta
 @click.option("--ideal", default=None, help="comma list of slots")
 @click.option("--flux", default=None, help="Malcev 3-form, 0 for none")
-@click.option("--rank-bound", type=int, default=None)
+@click.option(
+    "--rank-bound", type=int, default=None,
+    help="optional cap on the target rank; every rank is searched without it",
+)
 @_fmt
 @_config
 @click.pass_context

@@ -6,7 +6,6 @@ out certain dual pairs on dimension grounds alone.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -24,14 +23,12 @@ from .tduality import (
 )
 
 __all__ = [
-    "DEFAULT_RANK_BOUND",
     "FlowingFlag",
     "TargetCandidate",
     "CorrespondResult",
     "SelfDualReport",
     "ThreeSummandReport",
     "ObstructionReport",
-    "default_rank_bound",
     "correspond",
     "correspond_presentation",
     "find_targets",
@@ -40,13 +37,6 @@ __all__ = [
     "three_summand_correspond",
     "dimension_obstruction_scan",
 ]
-
-DEFAULT_RANK_BOUND = 13
-
-
-def default_rank_bound():
-    return int(os.environ.get("FLAGFLUX_RANK_BOUND", DEFAULT_RANK_BOUND))
-
 
 @dataclass(frozen=True)
 class FlowingFlag:
@@ -84,32 +74,48 @@ class CorrespondResult:
     certificate: object
     targets: list
     search_reason: Optional[str]
-    rank_bound: int
+    rank_bound: Optional[int]
     source_spec: Optional[FlagSpec] = None
     legend: Optional[list] = None
 
 
-def _mask_dim(l, mask):
-    total = l * (l + 1) // 2
-    run = 0
-    for i in range(l):
-        if (mask >> i) & 1:
-            run += 1
-        else:
-            total -= run * (run + 1) // 2
-            run = 0
-    total -= run * (run + 1) // 2
-    return total
+def _completes(cells, squares, feasible):
+    """Whether a composition of ``cells`` has block squares summing to ``squares``."""
+    if not cells <= squares <= cells * cells:
+        return False
+    key = (cells, squares)
+    if key not in feasible:
+        feasible[key] = cells == 0 or any(
+            _completes(cells - b, squares - b * b, feasible)
+            for b in range(1, cells + 1)
+        )
+    return feasible[key]
 
 
-@lru_cache(maxsize=None)
-def _theta_dim_table(l):
-    """{flag dimension: [theta tuples]} over all 2^l subsets."""
-    table = {}
-    for mask in range(1 << l):
-        theta = tuple(i + 1 for i in range(l) if (mask >> i) & 1)
-        table.setdefault(_mask_dim(l, mask), []).append(theta)
-    return table
+def _thetas_of_dim(l, dim, feasible):
+    """Every rank-l theta whose flag has dimension dim, by ascending bit mask.
+
+    The dimension depends only on the block sizes b of theta,
+    dim = ((l+1)**2 - sum b**2) / 2, so this walks the compositions of l+1
+    with that sum of squares and enters only states that can still be
+    completed.  ``feasible`` memoizes those (cells, squares) states; it does
+    not depend on l or dim, so one dict serves a whole search.
+    """
+    thetas = []
+
+    def walk(start, cells, squares, theta):
+        if not cells:
+            thetas.append(theta)
+            return
+        for b in range(1, cells + 1):
+            if _completes(cells - b, squares - b * b, feasible):
+                # a block of b cells from start: all but its last cell join theta
+                walk(start + b, cells - b, squares - b * b,
+                     theta + tuple(range(start, start + b - 1)))
+
+    walk(1, l + 1, (l + 1) ** 2 - 2 * dim, ())
+    thetas.sort(key=lambda theta: sum(1 << (t - 1) for t in theta))
+    return thetas
 
 
 @lru_cache(maxsize=None)
@@ -147,21 +153,29 @@ def pretty_name(l, theta):
     return name
 
 
-def find_targets(dual_algebra, rank_bound, budget=20000):
+def find_targets(dual_algebra, rank_bound=None, budget=20000):
     """Parabolic nilradicals of matching dimension, confirmed by witness.
+
+    Every rank is searched unless ``rank_bound`` caps it.  A rank-l flag
+    with two or more blocks has dimension at least l (CP^l attains it), so
+    no rank above the dual's dimension holds a candidate, and an uncapped
+    search that comes up empty proves that no type-A parabolic target
+    exists.  The one-block flags (points, dimension 0) are never targets.
 
     Returns (targets, reason); reason is None when targets exist, else a
     deterministic account of why the search came up empty.
     """
-    if rank_bound < 1:
+    if rank_bound is not None and rank_bound < 1:
         raise ValueError("rank_bound must be >= 1")
     dim = dual_algebra.dim
+    top = dim if rank_bound is None else min(rank_bound, dim)
+    feasible = {}
     seen = set()
     targets = []
     rejected = 0
     unconfirmed = 0
-    for l in range(1, rank_bound + 1):
-        for theta in _theta_dim_table(l).get(dim, []):
+    for l in range(1, top + 1):
+        for theta in _thetas_of_dim(l, dim, feasible):
             canon = _canonical_theta(l, theta)
             if (l, canon) in seen:
                 continue
@@ -180,25 +194,31 @@ def find_targets(dual_algebra, rank_bound, budget=20000):
             )
     if targets:
         return targets, None
+    if rank_bound is None:
+        scope = ", every rank searched,"
+    else:
+        scope = " within rank bound %d" % rank_bound
     reason = (
-        "no parabolic nilradical within rank bound %d is isomorphic to the dual: "
+        "no parabolic nilradical%s is isomorphic to the dual: "
         "%d candidates of dimension %d, %d rejected by invariant fingerprint, "
         "%d unconfirmed within search budget"
-        % (rank_bound, len(seen), dim, rejected, unconfirmed)
+        % (scope, len(seen), dim, rejected, unconfirmed)
     )
     return targets, reason
 
 
 def correspond_presentation(algebra, ideal, flux, rank_bound=None, budget=20000):
-    """Dualize an explicit presentation and search for parabolic targets."""
-    bound = default_rank_bound() if rank_bound is None else rank_bound
-    if bound < 1:
+    """Dualize an explicit presentation and search for parabolic targets.
+
+    ``rank_bound`` is an optional cap on the target rank (see find_targets).
+    """
+    if rank_bound is not None and rank_bound < 1:
         raise ValueError("rank bound must be >= 1")
     triple = AdmissibleTriple(algebra, tuple(ideal), flux)
     admissibility = check_admissible(triple)
     dualization = dualize(triple)
     certificate = duality_certificate(triple, dualization)
-    targets, reason = find_targets(dualization.dual.algebra, bound, budget)
+    targets, reason = find_targets(dualization.dual.algebra, rank_bound, budget)
     return CorrespondResult(
         algebra,
         triple.ideal,
@@ -208,7 +228,7 @@ def correspond_presentation(algebra, ideal, flux, rank_bound=None, budget=20000)
         certificate,
         targets,
         reason,
-        bound,
+        rank_bound,
     )
 
 
@@ -277,13 +297,13 @@ def three_summand_correspond(l, m, n, rank_bound=None, budget=20000):
     rank = l + m + n - 1
     theta = tuple(k for k in range(1, rank + 1) if k not in (l, l + m))
     spec = FlagSpec("A", rank, theta)
-    bound = total if rank_bound is None else rank_bound
 
     rs = build_root_system("A", rank)
     summands = isotropy_summands(rs, theta)
     ideal = tuple(range(total - summands[-1].dim + 1, total + 1))
 
-    result = correspond(FlowingFlag(spec, Form.zero(3)), ideal, bound, budget)
+    flag = FlowingFlag(spec, Form.zero(3))
+    result = correspond(flag, ideal, rank_bound, budget)
     notes = []
     dual = result.dualization.dual
     if not dual.algebra.is_abelian():

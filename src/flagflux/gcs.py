@@ -176,11 +176,24 @@ def make_block(kind, **params):
 
 
 def block_from_json(data):
-    if data.get("kind") == "complex":
+    """Inverse of ``GcsBlock.to_json``; TypeError when ``data`` is malformed.
+
+    Malformed means not an object, an unknown kind, a missing parameter or
+    a parameter of the wrong type; a parameter off the a**2-xy=-1 sheet is
+    a ValueError, as in make_block.
+    """
+    if not isinstance(data, dict):
+        raise TypeError("a block must be a JSON object, got %r" % (data,))
+    kind = data.get("kind")
+    if kind == "complex":
         return make_block("complex", sign=data.get("sign", 1))
-    if data.get("kind") == "noncomplex":
+    if kind == "noncomplex":
+        missing = [k for k in ("a", "x", "y") if k not in data]
+        if missing:
+            needs = ", ".join(map(repr, missing))
+            raise TypeError("a noncomplex block needs %s" % needs)
         return make_block("noncomplex", a=data["a"], x=data["x"], y=data["y"])
-    raise ValueError("unknown block kind %r" % (data.get("kind"),))
+    raise TypeError("unknown block kind %r" % (kind,))
 
 
 @dataclass(frozen=True)

@@ -109,3 +109,30 @@ def jacobi_oracle(p):
                 if any(total):
                     return False
     return True
+
+
+def mask_dim_oracle(l, mask):
+    """Flag dimension of the rank-l theta with this bit mask, by run lengths.
+
+    A run of r consecutive theta entries is one block of r+1 and removes
+    r(r+1)/2 of the l(l+1)/2 positive roots.
+    """
+    total = l * (l + 1) // 2
+    run = 0
+    for i in range(l):
+        if (mask >> i) & 1:
+            run += 1
+        else:
+            total -= run * (run + 1) // 2
+            run = 0
+    total -= run * (run + 1) // 2
+    return total
+
+
+def theta_dim_oracle(l):
+    """{flag dimension: [theta tuples]} over all 2**l subsets, by ascending mask."""
+    table = {}
+    for mask in range(1 << l):
+        theta = tuple(i + 1 for i in range(l) if (mask >> i) & 1)
+        table.setdefault(mask_dim_oracle(l, mask), []).append(theta)
+    return table

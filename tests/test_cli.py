@@ -88,6 +88,7 @@ class TestExitCodes:
             ("dualize", {"rank": 2, "ideal": [3], "flux": 0}, "flux"),
             ("dualize", {"algebra": 5, "ideal": [3]}, "algebra"),
             ("dualize", {"algebra": "(0,0,-e^{12})", "dim": [3], "ideal": [3]}, "dim"),
+            ("correspond", {"rank": 2, "ideal": [3], "rank_bound": -3}, "rank_bound"),
         ],
     )
     def test_wrong_config_type_is_two(self, runner, tmp_path, command, config, key):
@@ -98,6 +99,13 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert key in result.stderr
+
+    def test_non_positive_rank_bound_flag_is_two(self, runner):
+        result = runner.invoke(
+            main, ["correspond", "--rank", "2", "--ideal", "3", "--rank-bound", "0"]
+        )
+        assert result.exit_code == 2
+        assert "rank_bound" in result.stderr
 
 
 class TestDeterminism:
@@ -201,6 +209,19 @@ class TestReports:
             "no parabolic nilradical within rank bound 7"
         )
 
+    def test_correspond_uncapped_reason(self, runner, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(
+            json.dumps({"algebra": "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})", "ideal": [6]})
+        )
+        result = invoke(runner, "correspond", "--config", str(cfg))
+        body = json.loads(result.stdout)
+        assert body["rank_bound"] is None
+        assert body["targets"] == []
+        assert body["search_reason"].startswith(
+            "no parabolic nilradical, every rank searched,"
+        )
+
     def test_selfdual_undecided_report(self, runner):
         result = invoke(runner, "selfdual", "--rank", "3")
         body = json.loads(result.stdout)
@@ -251,6 +272,7 @@ class TestTextFormat:
         result = invoke(
             runner, "correspond", "--rank", "2", "--ideal", "3", "--format", "text"
         )
+        assert "rank bound: none" in result.stdout.splitlines()
         assert "targets:" in result.stdout
         assert "SU(4)/S(U(3)×U(1)) ≅ CP^3" in result.stdout
 
@@ -302,6 +324,25 @@ class TestGcsTransport:
         result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
         assert result.exit_code == 2
         assert "dual must be a JSON object" in result.stderr
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (5, "must be a JSON object"),
+            ({"kind": "noncomplex", "a": "0", "y": "1"}, "needs 'x'"),
+            ({"kind": "weird"}, "unknown block kind"),
+            ({"kind": "noncomplex", "a": True, "x": "1", "y": "1"}, "bool"),
+        ],
+    )
+    def test_malformed_block_is_usage_error(self, runner, tmp_path, block, message):
+        blocks = dict(self.CONFIG["blocks"], **{"1,0": block})
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, blocks=blocks)))
+        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "block for signature (1,0)" in result.stderr
+        assert message in result.stderr
 
     def test_unassigned_signature_is_domain_error(self, runner, tmp_path):
         broken = dict(self.CONFIG, blocks={"1,0": {"kind": "complex", "sign": 1}})

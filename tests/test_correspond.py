@@ -1,6 +1,8 @@
 import importlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagflux import (
     FlagSpec,
@@ -10,7 +12,6 @@ from flagflux import (
     complementary_positive_roots,
     correspond,
     correspond_presentation,
-    default_rank_bound,
     dimension_obstruction_scan,
     find_targets,
     nilradical_presentation,
@@ -23,6 +24,8 @@ from flagflux import (
     three_summand_dims,
 )
 
+from conftest import mask_dim_oracle, theta_dim_oracle
+
 C = importlib.import_module("flagflux.correspond")
 
 HEISENBERG = "(0,0,-e^{12})"
@@ -31,21 +34,49 @@ DIM6 = "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})"
 
 class TestThetaDimTable:
     def test_mask_dim_matches_root_count(self):
-        # run-length formula vs direct complement enumeration
+        # the oracle's run-length formula vs direct complement enumeration
         for l in range(1, 6):
             rs = build_root_system("A", l)
-            for mask in range(1 << l):
-                theta = tuple(k + 1 for k in range(l) if mask >> k & 1)
-                assert C._mask_dim(l, mask) == len(
-                    complementary_positive_roots(rs, theta)
-                )
+            for dim, thetas in theta_dim_oracle(l).items():
+                for theta in thetas:
+                    assert dim == len(complementary_positive_roots(rs, theta))
 
     def test_table_groups_by_dimension(self):
-        table = C._theta_dim_table(4)
+        # the oracle vs the block-size formula dim = ((l+1)^2 - sum b^2) / 2
+        table = theta_dim_oracle(4)
         assert sum(len(v) for v in table.values()) == 16
         for dim, thetas in table.items():
             for theta in thetas:
-                assert C._mask_dim(4, sum(1 << (k - 1) for k in theta)) == dim
+                assert 25 - sum(b * b for b in C._blocks(4, theta)) == 2 * dim
+
+    def test_enumerator_matches_oracle(self):
+        # content and order, with one memo shared as in find_targets
+        feasible = {}
+        for l in range(1, 15):
+            table = theta_dim_oracle(l)
+            for dim in range(l * (l + 1) // 2 + 2):
+                assert C._thetas_of_dim(l, dim, feasible) == table.get(dim, []), (l, dim)
+
+    def test_no_theta_above_dim(self):
+        feasible = {}
+        for dim in range(1, 30):
+            for l in range(dim + 1, 2 * dim + 10):
+                assert C._thetas_of_dim(l, dim, feasible) == [], (l, dim)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
+    def test_enumerator_finds_every_composition(self, blocks):
+        l = sum(blocks) - 1
+        theta = []
+        start = 1
+        for b in blocks:
+            theta.extend(range(start, start + b - 1))
+            start += b
+        mask = sum(1 << (t - 1) for t in theta)
+        found = C._thetas_of_dim(l, mask_dim_oracle(l, mask), {})
+        assert tuple(theta) in found
+        masks = [sum(1 << (t - 1) for t in th) for th in found]
+        assert masks == sorted(set(masks))
 
 
 class TestCanonicalTheta:
@@ -86,7 +117,7 @@ class TestTargets:
         assert result.targets[0].spec == FlagSpec("A", 3, (1, 2))
         assert result.targets[0].witness is not None
         assert result.search_reason is None
-        assert result.rank_bound == 13
+        assert result.rank_bound is None
 
     def test_dim6_top_slot_empty_with_reason(self):
         result = correspond_presentation(
@@ -151,14 +182,42 @@ class TestTargets:
             find_targets(parse_malcev("(0,0,0)"), 0)
 
 
-class TestDefaultRankBound:
-    def test_module_default(self, monkeypatch):
-        monkeypatch.delenv("FLAGFLUX_RANK_BOUND", raising=False)
-        assert default_rank_bound() == 13
+class TestRankCap:
+    @pytest.fixture(scope="class")
+    def duals(self):
+        su6 = correspond(
+            FlowingFlag(FlagSpec("A", 5, (1, 3, 5)), Form.zero(3)), tuple(range(9, 13))
+        )
+        dim6 = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
+        return [r.dualization.dual.algebra for r in (su6, dim6)]
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FLAGFLUX_RANK_BOUND", "5")
-        assert default_rank_bound() == 5
+    def test_uncapped_equals_cap_at_dim(self, duals):
+        for dual in duals:
+            free, _ = find_targets(dual)
+            capped, _ = find_targets(dual, dual.dim)
+            assert [(t.spec, t.witness) for t in free] == [
+                (t.spec, t.witness) for t in capped
+            ]
+            assert free
+
+    def test_cap_keeps_low_rank_targets(self, duals):
+        for dual in duals:
+            free, _ = find_targets(dual)
+            for cap in range(1, dual.dim + 3):
+                capped, reason = find_targets(dual, cap)
+                kept = [t.spec for t in free if t.spec.rank <= cap]
+                assert [t.spec for t in capped] == kept
+                assert (reason is None) == bool(kept)
+
+    def test_uncapped_reason_names_every_rank(self):
+        result = correspond_presentation(parse_malcev(DIM6), (6,), parse_form("0"))
+        assert result.targets == []
+        assert result.rank_bound is None
+        assert result.search_reason == (
+            "no parabolic nilradical, every rank searched, is isomorphic to "
+            "the dual: 3 candidates of dimension 6, 3 rejected by invariant "
+            "fingerprint, 0 unconfirmed within search budget"
+        )
 
 
 class TestSelfDual:
@@ -192,10 +251,12 @@ class TestSelfDual:
 
 class TestThreeSummand:
     def test_exhaustive_small(self):
-        for l in range(1, 6):
-            for m in range(1, 6):
-                for n in range(1, 6):
-                    if l + m + n > 7:
+        # reaches (3,3,3) -> CP^27 and (1,4,4) -> CP^24
+        count = 0
+        for l in range(1, 9):
+            for m in range(1, 9):
+                for n in range(1, 9):
+                    if l + m + n > 10:
                         continue
                     report = three_summand_correspond(l, m, n)
                     assert report.ok, (l, m, n, report.notes)
@@ -206,6 +267,8 @@ class TestThreeSummand:
                     assert report.spec.theta == tuple(
                         k for k in range(1, l + m + n) if k not in (l, l + m)
                     )
+                    count += 1
+        assert count == 120
 
     def test_dual_is_abelian_with_flux(self):
         report = three_summand_correspond(2, 2, 2)
