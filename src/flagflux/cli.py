@@ -33,16 +33,23 @@ from .rootsys import (
     flag_dimension,
     isotropy_summands,
 )
-from .tduality import AdmissibleTriple, DualityError, check_admissible
+from .tduality import (
+    AdmissibleTriple,
+    DualityError,
+    check_admissible,
+    dualize,
+    duality_certificate,
+)
 
 
 def _dump(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(report, fmt, text_fn):
+def _emit(command, cfg, fmt):
+    report = _report(command, cfg)
     if fmt == "text":
-        click.echo("\n".join(text_fn(report)))
+        click.echo("\n".join(_RUNNERS[command][1](report)))
     else:
         click.echo(_dump(report), nl=False)
 
@@ -112,6 +119,15 @@ def _as_str(value, label):
     if not isinstance(value, str):
         raise click.UsageError("%s must be a string, got %r" % (label, value))
     return value
+
+
+def _check_keys(cfg, keys, where):
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise click.UsageError(
+            "unknown key%s in %s: %s"
+            % ("s" if len(unknown) > 1 else "", where, ", ".join(map(repr, unknown)))
+        )
 
 
 def _rank_from_cfg(cfg):
@@ -298,32 +314,36 @@ def _dualize_core(cfg):
     return presentation, ideal, flux, source
 
 
-def _run_dualize(cfg):
-    from .tduality import duality_certificate, dualize as _dualize
-
-    presentation, ideal, flux, source = _dualize_core(cfg)
-    triple = AdmissibleTriple(presentation, ideal, flux)
-    admissibility = check_admissible(triple)
-    result = _dualize(triple)
-    certificate = duality_certificate(triple, result)
+def _dualize_report(algebra, ideal, flux, admissibility, dualization, certificate, source):
     report = {
-        "algebra": print_malcev(presentation),
-        "ideal": list(triple.ideal),
+        "algebra": print_malcev(algebra),
+        "ideal": list(ideal),
         "flux": print_form(flux),
         "admissibility": admissibility.to_json(),
         "dual": {
-            "algebra": print_malcev(result.dual.algebra),
-            "ideal": list(result.dual.ideal),
-            "flux": print_form(result.dual.flux),
+            "algebra": print_malcev(dualization.dual.algebra),
+            "ideal": list(dualization.dual.ideal),
+            "flux": print_form(dualization.dual.flux),
         },
-        "H_dual": print_form(result.dual.flux),
-        "delta": print_form(result.delta),
-        "slot_map": result.slot_map.to_json(),
+        "H_dual": print_form(dualization.dual.flux),
+        "delta": print_form(dualization.delta),
+        "slot_map": dualization.slot_map.to_json(),
         "certificate": certificate.to_json(),
     }
     if source is not None:
         report["source"] = _spec_json(source)
     return report
+
+
+def _run_dualize(cfg):
+    presentation, ideal, flux, source = _dualize_core(cfg)
+    triple = AdmissibleTriple(presentation, ideal, flux)
+    admissibility = check_admissible(triple)
+    result = dualize(triple)
+    certificate = duality_certificate(triple, result)
+    return _dualize_report(
+        presentation, triple.ideal, flux, admissibility, result, certificate, source
+    )
 
 
 def _text_dualize(report):
@@ -343,40 +363,24 @@ def _text_dualize(report):
 
 def _run_correspond(cfg):
     presentation, ideal, flux, source = _dualize_core(cfg)
-    bound = cfg.get("rank_bound")
-    if bound is not None:
-        bound = _as_int(bound, "rank_bound")
-        if bound < 1:
-            raise click.UsageError("rank_bound must be at least 1, got %d" % bound)
-    result = correspond_presentation(presentation, ideal, flux, bound)
-    report = {
-        "algebra": print_malcev(presentation),
-        "ideal": list(result.ideal),
-        "flux": print_form(flux),
-        "admissibility": result.admissibility.to_json(),
-        "dual": {
-            "algebra": print_malcev(result.dualization.dual.algebra),
-            "ideal": list(result.dualization.dual.ideal),
-            "flux": print_form(result.dualization.dual.flux),
-        },
-        "H_dual": print_form(result.dualization.dual.flux),
-        "delta": print_form(result.dualization.delta),
-        "slot_map": result.dualization.slot_map.to_json(),
-        "certificate": result.certificate.to_json(),
-        "rank_bound": result.rank_bound,
-        "targets": [t.to_json() for t in result.targets],
-    }
+    result = correspond_presentation(presentation, ideal, flux)
+    report = _dualize_report(
+        presentation,
+        result.ideal,
+        flux,
+        result.admissibility,
+        result.dualization,
+        result.certificate,
+        source,
+    )
+    report["targets"] = [t.to_json() for t in result.targets]
     if result.search_reason is not None:
         report["search_reason"] = result.search_reason
-    if source is not None:
-        report["source"] = _spec_json(source)
     return report
 
 
 def _text_correspond(report):
     lines = _text_dualize(report)
-    bound = report["rank_bound"]
-    lines.append("rank bound: %s" % ("none" if bound is None else bound))
     if report["targets"]:
         lines.append("targets:")
         for t in report["targets"]:
@@ -480,6 +484,7 @@ def _run_gcs_transport(cfg):
     if "dual" in cfg:
         if not isinstance(cfg["dual"], dict):
             raise click.UsageError("dual must be a JSON object")
+        _check_keys(cfg["dual"], _SPEC_KEYS, "dual")
         dual_spec = _spec_from_cfg(cfg["dual"])
         dual_rs = build_root_system(dual_spec.series, dual_spec.rank)
         dual_summands = isotropy_summands(dual_rs, dual_spec.theta)
@@ -522,14 +527,27 @@ def _text_gcs_transport(report):
     return lines
 
 
+_SPEC_KEYS = ("series", "rank", "theta")
+_TRIPLE_KEYS = _SPEC_KEYS + ("algebra", "dim", "ideal", "flux")
+
+# command -> (report builder, text lines, the config keys the builder reads)
 _RUNNERS = {
-    "root-system": (_run_root_system, _text_root_system),
-    "nilradical": (_run_nilradical, _text_nilradical),
-    "dualize": (_run_dualize, _text_dualize),
-    "correspond": (_run_correspond, _text_correspond),
-    "selfdual": (_run_selfdual, _text_selfdual),
-    "gcs-transport": (_run_gcs_transport, _text_gcs_transport),
+    "root-system": (_run_root_system, _text_root_system, _SPEC_KEYS),
+    "nilradical": (_run_nilradical, _text_nilradical, _SPEC_KEYS),
+    "dualize": (_run_dualize, _text_dualize, _TRIPLE_KEYS),
+    "correspond": (_run_correspond, _text_correspond, _TRIPLE_KEYS),
+    "selfdual": (_run_selfdual, _text_selfdual, _SPEC_KEYS),
+    "gcs-transport": (
+        _run_gcs_transport, _text_gcs_transport, _SPEC_KEYS + ("blocks", "dual")
+    ),
 }
+
+
+def _report(command, cfg):
+    """Build a command's report; a config key it would not read is a usage error."""
+    run, _text, keys = _RUNNERS[command]
+    _check_keys(cfg, keys, "config")
+    return run(cfg)
 
 
 # ------------------------------------------------------------------ click
@@ -564,7 +582,7 @@ _config = click.option(
 def cmd_root_system(ctx, series, rank, theta, fmt, config_path):
     """Positive roots; with --theta also the isotropy summands."""
     cfg = _merge(ctx, config_path, {"series": series, "rank": rank, "theta": theta})
-    _emit(_run_root_system(cfg), fmt, _text_root_system)
+    _emit("root-system", cfg, fmt)
 
 
 @main.command("nilradical")
@@ -578,7 +596,7 @@ def cmd_root_system(ctx, series, rank, theta, fmt, config_path):
 def cmd_nilradical(ctx, series, rank, theta, fmt, config_path):
     """Malcev presentation of the nilradical, with legend and d2 check."""
     cfg = _merge(ctx, config_path, {"series": series, "rank": rank, "theta": theta})
-    _emit(_run_nilradical(cfg), fmt, _text_nilradical)
+    _emit("nilradical", cfg, fmt)
 
 
 @main.command("dualize")
@@ -598,7 +616,7 @@ def cmd_dualize(ctx, series, rank, theta, ideal, flux, fmt, config_path):
         config_path,
         {"series": series, "rank": rank, "theta": theta, "ideal": ideal, "flux": flux},
     )
-    _emit(_run_dualize(cfg), fmt, _text_dualize)
+    _emit("dualize", cfg, fmt)
 
 
 @main.command("correspond")
@@ -607,29 +625,18 @@ def cmd_dualize(ctx, series, rank, theta, ideal, flux, fmt, config_path):
 @_theta
 @click.option("--ideal", default=None, help="comma list of slots")
 @click.option("--flux", default=None, help="Malcev 3-form, 0 for none")
-@click.option(
-    "--rank-bound", type=int, default=None,
-    help="optional cap on the target rank; every rank is searched without it",
-)
 @_fmt
 @_config
 @click.pass_context
 @_guarded
-def cmd_correspond(ctx, series, rank, theta, ideal, flux, rank_bound, fmt, config_path):
+def cmd_correspond(ctx, series, rank, theta, ideal, flux, fmt, config_path):
     """Full pipeline: dualize, then search for parabolic targets."""
     cfg = _merge(
         ctx,
         config_path,
-        {
-            "series": series,
-            "rank": rank,
-            "theta": theta,
-            "ideal": ideal,
-            "flux": flux,
-            "rank_bound": rank_bound,
-        },
+        {"series": series, "rank": rank, "theta": theta, "ideal": ideal, "flux": flux},
     )
-    _emit(_run_correspond(cfg), fmt, _text_correspond)
+    _emit("correspond", cfg, fmt)
 
 
 @main.command("selfdual")
@@ -642,7 +649,7 @@ def cmd_correspond(ctx, series, rank, theta, ideal, flux, rank_bound, fmt, confi
 def cmd_selfdual(ctx, series, rank, fmt, config_path):
     """Top-root flux on the maximal flag and its self-duality check."""
     cfg = _merge(ctx, config_path, {"series": series, "rank": rank})
-    _emit(_run_selfdual(cfg), fmt, _text_selfdual)
+    _emit("selfdual", cfg, fmt)
 
 
 @main.command("gcs-transport")
@@ -656,7 +663,7 @@ def cmd_selfdual(ctx, series, rank, fmt, config_path):
 def cmd_gcs_transport(ctx, series, rank, theta, fmt, config_path):
     """Transport per-root blocks and check per-summand type uniformity."""
     cfg = _merge(ctx, config_path, {"series": series, "rank": rank, "theta": theta})
-    _emit(_run_gcs_transport(cfg), fmt, _text_gcs_transport)
+    _emit("gcs-transport", cfg, fmt)
 
 
 @main.command("golden")
@@ -675,13 +682,12 @@ def cmd_golden(list_only):
     failures = 0
     for name in names:
         job = json.loads(jobs_root.joinpath(name).read_text())
-        runner = _RUNNERS.get(job.get("command"))
-        if runner is None:
+        if job.get("command") not in _RUNNERS:
             click.echo("BAD  %s (unknown command %r)" % (name, job.get("command")))
             failures += 1
             continue
         try:
-            got = _dump(runner[0](job.get("config", {})))
+            got = _dump(_report(job["command"], job.get("config", {})))
         except Exception as exc:
             click.echo("ERR  %s (%s)" % (name, exc))
             failures += 1

@@ -7,7 +7,6 @@ out certain dual pairs on dimension grounds alone.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from .exterior import Form, wedge
@@ -74,7 +73,6 @@ class CorrespondResult:
     certificate: object
     targets: list
     search_reason: Optional[str]
-    rank_bound: Optional[int]
     source_spec: Optional[FlagSpec] = None
     legend: Optional[list] = None
 
@@ -118,11 +116,6 @@ def _thetas_of_dim(l, dim, feasible):
     return thetas
 
 
-@lru_cache(maxsize=None)
-def _candidate_presentation(l, theta):
-    return nilradical_presentation(FlagSpec("A", l, theta))
-
-
 def _blocks(l, theta):
     cuts = [k for k in range(1, l + 1) if k not in theta]
     sizes = []
@@ -153,72 +146,59 @@ def pretty_name(l, theta):
     return name
 
 
-def find_targets(dual_algebra, rank_bound=None, budget=20000):
+def find_targets(dual_algebra):
     """Parabolic nilradicals of matching dimension, confirmed by witness.
 
-    Every rank is searched unless ``rank_bound`` caps it.  A rank-l flag
-    with two or more blocks has dimension at least l (CP^l attains it), so
-    no rank above the dual's dimension holds a candidate, and an uncapped
-    search that comes up empty proves that no type-A parabolic target
-    exists.  The one-block flags (points, dimension 0) are never targets.
+    Every rank is searched.  A rank-l flag with two or more blocks has
+    dimension at least l (CP^l attains it), so no rank above the dual's
+    dimension holds a candidate, and a search that comes up empty proves
+    that no type-A parabolic target exists.  The one-block flags (points,
+    dimension 0) are never targets.
 
     Returns (targets, reason); reason is None when targets exist, else a
     deterministic account of why the search came up empty.
     """
-    if rank_bound is not None and rank_bound < 1:
-        raise ValueError("rank_bound must be >= 1")
     dim = dual_algebra.dim
-    top = dim if rank_bound is None else min(rank_bound, dim)
     feasible = {}
     seen = set()
     targets = []
     rejected = 0
     unconfirmed = 0
-    for l in range(1, top + 1):
+    for l in range(1, dim + 1):
         for theta in _thetas_of_dim(l, dim, feasible):
             canon = _canonical_theta(l, theta)
             if (l, canon) in seen:
                 continue
             seen.add((l, canon))
-            cand, _legend = _candidate_presentation(l, canon)
+            spec = FlagSpec("A", l, canon)
+            cand, _legend = nilradical_presentation(spec)
             equal, _field = compare_fingerprints(cand, dual_algebra)
             if not equal:
                 rejected += 1
                 continue
-            iso = iso_small(cand, dual_algebra, budget)
+            iso = iso_small(cand, dual_algebra)
             if iso.witness is None:
                 unconfirmed += 1
                 continue
-            targets.append(
-                TargetCandidate(FlagSpec("A", l, canon), iso.witness, pretty_name(l, canon))
-            )
+            targets.append(TargetCandidate(spec, iso.witness, pretty_name(l, canon)))
     if targets:
         return targets, None
-    if rank_bound is None:
-        scope = ", every rank searched,"
-    else:
-        scope = " within rank bound %d" % rank_bound
     reason = (
-        "no parabolic nilradical%s is isomorphic to the dual: "
+        "no parabolic nilradical, every rank searched, is isomorphic to the dual: "
         "%d candidates of dimension %d, %d rejected by invariant fingerprint, "
         "%d unconfirmed within search budget"
-        % (scope, len(seen), dim, rejected, unconfirmed)
+        % (len(seen), dim, rejected, unconfirmed)
     )
     return targets, reason
 
 
-def correspond_presentation(algebra, ideal, flux, rank_bound=None, budget=20000):
-    """Dualize an explicit presentation and search for parabolic targets.
-
-    ``rank_bound`` is an optional cap on the target rank (see find_targets).
-    """
-    if rank_bound is not None and rank_bound < 1:
-        raise ValueError("rank bound must be >= 1")
+def correspond_presentation(algebra, ideal, flux):
+    """Dualize an explicit presentation and search for parabolic targets."""
     triple = AdmissibleTriple(algebra, tuple(ideal), flux)
     admissibility = check_admissible(triple)
     dualization = dualize(triple)
     certificate = duality_certificate(triple, dualization)
-    targets, reason = find_targets(dualization.dual.algebra, rank_bound, budget)
+    targets, reason = find_targets(dualization.dual.algebra)
     return CorrespondResult(
         algebra,
         triple.ideal,
@@ -228,16 +208,13 @@ def correspond_presentation(algebra, ideal, flux, rank_bound=None, budget=20000)
         certificate,
         targets,
         reason,
-        rank_bound,
     )
 
 
-def correspond(flag, ideal_choice, rank_bound=None, budget=20000):
+def correspond(flag, ideal_choice):
     """Pipeline entry for a flag manifold: nilradical, dual, targets."""
     presentation, legend = nilradical_presentation(flag.spec)
-    result = correspond_presentation(
-        presentation, ideal_choice, flag.flux, rank_bound, budget
-    )
+    result = correspond_presentation(presentation, ideal_choice, flag.flux)
     result.source_spec = flag.spec
     result.legend = legend
     return result
@@ -290,7 +267,7 @@ class ThreeSummandReport:
     notes: list = field(default_factory=list)
 
 
-def three_summand_correspond(l, m, n, rank_bound=None, budget=20000):
+def three_summand_correspond(l, m, n):
     """Dualize along the third summand of SU(l+m+n)/S(U(l)x U(m)x U(n))."""
     dims = three_summand_dims(l, m, n)
     total = sum(dims)
@@ -303,7 +280,7 @@ def three_summand_correspond(l, m, n, rank_bound=None, budget=20000):
     ideal = tuple(range(total - summands[-1].dim + 1, total + 1))
 
     flag = FlowingFlag(spec, Form.zero(3))
-    result = correspond(flag, ideal, rank_bound, budget)
+    result = correspond(flag, ideal)
     notes = []
     dual = result.dualization.dual
     if not dual.algebra.is_abelian():

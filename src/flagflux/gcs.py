@@ -66,10 +66,6 @@ def mat_eq(a, b):
     return all(ra == rb for ra, rb in zip(a, b))
 
 
-def mat_scale(c, a):
-    return [[c * v for v in row] for row in a]
-
-
 def complex_matrix(sign):
     """The two complex-type blocks; sign picks the orientation."""
     if sign not in (1, -1):
@@ -155,11 +151,18 @@ def _thaw(m):
 
 
 def make_block(kind, **params):
-    """Build a validated block; rejects parameters off the a**2-xy=-1 sheet."""
+    """Build a validated block; rejects parameters off the a**2-xy=-1 sheet.
+
+    A parameter of the wrong type (a sign that is not an int, a bool
+    anywhere) is a TypeError; a value off the sheet, or a sign other than
+    +1 or -1, is a ValueError.
+    """
     if kind == "complex":
         sign = params.pop("sign", 1)
         if params:
             raise TypeError("unexpected parameters: %s" % sorted(params))
+        if not isinstance(sign, int) or isinstance(sign, bool):
+            raise TypeError("sign must be the integer 1 or -1, got %r" % (sign,))
         m = complex_matrix(sign)
         return GcsBlock("complex", _freeze(m), (sign,))
     if kind == "noncomplex":

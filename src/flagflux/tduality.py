@@ -346,10 +346,6 @@ def _transported_constants(p, perm, signs):
     return out
 
 
-def _constants(p):
-    return p.structure_constants()
-
-
 def _solve_signs(n, base, target):
     """Sign vector with s_i s_j s_k * base = target, as a GF(2) system."""
     if {k: abs(c) for k, c in base.items()} != {k: abs(c) for k, c in target.items()}:
@@ -398,6 +394,21 @@ def _weight_layers(p):
     return weights
 
 
+def _arrangements(layers):
+    """One ordering of each layer at a time, in itertools.product order.
+
+    Lazy, unlike itertools.product, which stores every permutation of each
+    layer before it yields: a layer of 12 slots has 12! orderings, and the
+    search budget stops long before that.
+    """
+    if not layers:
+        yield ()
+        return
+    for first in itertools.permutations(layers[0]):
+        for rest in _arrangements(layers[1:]):
+            yield (first,) + rest
+
+
 def iso_small(p, q, budget=20000):
     """Search for a signed, filtration-friendly basis change taking p to q.
 
@@ -410,17 +421,6 @@ def iso_small(p, q, budget=20000):
     equal, field = compare_fingerprints(p, q)
     if not equal:
         return IsoResult(None, True, "fingerprint differs: %s" % field)
-    if p.key() == q.key():
-        ident = BasisChange(tuple(range(1, n + 1)), (1,) * n)
-        return IsoResult(ident, False, "identical presentations")
-
-    base = _constants(p)
-    target = _constants(q)
-    signs = _solve_signs(n, base, target)
-    if signs is not None:
-        return IsoResult(
-            BasisChange(tuple(range(1, n + 1)), signs), False, "signed diagonal"
-        )
 
     wp = _weight_layers(p)
     wq = _weight_layers(q)
@@ -436,10 +436,12 @@ def iso_small(p, q, budget=20000):
         # cannot succeed; this is inconclusive for general isomorphism
         return IsoResult(None, False, "no signed monomial witness: layer profiles differ")
 
+    # each layer's slots first pair up in order: the identity when p and q
+    # share their layers, so a signed diagonal witness is found first
     weights = sorted(layers_p)
+    target = q.structure_constants()
     tried = 0
-    pools = [itertools.permutations(layers_p[w]) for w in weights]
-    for combo in itertools.product(*pools):
+    for combo in _arrangements([layers_p[w] for w in weights]):
         tried += 1
         if tried > budget:
             return IsoResult(None, False, "budget exhausted after %d candidates" % budget)
@@ -486,7 +488,7 @@ def fingerprint(p):
     if cached is not None:
         return cached
     n = p.dim
-    consts = _constants(p)
+    consts = p.structure_constants()
     basis = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
 
     lcs_dims = []
@@ -567,18 +569,14 @@ def compare_fingerprints(p, q):
 # --- random admissible triples for property suites -----------------------
 
 
-def _closed_two_forms(max_index, diffs_so_far):
-    keys = list(itertools.combinations(range(1, max_index + 1), 2))
-    p = MalcevPresentation(list(diffs_so_far))
+def _closed_forms(p, keys):
+    """Basis of the closed forms spanned by the basis forms ``keys``."""
     rows_by_target = {}
     for col, key in enumerate(keys):
-        img = ce_diff(p, Form(2, {key: 1}))
+        img = ce_diff(p, Form(len(key), {key: 1}))
         for tkey, c in img.terms.items():
             rows_by_target.setdefault(tkey, [0] * len(keys))[col] = c
-    if not rows_by_target:
-        return keys, [[Fraction(int(i == j)) for i in range(len(keys))] for j in range(len(keys))]
-    rows = list(rows_by_target.values())
-    return keys, nullspace(rows, len(keys))
+    return nullspace(list(rows_by_target.values()), len(keys))
 
 
 def random_admissible_triple(rng, max_dim=8):
@@ -612,8 +610,8 @@ def random_admissible_triple(rng, max_dim=8):
         diffs.append(Form(2, terms))
 
     if layers == 3:
-        head = sizes[0] + sizes[1]
-        keys, closed = _closed_two_forms(head, diffs)
+        keys = list(itertools.combinations(range(1, sizes[0] + sizes[1] + 1), 2))
+        closed = _closed_forms(MalcevPresentation(list(diffs)), keys)
         for _ in range(sizes[2]):
             terms = {}
             if closed:
@@ -635,18 +633,7 @@ def random_admissible_triple(rng, max_dim=8):
         for key in itertools.combinations(range(1, n + 1), 3)
         if sum(1 for i in key if i in ideal_set) <= 1
     ]
-    rows_by_target = {}
-    for col, key in enumerate(keys3):
-        img = ce_diff(algebra, Form(3, {key: 1}))
-        for tkey, c in img.terms.items():
-            rows_by_target.setdefault(tkey, [0] * len(keys3))[col] = c
-    if rows_by_target:
-        closed3 = nullspace(list(rows_by_target.values()), len(keys3))
-    else:
-        closed3 = [
-            [Fraction(int(i == j)) for i in range(len(keys3))]
-            for j in range(len(keys3))
-        ]
+    closed3 = _closed_forms(algebra, keys3)
     terms = {}
     if closed3:
         for _ in range(rng.randint(0, 3)):

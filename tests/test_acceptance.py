@@ -110,16 +110,12 @@ def test_c02_fixed_point_with_sign_witness(capsys):
 
 
 def test_c03_rank_three_runs(capsys):
-    top = correspond_presentation(
-        parse_malcev(SL4_VARIANT), (6,), parse_form("0"), rank_bound=7
-    )
+    top = correspond_presentation(parse_malcev(SL4_VARIANT), (6,), parse_form("0"))
     assert print_form(top.dualization.dual.flux) == "-e^{146}+e^{356}"
     assert top.targets == []
     assert top.search_reason is not None
 
-    three = correspond_presentation(
-        parse_malcev(SL4_VARIANT), (4, 5, 6), parse_form("0"), rank_bound=7
-    )
+    three = correspond_presentation(parse_malcev(SL4_VARIANT), (4, 5, 6), parse_form("0"))
     assert three.dualization.dual.flux == parse_form("-e^{124}-e^{235}-e^{146}+e^{356}")
     assert len(three.dualization.dual.flux.terms) == 4
     assert sorted(t.pretty_name for t in three.targets) == [
@@ -127,7 +123,7 @@ def test_c03_rank_three_runs(capsys):
         "SU(7)/S(U(6)×U(1)) ≅ CP^6",
     ]
     with capsys.disabled():
-        print("criterion 3: PASS: top slot empty at bound 7, three-slot gives both targets")
+        print("criterion 3: PASS: top slot empty at every rank, three-slot gives both targets")
 
 
 def test_c04_partial_flag_dual(capsys):
@@ -142,7 +138,7 @@ def test_c04_partial_flag_dual(capsys):
     witness = BasisChange(SU6_PERM, SU6_SIGNS)
     assert witness.push_form(result.dual.flux) == parse_form(SU6_RECORDED_FLUX)
 
-    pipeline = correspond_presentation(t.algebra, t.ideal, t.flux, rank_bound=13)
+    pipeline = correspond_presentation(t.algebra, t.ideal, t.flux)
     assert any(c.pretty_name.endswith("CP^12") for c in pipeline.targets)
     with capsys.disabled():
         print("criterion 4: PASS: dims (4,4,4), abelian dim 12, recorded-convention flux, CP^12")

@@ -100,17 +100,34 @@ class TestExitCodes:
         assert "Traceback" not in result.output
         assert key in result.stderr
 
-    def test_non_positive_rank_bound_flag_is_two(self, runner):
+    def test_rank_bound_flag_is_gone(self, runner):
         result = runner.invoke(
-            main, ["correspond", "--rank", "2", "--ideal", "3", "--rank-bound", "0"]
+            main, ["correspond", "--rank", "2", "--ideal", "3", "--rank-bound", "7"]
         )
         assert result.exit_code == 2
-        assert "rank_bound" in result.stderr
+        assert "--rank-bound" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("correspond", {"rank": 2, "ideal": [3], "rank_bound": 7}, "'rank_bound'"),
+            ("nilradical", {"rank": 2, "ideal": [3], "flux": "0"}, "keys in config: 'flux', 'ideal'"),
+            ("selfdual", {"rank": 2, "blocks": {}}, "'blocks'"),
+            ("root-system", {"rank": 2, "dual": {}}, "'dual'"),
+        ],
+    )
+    def test_unknown_config_key_is_two(self, runner, tmp_path, command, config, message):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr
 
 
 class TestDeterminism:
     def test_byte_identical_repeat(self, runner):
-        args = ["correspond", "--rank", "2", "--ideal", "3", "--rank-bound", "13"]
+        args = ["correspond", "--rank", "2", "--ideal", "3"]
         first = invoke(runner, *args)
         second = invoke(runner, *args)
         assert first.stdout == second.stdout
@@ -180,12 +197,9 @@ class TestReports:
         assert body["source"] == {"series": "A", "rank": 2, "theta": []}
 
     def test_correspond_json_shape(self, runner):
-        result = invoke(
-            runner, "correspond", "--rank", "2", "--ideal", "3",
-            "--rank-bound", "13",
-        )
+        result = invoke(runner, "correspond", "--rank", "2", "--ideal", "3")
         body = json.loads(result.stdout)
-        assert body["rank_bound"] == 13
+        assert "rank_bound" not in body
         assert [t["pretty_name"] for t in body["targets"]] == [
             "SU(4)/S(U(3)×U(1)) ≅ CP^3"
         ]
@@ -198,15 +212,16 @@ class TestReports:
                 {
                     "algebra": "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})",
                     "ideal": [6],
-                    "rank_bound": 7,
                 }
             )
         )
         result = invoke(runner, "correspond", "--config", str(cfg))
         body = json.loads(result.stdout)
         assert body["targets"] == []
-        assert body["search_reason"].startswith(
-            "no parabolic nilradical within rank bound 7"
+        assert body["search_reason"] == (
+            "no parabolic nilradical, every rank searched, is isomorphic to "
+            "the dual: 3 candidates of dimension 6, 3 rejected by invariant "
+            "fingerprint, 0 unconfirmed within search budget"
         )
 
     def test_correspond_uncapped_reason(self, runner, tmp_path):
@@ -216,7 +231,6 @@ class TestReports:
         )
         result = invoke(runner, "correspond", "--config", str(cfg))
         body = json.loads(result.stdout)
-        assert body["rank_bound"] is None
         assert body["targets"] == []
         assert body["search_reason"].startswith(
             "no parabolic nilradical, every rank searched,"
@@ -272,7 +286,6 @@ class TestTextFormat:
         result = invoke(
             runner, "correspond", "--rank", "2", "--ideal", "3", "--format", "text"
         )
-        assert "rank bound: none" in result.stdout.splitlines()
         assert "targets:" in result.stdout
         assert "SU(4)/S(U(3)×U(1)) ≅ CP^3" in result.stdout
 
@@ -318,6 +331,13 @@ class TestGcsTransport:
         result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
         assert result.exit_code == 2
 
+    def test_unknown_dual_key_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, dual={"rank": 3, "ideal": [6]})))
+        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "unknown key in dual: 'ideal'" in result.stderr
+
     def test_non_object_dual_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(dict(self.CONFIG, dual=5)))
@@ -332,6 +352,8 @@ class TestGcsTransport:
             ({"kind": "noncomplex", "a": "0", "y": "1"}, "needs 'x'"),
             ({"kind": "weird"}, "unknown block kind"),
             ({"kind": "noncomplex", "a": True, "x": "1", "y": "1"}, "bool"),
+            ({"kind": "complex", "sign": True}, "sign must be the integer 1 or -1, got True"),
+            ({"kind": "complex", "sign": 1.0}, "sign must be the integer 1 or -1, got 1.0"),
         ],
     )
     def test_malformed_block_is_usage_error(self, runner, tmp_path, block, message):

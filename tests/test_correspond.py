@@ -13,7 +13,6 @@ from flagflux import (
     correspond,
     correspond_presentation,
     dimension_obstruction_scan,
-    find_targets,
     nilradical_presentation,
     parse_form,
     parse_malcev,
@@ -117,23 +116,18 @@ class TestTargets:
         assert result.targets[0].spec == FlagSpec("A", 3, (1, 2))
         assert result.targets[0].witness is not None
         assert result.search_reason is None
-        assert result.rank_bound is None
 
     def test_dim6_top_slot_empty_with_reason(self):
-        result = correspond_presentation(
-            parse_malcev(DIM6), (6,), parse_form("0"), rank_bound=7
-        )
+        result = correspond_presentation(parse_malcev(DIM6), (6,), parse_form("0"))
         assert result.targets == []
         assert result.search_reason == (
-            "no parabolic nilradical within rank bound 7 is isomorphic to "
+            "no parabolic nilradical, every rank searched, is isomorphic to "
             "the dual: 3 candidates of dimension 6, 3 rejected by invariant "
             "fingerprint, 0 unconfirmed within search budget"
         )
 
     def test_dim6_three_slot_two_targets(self):
-        result = correspond_presentation(
-            parse_malcev(DIM6), (4, 5, 6), parse_form("0"), rank_bound=7
-        )
+        result = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
         assert [(t.spec.rank, t.spec.theta) for t in result.targets] == [
             (4, (1, 2, 4)),
             (6, (1, 2, 3, 4, 5)),
@@ -147,7 +141,7 @@ class TestTargets:
 
     def test_su6_three_targets(self):
         flag = FlowingFlag(FlagSpec("A", 5, (1, 3, 5)), Form.zero(3))
-        result = correspond(flag, tuple(range(9, 13)), rank_bound=13)
+        result = correspond(flag, tuple(range(9, 13)))
         assert [(t.spec.rank, t.spec.theta) for t in result.targets] == [
             (6, (1, 2, 3, 5, 6)),
             (7, (1, 2, 3, 4, 5, 7)),
@@ -163,61 +157,17 @@ class TestTargets:
         assert len(result.legend) == 12
 
     def test_witnesses_actually_map(self):
-        result = correspond_presentation(
-            parse_malcev(DIM6), (4, 5, 6), parse_form("0"), rank_bound=7
-        )
+        result = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
         dual = result.dualization.dual.algebra
         for t in result.targets:
             candidate, _ = nilradical_presentation(t.spec)
             assert t.witness.apply(dual) == candidate
 
     def test_deterministic(self):
-        a = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"), rank_bound=7)
-        b = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"), rank_bound=7)
+        a = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
+        b = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
         assert [t.spec for t in a.targets] == [t.spec for t in b.targets]
         assert a.search_reason == b.search_reason
-
-    def test_find_targets_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            find_targets(parse_malcev("(0,0,0)"), 0)
-
-
-class TestRankCap:
-    @pytest.fixture(scope="class")
-    def duals(self):
-        su6 = correspond(
-            FlowingFlag(FlagSpec("A", 5, (1, 3, 5)), Form.zero(3)), tuple(range(9, 13))
-        )
-        dim6 = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
-        return [r.dualization.dual.algebra for r in (su6, dim6)]
-
-    def test_uncapped_equals_cap_at_dim(self, duals):
-        for dual in duals:
-            free, _ = find_targets(dual)
-            capped, _ = find_targets(dual, dual.dim)
-            assert [(t.spec, t.witness) for t in free] == [
-                (t.spec, t.witness) for t in capped
-            ]
-            assert free
-
-    def test_cap_keeps_low_rank_targets(self, duals):
-        for dual in duals:
-            free, _ = find_targets(dual)
-            for cap in range(1, dual.dim + 3):
-                capped, reason = find_targets(dual, cap)
-                kept = [t.spec for t in free if t.spec.rank <= cap]
-                assert [t.spec for t in capped] == kept
-                assert (reason is None) == bool(kept)
-
-    def test_uncapped_reason_names_every_rank(self):
-        result = correspond_presentation(parse_malcev(DIM6), (6,), parse_form("0"))
-        assert result.targets == []
-        assert result.rank_bound is None
-        assert result.search_reason == (
-            "no parabolic nilradical, every rank searched, is isomorphic to "
-            "the dual: 3 candidates of dimension 6, 3 rejected by invariant "
-            "fingerprint, 0 unconfirmed within search budget"
-        )
 
 
 class TestSelfDual:
@@ -275,11 +225,6 @@ class TestThreeSummand:
         dual = report.result.dualization.dual
         assert dual.algebra.is_abelian()
         assert not dual.flux.is_zero()
-
-    def test_explicit_bound_matches_default(self):
-        a = three_summand_correspond(1, 2, 2)
-        b = three_summand_correspond(1, 2, 2, rank_bound=8)
-        assert [t.spec for t in a.result.targets] == [t.spec for t in b.result.targets]
 
 
 class TestObstructionScan:

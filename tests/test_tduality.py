@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from flagflux import (
     random_admissible_triple,
     wedge,
 )
-from flagflux.tduality import BasisChange
+from flagflux.tduality import BasisChange, _arrangements
 
 HEISENBERG = "(0,0,-e^{12})"
 DIM6 = "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})"
@@ -211,6 +212,26 @@ class TestRandomTriples:
         b = random_admissible_triple(random.Random(7))
         assert a.algebra == b.algebra and a.flux == b.flux and a.ideal == b.ideal
 
+    @pytest.mark.parametrize(
+        "seed, algebra, ideal, flux",
+        [
+            (2, "(0,0,-e^{12})", (3,), "-2e^{123}"),
+            (8, "(0,0,0,2e^{12}-e^{13}+e^{23})", (4,), "-2e^{234}"),
+            (98, "(0,0,e^{12},2e^{12},-e^{23})", (5,), "-e^{123}+e^{235}"),
+            (9, "(0,0,0,2e^{12}+e^{13}+e^{23},e^{12},-2e^{14}+2e^{15}+2e^{35})", (6,),
+             "-e^{124}-e^{125}-2e^{134}"),
+            (74, "(0,0,-e^{12},-e^{12},e^{12},e^{14}+e^{23},e^{12})", (6, 7),
+             "e^{146}-e^{236}"),
+            (20, "(0,0,0,-e^{23},-e^{12}+e^{13},-e^{12}+e^{13}-e^{23},2e^{24},2e^{13}+e^{24})",
+             (7, 8), "-e^{125}+2e^{147}-e^{234}-2e^{267}"),
+        ],
+    )
+    def test_pinned_outputs(self, seed, algebra, ideal, flux):
+        # one seed per dimension 3..8, three-layer algebras from 5 on; the
+        # benchmark's corpus of triples depends on these exact outputs
+        t = random_admissible_triple(random.Random(seed))
+        assert (print_malcev(t.algebra), t.ideal, print_form(t.flux)) == (algebra, ideal, flux)
+
     def test_sampled_triples_admissible_and_dualizable(self):
         rng = random.Random(20240817)
         for _ in range(60):
@@ -269,6 +290,10 @@ class TestIsoSmall:
         assert result.witness is not None
         assert result.witness.apply(p) == q
 
+    def test_signed_diagonal_witness_pinned(self):
+        result = iso_small(parse_malcev("(0,0,e^{12})"), parse_malcev("(0,0,-e^{12})"))
+        assert result.witness == BasisChange((1, 2, 3), (-1, 1, 1))
+
     def test_named_sign_vector_also_certifies(self):
         p = parse_malcev(HEISENBERG)
         q = parse_malcev("(0,0,e^{12})")
@@ -288,6 +313,21 @@ class TestIsoSmall:
         assert result.witness is None
         assert result.proved_distinct
         assert "abelian" in result.reason
+
+    def test_exhausted_budget_is_inconclusive(self):
+        p, _ = nilradical_presentation(FlagSpec("A", 3))
+        q = BasisChange((2, 1, 3, 5, 4, 6), (1,) * 6).apply(p)
+        result = iso_small(p, q, budget=1)
+        assert result.witness is None
+        assert not result.proved_distinct
+        assert result.reason == "budget exhausted after 1 candidates"
+        assert iso_small(p, q).witness.apply(p) == q
+
+    def test_arrangements_in_product_order(self):
+        layers = [[1, 2, 3], [4], [5, 6]]
+        assert list(_arrangements(layers)) == list(
+            itertools.product(*[itertools.permutations(v) for v in layers])
+        )
 
     def test_exhausted_search_is_inconclusive(self):
         ours, _ = nilradical_presentation(FlagSpec("A", 3))
