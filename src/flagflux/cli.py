@@ -173,14 +173,27 @@ def _spec_from_cfg(cfg, require_theta=False):
 
 
 def _algebra_from_cfg(cfg):
-    """Explicit Malcev string, or a flag spec whose nilradical we build."""
+    """Explicit Malcev string, or a flag spec whose nilradical we build.
+
+    A key of the other branch is a usage error, not silently dropped; the
+    series counts only when it is not the default "A" that --series supplies.
+    """
     if "algebra" in cfg:
+        mixed = [key for key in ("rank", "theta") if cfg.get(key) is not None]
+        if cfg.get("series", "A") != "A":
+            mixed.append("series")
+        if mixed:
+            raise click.UsageError(
+                "%s cannot be combined with 'algebra'" % ", ".join(map(repr, mixed))
+            )
         dim = cfg.get("dim")
         presentation = parse_malcev(
             _as_str(cfg["algebra"], "algebra"),
             None if dim is None else _as_int(dim, "dim"),
         )
         return presentation, None, None
+    if cfg.get("dim") is not None:
+        raise click.UsageError("'dim' is read only together with 'algebra'")
     spec = _spec_from_cfg(cfg)
     presentation, legend = nilradical_presentation(spec)
     return presentation, legend, spec

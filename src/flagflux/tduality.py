@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._linalg import nullspace, rank, rref
+from ._linalg import echelon, nullspace, rank
 from .exterior import Form, MalcevPresentation, ce_diff, interior, print_form, wedge
 
 __all__ = [
@@ -470,24 +470,29 @@ def _bracket_vec(consts, n, u, v):
 
 
 def _span_brackets(consts, n, left, right):
-    rows = [_bracket_vec(consts, n, u, v) for u in left for v in right]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return []
-    reduced, pivots = rref(rows, n)
-    return reduced[: len(pivots)]
+    """Dense rows spanning [left, right], read off a sparse echelon form."""
+    rows = (_bracket_vec(consts, n, u, v) for u in left for v in right)
+    pivots = echelon(dict(enumerate(r)) for r in rows if any(r))
+    return [[row.get(k, 0) for k in range(n)] for row in pivots.values()]
 
 
 _FP_CACHE = {}
 
+_FIELDS = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim", "d1_rank", "d2_rank")
 
-def fingerprint(p):
-    """Basis-independent invariants: dims of the lower central and derived
-    series, center dimension and the per-degree ranks of d."""
-    cached = _FP_CACHE.get(p.key())
+
+def _fingerprint_fields(p):
+    """The fingerprint's fields in order, each computed only when the caller
+    asks for it; a fingerprint is cached once its last field is known."""
+    key = p.key()
+    cached = _FP_CACHE.get(key)
     if cached is not None:
-        return cached
+        yield from cached
+        return
     n = p.dim
+    yield n
+    abelian = p.is_abelian()
+    yield abelian
     consts = p.structure_constants()
     basis = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
 
@@ -498,6 +503,8 @@ def fingerprint(p):
         lcs_dims.append(len(current))
         if not current:
             break
+    lcs_dims = tuple(lcs_dims)
+    yield lcs_dims
 
     derived_dims = []
     current = basis
@@ -506,61 +513,40 @@ def fingerprint(p):
         derived_dims.append(len(current))
         if not current:
             break
+    derived_dims = tuple(derived_dims)
+    yield derived_dims
 
     ad_rows = []
     for j in range(n):
         for row in zip(*[_bracket_vec(consts, n, basis[i], basis[j]) for i in range(n)]):
-            ad_rows.append(list(row))
-    center_dim = n - rank(ad_rows, n) if ad_rows else n
+            if any(row):
+                ad_rows.append(dict(enumerate(row)))
+    center_dim = n - rank(ad_rows)
+    yield center_dim
 
     d1_rank = _diff_rank(p, 1)
-    d2_rank = _diff_rank(p, 2)
+    yield d1_rank
 
-    value = (
-        n,
-        p.is_abelian(),
-        tuple(lcs_dims),
-        tuple(derived_dims),
-        center_dim,
-        d1_rank,
-        d2_rank,
-    )
-    _FP_CACHE[p.key()] = value
-    return value
+    value = (n, abelian, lcs_dims, derived_dims, center_dim, d1_rank, _diff_rank(p, 2))
+    _FP_CACHE[key] = value
+    yield value[-1]
+
+
+def fingerprint(p):
+    """Basis-independent invariants: dims of the lower central and derived
+    series, center dimension and the per-degree ranks of d."""
+    return tuple(_fingerprint_fields(p))
 
 
 def _diff_rank(p, degree):
-    keys = list(itertools.combinations(range(1, p.dim + 1), degree))
-    if not keys:
-        return 0
-    images = []
-    col_index = {}
-    for key in keys:
-        img = ce_diff(p, Form(degree, {key: 1}))
-        images.append(img.terms)
-        for ikey in img.terms:
-            col_index.setdefault(ikey, len(col_index))
-    if not col_index:
-        return 0
-    rows = []
-    for terms in images:
-        row = [0] * len(col_index)
-        for ikey, c in terms.items():
-            row[col_index[ikey]] = c
-        rows.append(row)
-    return rank(rows, len(col_index))
+    keys = itertools.combinations(range(1, p.dim + 1), degree)
+    return rank([ce_diff(p, Form(degree, {key: 1})).terms for key in keys])
 
 
 def compare_fingerprints(p, q):
-    """(equal, first differing field name); staged so cheap parts go first."""
-    if p.dim != q.dim:
-        return False, "dim"
-    if p.is_abelian() != q.is_abelian():
-        return False, "abelian"
-    fp, fq = fingerprint(p), fingerprint(q)
-    names = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim",
-             "d1_rank", "d2_rank")
-    for name, a, b in zip(names, fp, fq):
+    """(equal, first differing field name); a field of the two fingerprints
+    is computed only when every field before it agreed."""
+    for name, a, b in zip(_FIELDS, _fingerprint_fields(p), _fingerprint_fields(q)):
         if a != b:
             return False, name
     return True, None
@@ -575,7 +561,7 @@ def _closed_forms(p, keys):
     for col, key in enumerate(keys):
         img = ce_diff(p, Form(len(key), {key: 1}))
         for tkey, c in img.terms.items():
-            rows_by_target.setdefault(tkey, [0] * len(keys))[col] = c
+            rows_by_target.setdefault(tkey, {})[col] = c
     return nullspace(list(rows_by_target.values()), len(keys))
 
 

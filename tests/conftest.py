@@ -5,6 +5,7 @@ The oracles reimplement the hot-path operations the slow, obvious way
 kernel is checked against code that shares none of its shortcuts.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -136,3 +137,54 @@ def theta_dim_oracle(l):
         theta = tuple(i + 1 for i in range(l) if (mask >> i) & 1)
         table.setdefault(mask_dim_oracle(l, mask), []).append(theta)
     return table
+
+
+def rref_oracle(rows, ncols):
+    """Dense reduced row echelon form; returns (new rows, pivot column list)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def nullspace_oracle(rows, ncols):
+    """Right-kernel basis read off rref_oracle, one vector per free column."""
+    mat, pivots = rref_oracle(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -mat[r][free]
+        basis.append(vec)
+    return basis
+
+
+def mahonian_oracle(m):
+    """{k: number of permutations of m letters with k inversions}, by enumeration."""
+    counts = {}
+    for perm in itertools.permutations(range(m)):
+        k = sum(a > b for a, b in itertools.combinations(perm, 2))
+        counts[k] = counts.get(k, 0) + 1
+    return counts

@@ -124,6 +124,29 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert message in result.stderr
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("dualize", {"algebra": "(0,0,-e^{12})", "rank": 5, "ideal": [3]}, "'rank'"),
+            ("correspond", {"algebra": "(0,0,-e^{12})", "theta": [1], "ideal": [3]}, "'theta'"),
+            ("dualize", {"algebra": "(0,0,-e^{12})", "series": "B", "ideal": [3]}, "'series'"),
+            ("correspond", {"rank": 2, "dim": 7, "ideal": [3]}, "'dim'"),
+        ],
+    )
+    def test_mixed_config_keys_is_two(self, runner, tmp_path, command, config, message):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr
+
+    def test_default_series_with_algebra_is_zero(self, runner, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"algebra": "(0,0,-e^{12})", "series": "A", "ideal": [3]}))
+        result = runner.invoke(main, ["dualize", "--config", str(cfg)])
+        assert result.exit_code == 0
+
 
 class TestDeterminism:
     def test_byte_identical_repeat(self, runner):

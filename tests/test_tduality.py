@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,10 @@ from flagflux import (
     random_admissible_triple,
     wedge,
 )
+from flagflux import tduality
 from flagflux.tduality import BasisChange, _arrangements
+
+from conftest import filtered_presentations, mahonian_oracle
 
 HEISENBERG = "(0,0,-e^{12})"
 DIM6 = "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})"
@@ -273,6 +277,53 @@ class TestFingerprint:
         p = parse_malcev(DIM6)
         moved = BasisChange((2, 1, 3, 5, 4, 6), (1, -1, 1, 1, -1, 1)).apply(p)
         assert fingerprint(moved) == fingerprint(p)
+
+    @pytest.mark.parametrize("rank", range(3, 8))
+    def test_kostant_maximal_flags(self, rank):
+        """dim H^k(n) = C(n,k) - r_k - r_(k-1) counts the permutations of
+        S_(rank+1) with k inversions (Kostant); r_0 = 0."""
+        p, _legend = nilradical_presentation(FlagSpec("A", rank))
+        fp = fingerprint(p)
+        n, r1, r2 = p.dim, fp[5], fp[6]
+        inversions = mahonian_oracle(rank + 1)
+        assert n - r1 == inversions[1]
+        assert comb(n, 2) - r2 - r1 == inversions[2]
+
+
+NAMES = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim", "d1_rank", "d2_rank")
+
+
+class TestStagedComparison:
+    @given(filtered_presentations(max_dim=5), filtered_presentations(max_dim=5))
+    @settings(max_examples=150, deadline=None)
+    def test_first_differing_field_of_full_tuples(self, p, q):
+        tduality._FP_CACHE.clear()  # each example compares before any fingerprint is cached
+        staged = compare_fingerprints(p, q)
+        first = next(
+            (name for name, a, b in zip(NAMES, fingerprint(p), fingerprint(q)) if a != b),
+            None,
+        )
+        assert staged == (first is None, first)
+        assert compare_fingerprints(p, p) == (True, None)
+
+    def test_lcs_rejection_never_ranks_d(self, monkeypatch):
+        def refuse(p, degree):
+            raise AssertionError("_diff_rank called for a rejected candidate")
+
+        monkeypatch.setattr(tduality, "_diff_rank", refuse)
+        monkeypatch.setattr(tduality, "_FP_CACHE", {})
+        heisenberg_plus_line = parse_malcev("(0,0,-e^{12},0)")
+        filiform = parse_malcev("(0,0,-e^{12},-e^{13})")
+        assert compare_fingerprints(heisenberg_plus_line, filiform) == (False, "lcs_dims")
+        assert tduality._FP_CACHE == {}
+
+    def test_cached_only_when_complete(self, monkeypatch):
+        monkeypatch.setattr(tduality, "_FP_CACHE", {})
+        p = parse_malcev(HEISENBERG)
+        assert compare_fingerprints(p, parse_malcev("(0,0,0,0)")) == (False, "dim")
+        assert tduality._FP_CACHE == {}
+        assert compare_fingerprints(p, parse_malcev(HEISENBERG)) == (True, None)
+        assert tduality._FP_CACHE == {p.key(): fingerprint(p)}
 
 
 class TestIsoSmall:
