@@ -11,11 +11,7 @@ Odlyzko 1990).
 
 from fractions import Fraction
 
-
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+from ._kernel import _norm
 
 
 def _subtract(row, f, other):

@@ -161,15 +161,10 @@ def _merge(ctx, config_path, flags):
     return merged
 
 
-def _spec_from_cfg(cfg, require_theta=False):
-    series = cfg.get("series", "A")
+def _spec_from_cfg(cfg):
+    series = _as_str(cfg.get("series", "A"), "series")
     rank = _rank_from_cfg(cfg)
-    theta = cfg.get("theta")
-    if theta is None:
-        if require_theta:
-            raise click.UsageError("missing --theta (or config key \"theta\")")
-        theta = ()
-    return FlagSpec(series, rank, _as_int_tuple(theta, "theta"))
+    return FlagSpec(series, rank, _as_int_tuple(cfg.get("theta"), "theta"))
 
 
 def _algebra_from_cfg(cfg):
@@ -208,15 +203,11 @@ def _flux_from_cfg(cfg, dim):
     return form
 
 
-def _spec_json(spec):
-    return {"series": spec.series, "rank": spec.rank, "theta": list(spec.theta)}
-
-
 # ---------------------------------------------------------------- reports
 
 
 def _run_root_system(cfg):
-    series = cfg.get("series", "A")
+    series = _as_str(cfg.get("series", "A"), "series")
     rank = _rank_from_cfg(cfg)
     rs = build_root_system(series, rank)
     report = {
@@ -344,7 +335,7 @@ def _dualize_report(algebra, ideal, flux, admissibility, dualization, certificat
         "certificate": certificate.to_json(),
     }
     if source is not None:
-        report["source"] = _spec_json(source)
+        report["source"] = source.to_json()
     return report
 
 
@@ -483,7 +474,7 @@ def _run_gcs_transport(cfg):
     before = integrability_necessary(blocks, summands)
     moved = [phi_conjugate(b) for b in blocks]
     report = {
-        "source": _spec_json(spec),
+        "source": spec.to_json(),
         "blocks": assignment,
         "uniform_before": before.to_json(),
         "transported": [
@@ -502,7 +493,7 @@ def _run_gcs_transport(cfg):
         dual_rs = build_root_system(dual_spec.series, dual_spec.rank)
         dual_summands = isotropy_summands(dual_rs, dual_spec.theta)
         after = integrability_necessary(moved, dual_summands)
-        report["dual"] = _spec_json(dual_spec)
+        report["dual"] = dual_spec.to_json()
         report["uniform_after"] = after.to_json()
     return report
 

@@ -185,9 +185,12 @@ class MalcevPresentation:
     differentials[k-1] is de^k, a 2-form supported on indices < k; that
     filtration rule is what makes the notation well founded.  Jacobi
     (d after d = 0) is deliberately not enforced here; see jacobi_check.
+    A presentation is treated as immutable: it keeps the term maps of its
+    differentials and, in ``_invariants``, the basis-independent invariants
+    computed for it so far (see tduality.fingerprint), both freed with it.
     """
 
-    __slots__ = ("dim", "differentials", "_dterms")
+    __slots__ = ("dim", "differentials", "_dterms", "_invariants")
 
     def __init__(self, differentials):
         diffs = tuple(differentials)
@@ -203,6 +206,7 @@ class MalcevPresentation:
                 )
         self.differentials = diffs
         self._dterms = tuple(f.terms for f in diffs)
+        self._invariants = {}
 
     def structure_constants(self):
         """{(i,j,k): c^k_ij} for [e_i,e_j] = sum_k c^k_ij e_k, i < j."""
@@ -211,10 +215,6 @@ class MalcevPresentation:
             for (i, j), t in f.terms.items():
                 consts[(i, j, k)] = -t
         return consts
-
-    def key(self):
-        """Hashable canonical key, used for caching derived data."""
-        return tuple(tuple(sorted(f.terms.items())) for f in self.differentials)
 
     def is_abelian(self):
         return all(f.is_zero() for f in self.differentials)
@@ -225,7 +225,7 @@ class MalcevPresentation:
         return self.differentials == other.differentials
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.differentials)
 
     def __repr__(self):
         return "MalcevPresentation(%r)" % print_malcev(self)

@@ -38,7 +38,10 @@ def _rat(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
@@ -154,8 +157,9 @@ def make_block(kind, **params):
     """Build a validated block; rejects parameters off the a**2-xy=-1 sheet.
 
     A parameter of the wrong type (a sign that is not an int, a bool
-    anywhere) is a TypeError; a value off the sheet, or a sign other than
-    +1 or -1, is a ValueError.
+    anywhere, text that is not a rational) or one the kind does not take is
+    a TypeError; a value off the sheet, or a sign other than +1 or -1, is a
+    ValueError.
     """
     if kind == "complex":
         sign = params.pop("sign", 1)
@@ -181,22 +185,23 @@ def make_block(kind, **params):
 def block_from_json(data):
     """Inverse of ``GcsBlock.to_json``; TypeError when ``data`` is malformed.
 
-    Malformed means not an object, an unknown kind, a missing parameter or
-    a parameter of the wrong type; a parameter off the a**2-xy=-1 sheet is
-    a ValueError, as in make_block.
+    Malformed means not an object, an unknown kind, a missing parameter, a
+    key the kind does not read, or a parameter of the wrong type or not a
+    rational (a zero denominator included); a parameter off the a**2-xy=-1
+    sheet is a ValueError, as in make_block.
     """
     if not isinstance(data, dict):
         raise TypeError("a block must be a JSON object, got %r" % (data,))
     kind = data.get("kind")
-    if kind == "complex":
-        return make_block("complex", sign=data.get("sign", 1))
+    if kind not in ("complex", "noncomplex"):
+        raise TypeError("unknown block kind %r" % (kind,))
+    params = {k: v for k, v in data.items() if k != "kind"}
     if kind == "noncomplex":
         missing = [k for k in ("a", "x", "y") if k not in data]
         if missing:
             needs = ", ".join(map(repr, missing))
             raise TypeError("a noncomplex block needs %s" % needs)
-        return make_block("noncomplex", a=data["a"], x=data["x"], y=data["y"])
-    raise TypeError("unknown block kind %r" % (kind,))
+    return make_block(kind, **params)
 
 
 @dataclass(frozen=True)

@@ -476,66 +476,34 @@ def _span_brackets(consts, n, left, right):
     return [[row.get(k, 0) for k in range(n)] for row in pivots.values()]
 
 
-_FP_CACHE = {}
+def _unit_basis(n):
+    return [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
 
-_FIELDS = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim", "d1_rank", "d2_rank")
 
-
-def _fingerprint_fields(p):
-    """The fingerprint's fields in order, each computed only when the caller
-    asks for it; a fingerprint is cached once its last field is known."""
-    key = p.key()
-    cached = _FP_CACHE.get(key)
-    if cached is not None:
-        yield from cached
-        return
+def _bracket_series(p, lower):
+    """Dimensions of the lower central series [g, g_i] (lower=True) or of the
+    derived series [g_i, g_i], one bracket round per entry, down to 0."""
     n = p.dim
-    yield n
-    abelian = p.is_abelian()
-    yield abelian
     consts = p.structure_constants()
-    basis = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
-
-    lcs_dims = []
+    basis = _unit_basis(n)
     current = basis
-    while True:
-        current = _span_brackets(consts, n, basis, current)
-        lcs_dims.append(len(current))
-        if not current:
-            break
-    lcs_dims = tuple(lcs_dims)
-    yield lcs_dims
+    dims = []
+    while not dims or dims[-1]:
+        current = _span_brackets(consts, n, basis if lower else current, current)
+        dims.append(len(current))
+    return tuple(dims)
 
-    derived_dims = []
-    current = basis
-    while True:
-        current = _span_brackets(consts, n, current, current)
-        derived_dims.append(len(current))
-        if not current:
-            break
-    derived_dims = tuple(derived_dims)
-    yield derived_dims
 
+def _center_dim(p):
+    n = p.dim
+    consts = p.structure_constants()
+    basis = _unit_basis(n)
     ad_rows = []
     for j in range(n):
         for row in zip(*[_bracket_vec(consts, n, basis[i], basis[j]) for i in range(n)]):
             if any(row):
                 ad_rows.append(dict(enumerate(row)))
-    center_dim = n - rank(ad_rows)
-    yield center_dim
-
-    d1_rank = _diff_rank(p, 1)
-    yield d1_rank
-
-    value = (n, abelian, lcs_dims, derived_dims, center_dim, d1_rank, _diff_rank(p, 2))
-    _FP_CACHE[key] = value
-    yield value[-1]
-
-
-def fingerprint(p):
-    """Basis-independent invariants: dims of the lower central and derived
-    series, center dimension and the per-degree ranks of d."""
-    return tuple(_fingerprint_fields(p))
+    return n - rank(ad_rows)
 
 
 def _diff_rank(p, degree):
@@ -543,11 +511,48 @@ def _diff_rank(p, degree):
     return rank([ce_diff(p, Form(degree, {key: 1})).terms for key in keys])
 
 
+# The fingerprint's fields, in the order compare_fingerprints tests them.
+_FIELDS = (
+    ("dim", lambda p: p.dim),
+    ("abelian", MalcevPresentation.is_abelian),
+    ("lcs_dims", lambda p: _bracket_series(p, lower=True)),
+    ("derived_dims", lambda p: _bracket_series(p, lower=False)),
+    ("center_dim", _center_dim),
+    ("d1_rank", lambda p: _diff_rank(p, 1)),
+    ("d2_rank", lambda p: _diff_rank(p, 2)),
+)
+
+
+def _field(p, name, compute):
+    """One field of p's fingerprint, computed on first use and kept on p."""
+    memo = p._invariants
+    if name not in memo:
+        memo[name] = compute(p)
+    return memo[name]
+
+
+def fingerprint(p):
+    """Basis-independent invariants: dims of the lower central and derived
+    series, center dimension and the per-degree ranks of d.
+
+    Each field is memoized on the presentation itself, so it is computed at
+    most once per presentation and freed with it; nothing is kept
+    process-wide.
+    """
+    return tuple(_field(p, name, compute) for name, compute in _FIELDS)
+
+
 def compare_fingerprints(p, q):
     """(equal, first differing field name); a field of the two fingerprints
-    is computed only when every field before it agreed."""
-    for name, a, b in zip(_FIELDS, _fingerprint_fields(p), _fingerprint_fields(q)):
-        if a != b:
+    is computed only when every field before it agreed.
+
+    Equal presentations compare equal without computing any field; any other
+    pair computes (or reuses) the fields memoized on each presentation.
+    """
+    if p == q:
+        return True, None
+    for name, compute in _FIELDS:
+        if _field(p, name, compute) != _field(q, name, compute):
             return False, name
     return True, None
 

@@ -188,3 +188,32 @@ def mahonian_oracle(m):
         k = sum(a > b for a, b in itertools.combinations(perm, 2))
         counts[k] = counts.get(k, 0) + 1
     return counts
+
+
+def kostant_oracle(blocks):
+    """{k: dim H^k(n)} for the nilradical n of the type-A parabolic with these
+    block sizes, by Kostant's theorem: H^k(n) is the sum of the Levi modules
+    of highest weight w(rho) - rho over the w in W^P of length k.
+
+    With rho = (m, ..., 1), W^P is the set of rearrangements mu = w(rho) that
+    decrease strictly inside each block; the length of w is the number of
+    pairs i < j with mu_i < mu_j, and Weyl's dimension formula on each
+    GL-block gives the product of (mu_i - mu_j) / (rho_i - rho_j) over the
+    pairs i < j of one block.
+    """
+    m = sum(blocks)
+    rho = tuple(range(m, 0, -1))
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    same_block = [
+        (i, j) for i, j in itertools.combinations(range(m), 2) if block_of[i] == block_of[j]
+    ]
+    dims = {}
+    for mu in itertools.permutations(rho):
+        if any(mu[i] < mu[j] for i, j in same_block):
+            continue
+        length = sum(a < b for a, b in itertools.combinations(mu, 2))
+        dim = Fraction(1)
+        for i, j in same_block:
+            dim *= Fraction(mu[i] - mu[j], rho[i] - rho[j])
+        dims[length] = dims.get(length, 0) + dim
+    return dims

@@ -89,6 +89,13 @@ class TestExitCodes:
             ("dualize", {"algebra": 5, "ideal": [3]}, "algebra"),
             ("dualize", {"algebra": "(0,0,-e^{12})", "dim": [3], "ideal": [3]}, "dim"),
             ("correspond", {"rank": 2, "ideal": [3], "rank_bound": -3}, "rank_bound"),
+            ("nilradical", {"series": 5, "rank": 2}, "series"),
+            ("root-system", {"series": 5, "rank": 2}, "series"),
+            (
+                "gcs-transport",
+                {"rank": 1, "blocks": {"1": {"kind": "complex"}}, "dual": {"series": 5, "rank": 1}},
+                "series",
+            ),
         ],
     )
     def test_wrong_config_type_is_two(self, runner, tmp_path, command, config, key):
@@ -377,6 +384,10 @@ class TestGcsTransport:
             ({"kind": "noncomplex", "a": True, "x": "1", "y": "1"}, "bool"),
             ({"kind": "complex", "sign": True}, "sign must be the integer 1 or -1, got True"),
             ({"kind": "complex", "sign": 1.0}, "sign must be the integer 1 or -1, got 1.0"),
+            ({"kind": "noncomplex", "a": "1/0", "x": "1", "y": "1"}, "got '1/0'"),
+            ({"kind": "noncomplex", "a": "abc", "x": "1", "y": "1"}, "got 'abc'"),
+            ({"kind": "noncomplex", "a": "0", "x": "1", "y": "1", "z": 3}, "['z']"),
+            ({"kind": "complex", "sign": 1, "a": 3}, "['a']"),
         ],
     )
     def test_malformed_block_is_usage_error(self, runner, tmp_path, block, message):

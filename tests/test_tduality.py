@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -11,10 +13,12 @@ from flagflux import (
     DualityError,
     FlagSpec,
     Form,
+    MalcevPresentation,
     check_admissible,
     compare_fingerprints,
     duality_certificate,
     dualize,
+    find_targets,
     fingerprint,
     interior,
     iso_small,
@@ -29,7 +33,7 @@ from flagflux import (
 from flagflux import tduality
 from flagflux.tduality import BasisChange, _arrangements
 
-from conftest import filtered_presentations, mahonian_oracle
+from conftest import filtered_presentations, kostant_oracle, mahonian_oracle
 
 HEISENBERG = "(0,0,-e^{12})"
 DIM6 = "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})"
@@ -256,6 +260,12 @@ class TestFingerprint:
             3, False, (1, 0), (1, 0), 1, 1, 0,
         )
 
+    def test_filiform_values(self):
+        """The lower central and derived series part at the second step."""
+        assert fingerprint(parse_malcev("(0,0,-e^{12},-e^{13})")) == (
+            4, False, (2, 1, 0), (2, 0), 1, 2, 2,
+        )
+
     def test_abelian_values(self):
         assert fingerprint(parse_malcev("(0,0,0)")) == (
             3, True, (0,), (0,), 3, 0, 0,
@@ -289,20 +299,37 @@ class TestFingerprint:
         assert n - r1 == inversions[1]
         assert comb(n, 2) - r2 - r1 == inversions[2]
 
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_kostant_every_flag(self, rank):
+        """dim H^1 = n - r_1 and dim H^2 = C(n,2) - r_2 - r_1 on every flag of
+        A_rank with two or more blocks, against kostant_oracle.  The two rank
+        fields come from the fingerprint's own field table; the bracket
+        fields, not under test here, would take about 50 times as long."""
+        fields = dict(tduality._FIELDS)
+        for mask in range((1 << rank) - 1):
+            theta = tuple(i + 1 for i in range(rank) if mask >> i & 1)
+            cuts = [0] + [k for k in range(1, rank + 1) if k not in theta] + [rank + 1]
+            h = kostant_oracle([b - a for a, b in zip(cuts, cuts[1:])])
+            p, _legend = nilradical_presentation(FlagSpec("A", rank, theta))
+            n, r1, r2 = p.dim, fields["d1_rank"](p), fields["d2_rank"](p)
+            assert (n - r1, comb(n, 2) - r2 - r1) == (h.get(1, 0), h.get(2, 0)), theta
+
 
 NAMES = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim", "d1_rank", "d2_rank")
+
+
+def fresh(p):
+    """A copy of p with none of its invariants computed yet."""
+    return MalcevPresentation(p.differentials)
 
 
 class TestStagedComparison:
     @given(filtered_presentations(max_dim=5), filtered_presentations(max_dim=5))
     @settings(max_examples=150, deadline=None)
     def test_first_differing_field_of_full_tuples(self, p, q):
-        tduality._FP_CACHE.clear()  # each example compares before any fingerprint is cached
-        staged = compare_fingerprints(p, q)
-        first = next(
-            (name for name, a, b in zip(NAMES, fingerprint(p), fingerprint(q)) if a != b),
-            None,
-        )
+        staged = compare_fingerprints(fresh(p), fresh(q))
+        full = zip(NAMES, fingerprint(fresh(p)), fingerprint(fresh(q)))
+        first = next((name for name, a, b in full if a != b), None)
         assert staged == (first is None, first)
         assert compare_fingerprints(p, p) == (True, None)
 
@@ -311,19 +338,62 @@ class TestStagedComparison:
             raise AssertionError("_diff_rank called for a rejected candidate")
 
         monkeypatch.setattr(tduality, "_diff_rank", refuse)
-        monkeypatch.setattr(tduality, "_FP_CACHE", {})
         heisenberg_plus_line = parse_malcev("(0,0,-e^{12},0)")
         filiform = parse_malcev("(0,0,-e^{12},-e^{13})")
         assert compare_fingerprints(heisenberg_plus_line, filiform) == (False, "lcs_dims")
-        assert tduality._FP_CACHE == {}
+        assert list(filiform._invariants) == ["dim", "abelian", "lcs_dims"]
 
-    def test_cached_only_when_complete(self, monkeypatch):
-        monkeypatch.setattr(tduality, "_FP_CACHE", {})
-        p = parse_malcev(HEISENBERG)
-        assert compare_fingerprints(p, parse_malcev("(0,0,0,0)")) == (False, "dim")
-        assert tduality._FP_CACHE == {}
-        assert compare_fingerprints(p, parse_malcev(HEISENBERG)) == (True, None)
-        assert tduality._FP_CACHE == {p.key(): fingerprint(p)}
+    def test_equal_presentations_compute_nothing(self):
+        p, q = parse_malcev(DIM6), parse_malcev(DIM6)
+        assert compare_fingerprints(p, q) == (True, None)
+        assert p._invariants == {} and q._invariants == {}
+
+    def test_dual_fields_computed_once_per_search(self, monkeypatch):
+        """find_targets compares every candidate against one dual; each of
+        the dual's fields is computed at most once, however many candidates
+        ask for it."""
+        p, _legend = nilradical_presentation(FlagSpec("A", 4, (1,)))
+        dual = dualize(AdmissibleTriple(p, (8, 9), Form.zero(3))).dual.algebra
+        requested, computed = [], []
+
+        def counted(name, compute):
+            def field(q):
+                if q is dual:
+                    computed.append(name)
+                return compute(q)
+
+            return field
+
+        def field(q, name, compute):
+            if q is dual:
+                requested.append(name)
+            return real_field(q, name, compute)
+
+        real_field = tduality._field
+        monkeypatch.setattr(tduality, "_field", field)
+        monkeypatch.setattr(
+            tduality, "_FIELDS", tuple((name, counted(name, f)) for name, f in tduality._FIELDS)
+        )
+        assert find_targets(dual)[0] == []
+        assert requested.count("lcs_dims") == 4
+        assert sorted(computed) == sorted(set(requested))
+
+    def test_no_memory_retained(self):
+        """Fingerprinting keeps nothing once the presentations are gone."""
+        fingerprint(random_admissible_triple(random.Random(0), 8).algebra)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for seed in range(150):
+                fingerprint(random_admissible_triple(random.Random(seed), 8).algebra)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        ours = [tracemalloc.Filter(True, "*flagflux*")]
+        grown = after.filter_traces(ours).compare_to(before.filter_traces(ours), "filename")
+        assert sum(stat.size_diff for stat in grown) <= 0
 
 
 class TestIsoSmall:
