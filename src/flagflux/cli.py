@@ -224,12 +224,11 @@ def _run_root_system(cfg):
         ],
     }
     if "theta" in cfg:
-        theta = _as_int_tuple(cfg["theta"], "theta")
-        spec = FlagSpec(series, rank, theta)
-        summands = isotropy_summands(rs, theta)
-        report["theta"] = list(theta)
+        spec = FlagSpec(series, rank, _as_int_tuple(cfg["theta"], "theta"))
+        summands = isotropy_summands(rs, spec.theta)
+        report["theta"] = list(spec.theta)
         report["complement"] = [
-            list(r.coeffs) for r in complementary_positive_roots(rs, theta)
+            list(r.coeffs) for r in complementary_positive_roots(rs, spec.theta)
         ]
         report["summands"] = [
             {

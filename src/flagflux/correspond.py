@@ -11,7 +11,7 @@ from typing import Optional
 
 from .exterior import Form, wedge
 from .nilradical import nilradical_presentation
-from .rootsys import FlagSpec, build_root_system, isotropy_summands, three_summand_dims
+from .rootsys import FlagSpec, block_sizes, three_summand_dims
 from .tduality import (
     AdmissibleTriple,
     check_admissible,
@@ -116,30 +116,18 @@ def _thetas_of_dim(l, dim, feasible):
     return thetas
 
 
-def _blocks(l, theta):
-    cuts = [k for k in range(1, l + 1) if k not in theta]
-    sizes = []
-    prev = 0
-    for c in cuts:
-        sizes.append(c - prev)
-        prev = c
-    sizes.append(l + 1 - prev)
-    return tuple(sizes)
-
-
 def _canonical_theta(l, theta):
     """Pick one of theta / reversed theta; diagram flip gives the same flag."""
     rev = tuple(sorted(l + 1 - t for t in theta))
-    if _blocks(l, rev) > _blocks(l, theta):
-        return rev
-    if _blocks(l, rev) < _blocks(l, theta):
-        return theta
+    fwd, back = block_sizes(l, theta), block_sizes(l, rev)
+    if back != fwd:
+        return rev if back > fwd else theta
     return min(theta, rev)
 
 
 def pretty_name(l, theta):
     """Quotient notation, with the projective-space alias when it applies."""
-    blocks = _blocks(l, theta)
+    blocks = block_sizes(l, theta)
     name = "SU(%d)/S(%s)" % (l + 1, "×".join("U(%d)" % b for b in blocks))
     if len(blocks) == 2 and min(blocks) == 1:
         name += " ≅ CP^%d" % l
@@ -274,10 +262,7 @@ def three_summand_correspond(l, m, n):
     rank = l + m + n - 1
     theta = tuple(k for k in range(1, rank + 1) if k not in (l, l + m))
     spec = FlagSpec("A", rank, theta)
-
-    rs = build_root_system("A", rank)
-    summands = isotropy_summands(rs, theta)
-    ideal = tuple(range(total - summands[-1].dim + 1, total + 1))
+    ideal = tuple(range(total - dims[-1] + 1, total + 1))
 
     flag = FlowingFlag(spec, Form.zero(3))
     result = correspond(flag, ideal)

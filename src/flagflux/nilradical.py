@@ -4,16 +4,18 @@ The nilradical of a type-A parabolic is the span of the complementary
 positive root spaces, realized concretely as strictly upper-triangular
 matrix units E_ij.  Basis order is summand-then-root order, which makes
 every bracket land in a strictly later slot.
+
+The slots come from the Levi blocks of theta (``isotropy_summands``).
+[E_ij, E_kl] is nonzero only when j == k or l == i, so a slot is bracketed
+only with the slots whose unit starts at its column or ends at its row:
+each pair tried gives one structure constant, and the cost follows the
+size of the presentation, not the square of its dimension.
 """
 
 from collections import namedtuple
 
 from .exterior import Form, MalcevPresentation, ce_diff
-from .rootsys import (
-    UnsupportedSeriesError,
-    build_root_system,
-    isotropy_summands,
-)
+from .rootsys import UnsupportedSeriesError, _summands
 
 __all__ = [
     "WeylConstants",
@@ -71,25 +73,23 @@ def nilradical_presentation(spec):
     """
     if spec.series != "A":
         raise UnsupportedSeriesError("only series A is supported, got %r" % spec.series)
-    rs = build_root_system(spec.series, spec.rank)
-    summands = isotropy_summands(rs, spec.theta)
-    legend = [r for s in summands for r in s.roots]
-    slot_of = {r.matrix_unit(): k for k, r in enumerate(legend, start=1)}
-
-    weyl = WeylConstants(spec.rank)
-    constants = {}
+    legend = [r for s in _summands(spec.rank, spec.theta) for r in s.roots]
     units = [r.matrix_unit() for r in legend]
-    for a in range(1, len(units) + 1):
-        for b in range(a + 1, len(units) + 1):
-            for unit, c in weyl.bracket(units[a - 1], units[b - 1]):
-                # sums of complementary roots stay complementary
-                k = slot_of[unit]
-                constants[(a, b, k)] = constants.get((a, b, k), 0) + c
-
+    slot_of = {u: k for k, u in enumerate(units, start=1)}
+    starting_at, ending_at = {}, {}
+    for k, (i, j) in enumerate(units, start=1):
+        starting_at.setdefault(i, []).append(k)
+        ending_at.setdefault(j, []).append(k)
+    weyl = WeylConstants(spec.rank)
     diffs = [dict() for _ in legend]
-    for (a, b, k), c in constants.items():
-        if c:
-            diffs[k - 1][(a, b)] = -c
+    # the partners of one slot a land in distinct slots, so ascending a
+    # puts each differential's terms in pair order, which _solve_signs reads
+    for a, (i, j) in enumerate(units, start=1):
+        for b in starting_at.get(j, []) + ending_at.get(i, []):
+            if b > a:
+                for unit, c in weyl.bracket((i, j), units[b - 1]):
+                    # sums of complementary roots stay complementary
+                    diffs[slot_of[unit] - 1][(a, b)] = -c
     return MalcevPresentation([Form(2, d) for d in diffs]), legend
 
 

@@ -7,6 +7,7 @@ alpha_2 and is what every Malcev presentation downstream relies on.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate, product
 
 __all__ = [
     "Root",
@@ -14,6 +15,7 @@ __all__ = [
     "FlagSpec",
     "IsotropySummand",
     "UnsupportedSeriesError",
+    "block_sizes",
     "build_root_system",
     "complementary_positive_roots",
     "isotropy_summands",
@@ -117,62 +119,75 @@ def build_root_system(series, rank):
     return RootSystem(series, rank, tuple(roots))
 
 
-def _signature(root, theta):
-    free = [k for k in range(1, len(root.coeffs) + 1) if k not in theta]
-    return tuple(root.coeffs[k - 1] for k in free)
+def block_sizes(rank, theta):
+    """Sizes of the Levi blocks of theta, top to bottom.
+
+    Each alpha_k outside theta cuts the rows 1..rank+1 after row k.
+    """
+    theta = set(theta)
+    cuts = [0] + [k for k in range(1, rank + 1) if k not in theta] + [rank + 1]
+    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+def _summands(rank, theta):
+    """The isotropy summands of A_rank and theta, one per pair of blocks p < q."""
+    sizes = block_sizes(rank, theta)
+    first = list(accumulate(sizes, initial=1))
+    summands = []
+    for gap in range(1, len(sizes)):
+        for p, q in zip(range(len(sizes)), range(gap, len(sizes))):
+            units = product(range(first[p], first[p + 1]), range(first[q], first[q + 1]))
+            roots = [Root((0,) * (i - 1) + (1,) * (j - i) + (0,) * (rank + 1 - j))
+                     for i, j in sorted(units, key=lambda u: (u[1] - u[0], u[0]))]
+            signature = tuple(int(p <= t < q) for t in range(len(sizes) - 1))
+            summands.append(IsotropySummand(signature, roots))
+    return summands
 
 
 def complementary_positive_roots(rs, theta):
     """Positive roots with some coefficient outside theta, in root order."""
-    theta = set(theta)
-    return [r for r in rs.positive_roots if any(_signature(r, theta))]
+    roots = [r for s in _summands(rs.rank, theta) for r in s.roots]
+    return sorted(roots, key=Root.order_key)
 
 
 def isotropy_summands(rs, theta):
     """Partition of the complementary roots by signature.
 
+    A complementary root is a matrix unit E_ij with row i in Levi block p
+    and column j in a later block q, and its signature is 1 on the cuts
+    between them; each summand is built from its two blocks, so the cost
+    is its roots times the rank, and no other positive root is visited.
+
     Summands are ordered by (signature height, lexicographically largest
     first), matching the root order convention, so for two free simple
-    roots the signatures come out (1,0), (0,1), (1,1).
+    roots the signatures come out (1,0), (0,1), (1,1).  Inside a summand
+    the roots keep root order: by height, then by row.
+
+    Examples::
+
+        >>> summands = isotropy_summands(build_root_system("A", 3), (2,))
+        >>> [s.signature for s in summands]
+        [(1, 0), (0, 1), (1, 1)]
+        >>> [[r.coeffs for r in s.roots] for s in summands]
+        [[(1, 0, 0), (1, 1, 0)], [(0, 0, 1), (0, 1, 1)], [(1, 1, 1)]]
     """
-    theta = set(theta)
-    by_sig = {}
-    for r in complementary_positive_roots(rs, theta):
-        by_sig.setdefault(_signature(r, theta), []).append(r)
-    order = sorted(by_sig, key=lambda s: (sum(s), tuple(-c for c in s)))
-    return [IsotropySummand(sig, by_sig[sig]) for sig in order]
+    return _summands(rs.rank, theta)
 
 
 def three_summand_dims(l, m, n):
     """Summand dimensions for Theta = Sigma minus {alpha_l, alpha_{l+m}}."""
     if min(l, m, n) < 1:
         raise ValueError("block sizes must be >= 1")
-    rank = l + m + n - 1
-    rs = build_root_system("A", rank)
-    theta = tuple(k for k in range(1, rank + 1) if k not in (l, l + m))
-    dims = tuple(s.dim for s in isotropy_summands(rs, theta))
-    if len(dims) != 3:
-        raise AssertionError("expected three summands, got %r" % (dims,))
-    return dims
+    return l * m, m * n, l * n
 
 
 def flag_dimension(spec):
     """Complex dimension of G/P, i.e. the number of complementary roots.
 
-    Computed from the maximal runs of consecutive theta indices:
-    l(l+1)/2 minus the positive-root count of each run.
+    With Levi blocks of sizes b this is ((rank+1)**2 - sum b**2) / 2, the
+    entries above the block diagonal.
     """
     if spec.series != "A":
         raise UnsupportedSeriesError("only series A is supported, got %r" % spec.series)
-    total = spec.rank * (spec.rank + 1) // 2
-    run = 0
-    prev = None
-    for t in spec.theta:
-        if prev is not None and t == prev + 1:
-            run += 1
-        else:
-            total -= run * (run + 1) // 2
-            run = 1
-        prev = t
-    total -= run * (run + 1) // 2
-    return total
+    sizes = block_sizes(spec.rank, spec.theta)
+    return ((spec.rank + 1) ** 2 - sum(b * b for b in sizes)) // 2

@@ -1,8 +1,9 @@
 """Shared strategies and independent oracles for the test suite.
 
 The oracles reimplement the hot-path operations the slow, obvious way
-(brute-force permutation signs, triple-bracket Jacobi sums) so the
-kernel is checked against code that shares none of its shortcuts.
+(brute-force permutation signs, triple-bracket Jacobi sums, whole root
+systems) so the kernel is checked against code that shares none of its
+shortcuts.
 """
 
 import itertools
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from flagflux import Form, MalcevPresentation
+from flagflux import Form, MalcevPresentation, WeylConstants, build_root_system
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -217,3 +218,37 @@ def kostant_oracle(blocks):
             dim *= Fraction(mu[i] - mu[j], rho[i] - rho[j])
         dims[length] = dims.get(length, 0) + dim
     return dims
+
+
+def nilradical_oracle(spec):
+    """(presentation, legend, summands, complement) from the whole root system.
+
+    Every positive root of A_rank is kept when its coefficients outside theta
+    (its signature) are not all zero, the kept roots are grouped by signature
+    in the summand order of ``isotropy_summands``, and every pair of slots is
+    bracketed.  Summands are (signature, roots) pairs.
+    """
+    free = [k for k in range(1, spec.rank + 1) if k not in spec.theta]
+    complement, by_sig = [], {}
+    for r in build_root_system(spec.series, spec.rank).positive_roots:
+        sig = tuple(r.coeffs[k - 1] for k in free)
+        if any(sig):
+            complement.append(r)
+            by_sig.setdefault(sig, []).append(r)
+    order = sorted(by_sig, key=lambda sig: (sum(sig), tuple(-c for c in sig)))
+    summands = [(sig, by_sig[sig]) for sig in order]
+    legend = [r for _sig, roots in summands for r in roots]
+    units = [r.matrix_unit() for r in legend]
+    slot_of = {u: k for k, u in enumerate(units, start=1)}
+    weyl = WeylConstants(spec.rank)
+    constants = {}
+    for a in range(1, len(units) + 1):
+        for b in range(a + 1, len(units) + 1):
+            for unit, c in weyl.bracket(units[a - 1], units[b - 1]):
+                k = slot_of[unit]
+                constants[(a, b, k)] = constants.get((a, b, k), 0) + c
+    diffs = [dict() for _ in legend]
+    for (a, b, k), c in constants.items():
+        if c:
+            diffs[k - 1][(a, b)] = -c
+    return MalcevPresentation([Form(2, d) for d in diffs]), legend, summands, complement

@@ -290,6 +290,14 @@ class TestReports:
         assert body["flag_dimension"] == 4
         assert [s["dim"] for s in body["summands"]] == [4]
 
+    def test_root_system_reports_normalized_theta(self, runner):
+        args = ("--rank", "3", "--theta", "3,1,1")
+        roots = json.loads(invoke(runner, "root-system", *args).stdout)
+        nil = json.loads(invoke(runner, "nilradical", *args).stdout)
+        assert roots["theta"] == nil["theta"] == [1, 3]
+        text = invoke(runner, "root-system", *args, "--format", "text").stdout
+        assert "theta: {1,3}\n" in text
+
     def test_nilradical_legend(self, runner):
         result = invoke(runner, "nilradical", "--rank", "2")
         body = json.loads(result.stdout)

@@ -23,6 +23,8 @@ from flagflux import (
     three_summand_dims,
 )
 
+from flagflux.rootsys import block_sizes
+
 from conftest import mask_dim_oracle, theta_dim_oracle
 
 C = importlib.import_module("flagflux.correspond")
@@ -46,7 +48,7 @@ class TestThetaDimTable:
         assert sum(len(v) for v in table.values()) == 16
         for dim, thetas in table.items():
             for theta in thetas:
-                assert 25 - sum(b * b for b in C._blocks(4, theta)) == 2 * dim
+                assert 25 - sum(b * b for b in block_sizes(4, theta)) == 2 * dim
 
     def test_enumerator_matches_oracle(self):
         # content and order, with one memo shared as in find_targets
@@ -219,6 +221,12 @@ class TestThreeSummand:
                     )
                     count += 1
         assert count == 120
+
+    @pytest.mark.parametrize("size,total", [(4, 48), (5, 75)])
+    def test_equal_blocks_reach_projective_space(self, size, total):
+        report = three_summand_correspond(size, size, size)
+        assert report.ok, report.notes
+        assert report.cp_target.spec == FlagSpec("A", total, tuple(range(1, total)))
 
     def test_dual_is_abelian_with_flux(self):
         report = three_summand_correspond(2, 2, 2)

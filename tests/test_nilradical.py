@@ -1,12 +1,17 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagflux import (
     FlagSpec,
     Form,
     MalcevPresentation,
     WeylConstants,
+    build_root_system,
+    complementary_positive_roots,
+    isotropy_summands,
     jacobi_check,
     legend_to_json,
     nilradical_presentation,
@@ -16,7 +21,7 @@ from flagflux import (
 )
 from flagflux.tduality import BasisChange
 
-from conftest import jacobi_oracle
+from conftest import jacobi_oracle, nilradical_oracle
 
 
 def unit_matrix(size, i, j):
@@ -134,6 +139,33 @@ class TestMatrixUnitOracle:
     def test_structure_constants_match_matrices(self, spec):
         p, _ = nilradical_presentation(spec)
         assert p.structure_constants() == constants_by_matrices(spec)
+
+
+def assert_matches_oracle(spec):
+    """Presentation (term order included), legend, summands and complement."""
+    p, legend = nilradical_presentation(spec)
+    want_p, want_legend, want_summands, want_complement = nilradical_oracle(spec)
+    terms = [list(f.terms.items()) for f in p.differentials]
+    assert terms == [list(f.terms.items()) for f in want_p.differentials], spec
+    assert legend == want_legend, spec
+    rs = build_root_system(spec.series, spec.rank)
+    summands = [(s.signature, s.roots) for s in isotropy_summands(rs, spec.theta)]
+    assert summands == want_summands, spec
+    assert complementary_positive_roots(rs, spec.theta) == want_complement, spec
+
+
+class TestWholeRootSystemOracle:
+    def test_every_flag_up_to_rank_nine(self):
+        for rank in range(1, 10):
+            for mask in range(1 << rank):
+                theta = tuple(k + 1 for k in range(rank) if mask >> k & 1)
+                assert_matches_oracle(FlagSpec("A", rank, theta))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(10, 16), st.data())
+    def test_random_flags_of_higher_rank(self, rank, data):
+        theta = data.draw(st.sets(st.integers(1, rank)))
+        assert_matches_oracle(FlagSpec("A", rank, tuple(theta)))
 
 
 class TestWeylConstants:

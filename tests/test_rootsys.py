@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from flagflux import (
     isotropy_summands,
     three_summand_dims,
 )
+
+from conftest import mask_dim_oracle, nilradical_oracle
 
 
 def sympy_positive_root_vectors(rank):
@@ -154,12 +158,14 @@ class TestThreeSummandDims:
         assert three_summand_dims(l, m, n) == (l * m, m * n, l * n)
 
     def test_exhaustive_small(self):
-        for l in range(1, 5):
-            for m in range(1, 5):
-                for n in range(1, 5):
-                    if l + m + n > 8:
-                        continue
-                    assert three_summand_dims(l, m, n) == (l * m, m * n, l * n)
+        # against the summands of the whole root system
+        for l, m, n in product(range(1, 11), repeat=3):
+            if l + m + n > 12:
+                continue
+            rank = l + m + n - 1
+            theta = tuple(k for k in range(1, rank + 1) if k not in (l, l + m))
+            _p, _legend, summands, _complement = nilradical_oracle(FlagSpec("A", rank, theta))
+            assert three_summand_dims(l, m, n) == tuple(len(roots) for _sig, roots in summands)
 
     def test_rejects_zero_block(self):
         with pytest.raises(ValueError):
@@ -180,4 +186,4 @@ class TestFlagDimension:
                 spec = FlagSpec("A", rank, theta)
                 assert flag_dimension(spec) == len(
                     complementary_positive_roots(rs, theta)
-                )
+                ) == mask_dim_oracle(rank, mask)
