@@ -4,159 +4,32 @@ Nilpotent Lie algebras enter as Malcev tuples of 2-forms, flag manifolds
 as a series/rank/theta triple; everything downstream (Chevalley-Eilenberg
 differential, dualization, duality certificate, dual target search, the
 per-root generalized-complex blocks) stays in rational arithmetic.
+
+The public names are those in each submodule's ``__all__``.  The function
+``correspond`` shadows its module here, so the modules are bound privately.
 """
 
-from .correspond import (
-    CorrespondResult,
-    FlowingFlag,
-    ObstructionReport,
-    SelfDualReport,
-    TargetCandidate,
-    ThreeSummandReport,
-    correspond,
-    correspond_presentation,
-    dimension_obstruction_scan,
-    find_targets,
-    pretty_name,
-    selfdual_flux,
-    three_summand_correspond,
-)
-from .exterior import (
-    Form,
-    MalcevPresentation,
-    MalcevSyntaxError,
-    MalcevValueError,
-    ce_diff,
-    interior,
-    parse_form,
-    parse_malcev,
-    print_form,
-    print_malcev,
-    wedge,
-)
-from .gcs import (
-    GcsBlock,
-    IntegrabilityReport,
-    TransportedBlock,
-    classify_block,
-    complex_matrix,
-    integrability_necessary,
-    make_block,
-    noncomplex_matrix,
-    phi_conjugate,
-    phi_matrix,
-    split_pairing,
-)
-from .nilradical import (
-    JacobiReport,
-    WeylConstants,
-    jacobi_check,
-    legend_to_json,
-    nilradical_presentation,
-)
-from .rootsys import (
-    FlagSpec,
-    IsotropySummand,
-    Root,
-    RootSystem,
-    UnsupportedSeriesError,
-    build_root_system,
-    complementary_positive_roots,
-    flag_dimension,
-    isotropy_summands,
-    three_summand_dims,
-)
-from .tduality import (
-    AdmissibilityReport,
-    AdmissibleTriple,
-    BasisChange,
-    CertificateReport,
-    DualityError,
-    DualizationResult,
-    IsoResult,
-    SlotMap,
-    check_admissible,
-    compare_fingerprints,
-    duality_certificate,
-    dualize,
-    fingerprint,
-    iso_small,
-    random_admissible_triple,
-)
+from . import correspond as _correspond
+from . import exterior as _exterior
+from . import gcs as _gcs
+from . import nilradical as _nilradical
+from . import rootsys as _rootsys
+from . import tduality as _tduality
+from .correspond import *  # noqa: F401,F403
+from .exterior import *  # noqa: F401,F403
+from .gcs import *  # noqa: F401,F403
+from .nilradical import *  # noqa: F401,F403
+from .rootsys import *  # noqa: F401,F403
+from .tduality import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # exterior
-    "Form",
-    "MalcevPresentation",
-    "MalcevSyntaxError",
-    "MalcevValueError",
-    "wedge",
-    "interior",
-    "ce_diff",
-    "parse_form",
-    "print_form",
-    "parse_malcev",
-    "print_malcev",
-    # rootsys
-    "Root",
-    "RootSystem",
-    "FlagSpec",
-    "IsotropySummand",
-    "UnsupportedSeriesError",
-    "build_root_system",
-    "complementary_positive_roots",
-    "isotropy_summands",
-    "three_summand_dims",
-    "flag_dimension",
-    # nilradical
-    "WeylConstants",
-    "JacobiReport",
-    "nilradical_presentation",
-    "jacobi_check",
-    "legend_to_json",
-    # tduality
-    "AdmissibleTriple",
-    "AdmissibilityReport",
-    "DualityError",
-    "DualizationResult",
-    "SlotMap",
-    "CertificateReport",
-    "BasisChange",
-    "IsoResult",
-    "check_admissible",
-    "dualize",
-    "duality_certificate",
-    "iso_small",
-    "fingerprint",
-    "compare_fingerprints",
-    "random_admissible_triple",
-    # correspond
-    "FlowingFlag",
-    "TargetCandidate",
-    "CorrespondResult",
-    "SelfDualReport",
-    "ThreeSummandReport",
-    "ObstructionReport",
-    "correspond",
-    "correspond_presentation",
-    "find_targets",
-    "pretty_name",
-    "selfdual_flux",
-    "three_summand_correspond",
-    "dimension_obstruction_scan",
-    # gcs
-    "GcsBlock",
-    "TransportedBlock",
-    "IntegrabilityReport",
-    "complex_matrix",
-    "noncomplex_matrix",
-    "phi_matrix",
-    "split_pairing",
-    "make_block",
-    "phi_conjugate",
-    "classify_block",
-    "integrability_necessary",
+    *_exterior.__all__,
+    *_rootsys.__all__,
+    *_nilradical.__all__,
+    *_tduality.__all__,
+    *_correspond.__all__,
+    *_gcs.__all__,
 ]

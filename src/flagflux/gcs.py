@@ -19,14 +19,9 @@ __all__ = [
     "phi_matrix",
     "split_pairing",
     "make_block",
-    "block_from_json",
     "phi_conjugate",
     "classify_block",
     "integrability_necessary",
-    "mat_mul",
-    "mat_neg",
-    "mat_eq",
-    "identity_matrix",
 ]
 
 

@@ -5,8 +5,9 @@ positive root spaces, realized concretely as strictly upper-triangular
 matrix units E_ij.  Basis order is summand-then-root order, which makes
 every bracket land in a strictly later slot.
 
-The slots come from the Levi blocks of theta (``isotropy_summands``).
-[E_ij, E_kl] is nonzero only when j == k or l == i, so a slot is bracketed
+The slots come from the Levi blocks of theta (``isotropy_summands``), and
+each slot's Root is its matrix unit.  [E_ij, E_kl] = delta_jk E_il -
+delta_li E_kj is nonzero only when j == k or l == i, so a slot is bracketed
 only with the slots whose unit starts at its column or ends at its row:
 each pair tried gives one structure constant, and the cost follows the
 size of the presentation, not the square of its dimension.
@@ -18,7 +19,6 @@ from .exterior import Form, MalcevPresentation, ce_diff
 from .rootsys import UnsupportedSeriesError, _summands
 
 __all__ = [
-    "WeylConstants",
     "JacobiReport",
     "nilradical_presentation",
     "jacobi_check",
@@ -26,35 +26,6 @@ __all__ = [
 ]
 
 JacobiReport = namedtuple("JacobiReport", ["ok", "failing_index", "residual"])
-
-
-class WeylConstants:
-    """Bracket table on the matrix units E_ij, i < j <= rank+1.
-
-    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj; for strictly
-    upper-triangular arguments at most one delta can fire.
-    """
-
-    def __init__(self, rank):
-        self.rank = rank
-        self.size = rank + 1
-
-    def units(self):
-        return [
-            (i, j)
-            for i in range(1, self.size + 1)
-            for j in range(i + 1, self.size + 1)
-        ]
-
-    def bracket(self, a, b):
-        """[E_a, E_b] as a list of ((i, j), coefficient) pairs."""
-        (i, j), (k, l) = a, b
-        out = []
-        if j == k:
-            out.append(((i, l), 1))
-        if l == i:
-            out.append(((k, j), -1))
-        return out
 
 
 def nilradical_presentation(spec):
@@ -74,22 +45,23 @@ def nilradical_presentation(spec):
     if spec.series != "A":
         raise UnsupportedSeriesError("only series A is supported, got %r" % spec.series)
     legend = [r for s in _summands(spec.rank, spec.theta) for r in s.roots]
-    units = [r.matrix_unit() for r in legend]
-    slot_of = {u: k for k, u in enumerate(units, start=1)}
+    slot_of = {(r.row, r.col): k for k, r in enumerate(legend, start=1)}
     starting_at, ending_at = {}, {}
-    for k, (i, j) in enumerate(units, start=1):
-        starting_at.setdefault(i, []).append(k)
-        ending_at.setdefault(j, []).append(k)
-    weyl = WeylConstants(spec.rank)
+    for k, r in enumerate(legend, start=1):
+        starting_at.setdefault(r.row, []).append((k, r.col))
+        ending_at.setdefault(r.col, []).append((k, r.row))
     diffs = [dict() for _ in legend]
-    # the partners of one slot a land in distinct slots, so ascending a
-    # puts each differential's terms in pair order, which _solve_signs reads
-    for a, (i, j) in enumerate(units, start=1):
-        for b in starting_at.get(j, []) + ending_at.get(i, []):
-            if b > a:
-                for unit, c in weyl.bracket((i, j), units[b - 1]):
-                    # sums of complementary roots stay complementary
-                    diffs[slot_of[unit] - 1][(a, b)] = -c
+    # d e^k = -sum c^k_ab e^ab.  The partners of one slot a land in distinct
+    # slots, so ascending a puts each differential's terms in pair order,
+    # which _solve_signs reads; sums of complementary roots stay complementary
+    for a, r in enumerate(legend, start=1):
+        i, j = r.row, r.col
+        for b, l in starting_at.get(j, ()):
+            if b > a:  # [E_ij, E_jl] = E_il
+                diffs[slot_of[i, l] - 1][(a, b)] = -1
+        for b, k in ending_at.get(i, ()):
+            if b > a:  # [E_ij, E_ki] = -E_kj
+                diffs[slot_of[k, j] - 1][(a, b)] = 1
     return MalcevPresentation([Form(2, d) for d in diffs]), legend
 
 

@@ -1,9 +1,10 @@
 """Type-A root systems, theta subsets and isotropy summands.
 
-Positive roots of A_l are the contiguous sums alpha_i + ... + alpha_j; the
-fixed enumeration is graded by height with the lexicographically largest
-coefficient vector first inside each grade, which makes alpha_1 come before
-alpha_2 and is what every Malcev presentation downstream relies on.
+A positive root of A_l is a contiguous sum alpha_i + ... + alpha_{j-1},
+and it is stored as the matrix unit E_ij spanning its root space.  The
+fixed enumeration orders roots by (height, row of the unit), which makes
+alpha_1 come before alpha_2 and is what every Malcev presentation
+downstream relies on.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,6 @@ __all__ = [
     "FlagSpec",
     "IsotropySummand",
     "UnsupportedSeriesError",
-    "block_sizes",
     "build_root_system",
     "complementary_positive_roots",
     "isotropy_summands",
@@ -30,31 +30,30 @@ class UnsupportedSeriesError(ValueError):
 
 @dataclass(frozen=True)
 class Root:
-    """A root as its simple-root coefficient vector."""
+    """The positive root of A_rank whose root space is spanned by E_(row, col)."""
 
-    coeffs: tuple
+    row: int
+    col: int
+    rank: int
+
+    def __post_init__(self):
+        if not 1 <= self.row < self.col <= self.rank + 1:
+            raise ValueError(
+                "E(%d,%d) is not a positive root of A_%d" % (self.row, self.col, self.rank)
+            )
+
+    @property
+    def coeffs(self):
+        """Simple-root coefficients: 1 on alpha_row .. alpha_(col-1)."""
+        return tuple(int(self.row <= k < self.col) for k in range(1, self.rank + 1))
 
     @property
     def height(self):
-        return sum(self.coeffs)
-
-    @property
-    def interval(self):
-        """(i, j) with the root equal to alpha_i + ... + alpha_j (type A)."""
-        nz = [k for k, c in enumerate(self.coeffs, start=1) if c]
-        if not nz or nz != list(range(nz[0], nz[-1] + 1)):
-            raise ValueError("not a contiguous type-A positive root: %r" % (self.coeffs,))
-        if any(self.coeffs[k - 1] != 1 for k in nz):
-            raise ValueError("not a type-A positive root: %r" % (self.coeffs,))
-        return nz[0], nz[-1]
+        return self.col - self.row
 
     def matrix_unit(self):
         """(row, col) of the matrix unit spanning this root space."""
-        i, j = self.interval
-        return i, j + 1
-
-    def order_key(self):
-        return self.height, tuple(-c for c in self.coeffs)
+        return self.row, self.col
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,8 @@ class FlagSpec:
     theta: tuple = ()
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
         theta = tuple(sorted(set(self.theta)))
         if any(not 1 <= t <= self.rank for t in theta):
             raise ValueError("theta %r outside 1..%d" % (self.theta, self.rank))
@@ -99,7 +100,7 @@ class IsotropySummand:
 
 
 def build_root_system(series, rank):
-    """All positive roots of A_rank in the fixed order.
+    """All positive roots of A_rank in the fixed order: by height, then by row.
 
     Examples::
 
@@ -110,13 +111,12 @@ def build_root_system(series, rank):
         raise UnsupportedSeriesError("only series A is supported, got %r" % series)
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    roots = []
-    for i in range(1, rank + 1):
-        for j in range(i, rank + 1):
-            coeffs = tuple(1 if i <= k <= j else 0 for k in range(1, rank + 1))
-            roots.append(Root(coeffs))
-    roots.sort(key=Root.order_key)
-    return RootSystem(series, rank, tuple(roots))
+    roots = tuple(
+        Root(row, row + height, rank)
+        for height in range(1, rank + 1)
+        for row in range(1, rank + 2 - height)
+    )
+    return RootSystem(series, rank, roots)
 
 
 def block_sizes(rank, theta):
@@ -137,8 +137,7 @@ def _summands(rank, theta):
     for gap in range(1, len(sizes)):
         for p, q in zip(range(len(sizes)), range(gap, len(sizes))):
             units = product(range(first[p], first[p + 1]), range(first[q], first[q + 1]))
-            roots = [Root((0,) * (i - 1) + (1,) * (j - i) + (0,) * (rank + 1 - j))
-                     for i, j in sorted(units, key=lambda u: (u[1] - u[0], u[0]))]
+            roots = [Root(i, j, rank) for i, j in sorted(units, key=lambda u: (u[1] - u[0], u[0]))]
             signature = tuple(int(p <= t < q) for t in range(len(sizes) - 1))
             summands.append(IsotropySummand(signature, roots))
     return summands
@@ -147,7 +146,7 @@ def _summands(rank, theta):
 def complementary_positive_roots(rs, theta):
     """Positive roots with some coefficient outside theta, in root order."""
     roots = [r for s in _summands(rs.rank, theta) for r in s.roots]
-    return sorted(roots, key=Root.order_key)
+    return sorted(roots, key=lambda r: (r.height, r.row))
 
 
 def isotropy_summands(rs, theta):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from flagflux import Form, MalcevPresentation, WeylConstants, build_root_system
+from flagflux import Form, MalcevPresentation, Root
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -220,35 +220,76 @@ def kostant_oracle(blocks):
     return dims
 
 
+def positive_root_vectors_oracle(rank):
+    """Coefficient vectors of the positive roots of A_rank, in root order.
+
+    Every contiguous run of ones is a positive root; the vectors are sorted
+    by height, then lexicographically largest first.
+    """
+    vectors = [
+        tuple(1 if i <= k <= j else 0 for k in range(1, rank + 1))
+        for i in range(1, rank + 1)
+        for j in range(i, rank + 1)
+    ]
+    return sorted(vectors, key=lambda v: (sum(v), tuple(-c for c in v)))
+
+
+def unit_of_vector_oracle(coeffs):
+    """(row, col) of the matrix unit of alpha_i + ... + alpha_j: (i, j + 1)."""
+    ones = [k for k, c in enumerate(coeffs, start=1) if c]
+    assert ones == list(range(ones[0], ones[-1] + 1)), coeffs
+    assert all(coeffs[k - 1] == 1 for k in ones), coeffs
+    return ones[0], ones[-1] + 1
+
+
+def weyl_bracket_oracle(a, b):
+    """[E_a, E_b] on matrix units as a list of ((i, j), coefficient) pairs.
+
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj.
+    """
+    (i, j), (k, l) = a, b
+    out = []
+    if j == k:
+        out.append(((i, l), 1))
+    if l == i:
+        out.append(((k, j), -1))
+    return out
+
+
 def nilradical_oracle(spec):
     """(presentation, legend, summands, complement) from the whole root system.
 
-    Every positive root of A_rank is kept when its coefficients outside theta
-    (its signature) are not all zero, the kept roots are grouped by signature
-    in the summand order of ``isotropy_summands``, and every pair of slots is
+    Every positive root vector of A_rank is kept when its coefficients
+    outside theta (its signature) are not all zero, the kept roots are
+    grouped by signature in the summand order of ``isotropy_summands``, each
+    vector is scanned into its matrix unit, and every pair of slots is
     bracketed.  Summands are (signature, roots) pairs.
     """
     free = [k for k in range(1, spec.rank + 1) if k not in spec.theta]
-    complement, by_sig = [], {}
-    for r in build_root_system(spec.series, spec.rank).positive_roots:
-        sig = tuple(r.coeffs[k - 1] for k in free)
+    by_sig, units = {}, {}
+    for coeffs in positive_root_vectors_oracle(spec.rank):
+        sig = tuple(coeffs[k - 1] for k in free)
         if any(sig):
-            complement.append(r)
-            by_sig.setdefault(sig, []).append(r)
+            by_sig.setdefault(sig, []).append(coeffs)
+            units[coeffs] = unit_of_vector_oracle(coeffs)
+
+    def root(coeffs):
+        return Root(*units[coeffs], spec.rank)
+
+    complement = [root(c) for c in units]
     order = sorted(by_sig, key=lambda sig: (sum(sig), tuple(-c for c in sig)))
-    summands = [(sig, by_sig[sig]) for sig in order]
-    legend = [r for _sig, roots in summands for r in roots]
-    units = [r.matrix_unit() for r in legend]
-    slot_of = {u: k for k, u in enumerate(units, start=1)}
-    weyl = WeylConstants(spec.rank)
+    summands = [(sig, [root(c) for c in by_sig[sig]]) for sig in order]
+    legend_units = [units[c] for sig in order for c in by_sig[sig]]
+    slot_of = {u: k for k, u in enumerate(legend_units, start=1)}
     constants = {}
-    for a in range(1, len(units) + 1):
-        for b in range(a + 1, len(units) + 1):
-            for unit, c in weyl.bracket(units[a - 1], units[b - 1]):
+    for a in range(1, len(legend_units) + 1):
+        for b in range(a + 1, len(legend_units) + 1):
+            for unit, c in weyl_bracket_oracle(legend_units[a - 1], legend_units[b - 1]):
                 k = slot_of[unit]
                 constants[(a, b, k)] = constants.get((a, b, k), 0) + c
-    diffs = [dict() for _ in legend]
+    diffs = [dict() for _ in legend_units]
     for (a, b, k), c in constants.items():
         if c:
             diffs[k - 1][(a, b)] = -c
+    legend = [r for _sig, roots in summands for r in roots]
     return MalcevPresentation([Form(2, d) for d in diffs]), legend, summands, complement

@@ -35,6 +35,17 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert json.loads(result.stdout)["error"]["kind"] == "unsupported-series"
 
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "command", ["nilradical", "selfdual", "dualize", "correspond", "root-system", "gcs-transport"]
+    )
+    def test_rank_below_one_is_one(self, runner, command, rank):
+        extra = ["--ideal", "1"] if command in ("dualize", "correspond") else []
+        result = runner.invoke(main, [command, "--rank", rank, *extra])
+        assert result.exit_code == 1
+        body = json.loads(result.stdout)
+        assert body["error"] == {"kind": "invalid-input", "message": "rank must be >= 1"}
+
     def test_flux_out_of_range_is_one(self, runner):
         result = runner.invoke(
             main,

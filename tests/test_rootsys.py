@@ -15,7 +15,7 @@ from flagflux import (
     three_summand_dims,
 )
 
-from conftest import mask_dim_oracle, nilradical_oracle
+from conftest import mask_dim_oracle, nilradical_oracle, positive_root_vectors_oracle
 
 
 def sympy_positive_root_vectors(rank):
@@ -31,10 +31,10 @@ def sympy_positive_root_vectors(rank):
     return out
 
 
-def interval_vector(root, rank):
-    i, j = root.interval
+def unit_vector(root, rank):
+    """e_row - e_col in the orthonormal basis of R^(rank+1)."""
     return tuple(
-        1 if k == i else -1 if k == j + 1 else 0 for k in range(1, rank + 2)
+        1 if k == root.row else -1 if k == root.col else 0 for k in range(1, rank + 2)
     )
 
 
@@ -62,8 +62,14 @@ class TestBuildRootSystem:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_matches_sympy(self, rank):
         rs = build_root_system("A", rank)
-        ours = {interval_vector(r, rank) for r in rs.positive_roots}
+        ours = {unit_vector(r, rank) for r in rs.positive_roots}
         assert ours == sympy_positive_root_vectors(rank)
+
+    @pytest.mark.parametrize("rank", range(1, 13))
+    def test_matches_coefficient_vector_order(self, rank):
+        # by height, then lexicographically largest coefficient vector first
+        rs = build_root_system("A", rank)
+        assert [r.coeffs for r in rs.positive_roots] == positive_root_vectors_oracle(rank)
 
     def test_heights_weakly_increase(self):
         rs = build_root_system("A", 6)
@@ -81,16 +87,33 @@ class TestBuildRootSystem:
 
 class TestRoot:
     def test_matrix_unit(self):
-        assert Root((1, 1, 0)).matrix_unit() == (1, 3)
-        assert Root((0, 0, 1)).matrix_unit() == (3, 4)
+        assert Root(1, 3, 3).matrix_unit() == (1, 3)
+        assert Root(3, 4, 3).matrix_unit() == (3, 4)
 
-    def test_non_contiguous_rejected(self):
-        with pytest.raises(ValueError):
-            Root((1, 0, 1)).matrix_unit()
+    @pytest.mark.parametrize(
+        "row,col,coeffs",
+        [
+            (1, 2, (1, 0, 0)),
+            (3, 4, (0, 0, 1)),
+            (1, 3, (1, 1, 0)),
+            (2, 4, (0, 1, 1)),
+            (1, 4, (1, 1, 1)),
+        ],
+    )
+    def test_coeffs_and_height(self, row, col, coeffs):
+        root = Root(row, col, 3)
+        assert root.coeffs == coeffs
+        assert root.height == sum(coeffs) == col - row
+        assert root.matrix_unit() == (row, col)
 
-    def test_non_type_a_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            Root((2, 1)).matrix_unit()
+    @pytest.mark.parametrize(
+        "row,col,rank",
+        [(2, 2, 3), (3, 2, 3), (0, 2, 3), (-1, 2, 3), (1, 5, 3), (4, 5, 3), (1, 2, 0)],
+        ids=["row=col", "row>col", "row=0", "row<0", "col>rank+1", "row=rank+1", "rank=0"],
+    )
+    def test_invalid_unit_rejected(self, row, col, rank):
+        with pytest.raises(ValueError, match="not a positive root"):
+            Root(row, col, rank)
 
 
 class TestFlagSpec:
@@ -100,6 +123,11 @@ class TestFlagSpec:
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
             FlagSpec("A", 2, (3,))
+
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            FlagSpec("A", rank)
 
     def test_json_round_trip(self):
         spec = FlagSpec("A", 5, (1, 3, 5))
