@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exterior import Form, wedge
-from .nilradical import nilradical_presentation
+from .nilradical import nilradical_presentation, parabolic_fields
 from .rootsys import FlagSpec, block_sizes, three_summand_dims
 from .tduality import (
     AdmissibleTriple,
+    _first_difference,
     check_admissible,
     compare_fingerprints,
     dualize,
@@ -91,7 +92,8 @@ def _completes(cells, squares, feasible):
 
 
 def _thetas_of_dim(l, dim, feasible):
-    """Every rank-l theta whose flag has dimension dim, by ascending bit mask.
+    """(theta, block sizes) of every rank-l flag of dimension dim, by
+    ascending bit mask of theta.
 
     The dimension depends only on the block sizes b of theta,
     dim = ((l+1)**2 - sum b**2) / 2, so this walks the compositions of l+1
@@ -99,30 +101,32 @@ def _thetas_of_dim(l, dim, feasible):
     completed.  ``feasible`` memoizes those (cells, squares) states; it does
     not depend on l or dim, so one dict serves a whole search.
     """
-    thetas = []
+    found = []
 
-    def walk(start, cells, squares, theta):
+    def walk(start, cells, squares, theta, blocks):
         if not cells:
-            thetas.append(theta)
+            found.append((theta, blocks))
             return
         for b in range(1, cells + 1):
             if _completes(cells - b, squares - b * b, feasible):
                 # a block of b cells from start: all but its last cell join theta
                 walk(start + b, cells - b, squares - b * b,
-                     theta + tuple(range(start, start + b - 1)))
+                     theta + tuple(range(start, start + b - 1)), blocks + (b,))
 
-    walk(1, l + 1, (l + 1) ** 2 - 2 * dim, ())
-    thetas.sort(key=lambda theta: sum(1 << (t - 1) for t in theta))
-    return thetas
+    walk(1, l + 1, (l + 1) ** 2 - 2 * dim, (), ())
+    found.sort(key=lambda pair: sum(1 << (t - 1) for t in pair[0]))
+    return found
 
 
-def _canonical_theta(l, theta):
-    """Pick one of theta / reversed theta; diagram flip gives the same flag."""
-    rev = tuple(sorted(l + 1 - t for t in theta))
-    fwd, back = block_sizes(l, theta), block_sizes(l, rev)
-    if back != fwd:
-        return rev if back > fwd else theta
-    return min(theta, rev)
+def _canonical_theta(l, theta, blocks):
+    """Pick one of theta / reversed theta; diagram flip gives the same flag.
+
+    Reversing theta reverses its block sizes; the larger block sequence
+    wins, and a palindromic one is its own reverse.
+    """
+    if blocks[::-1] > blocks:
+        return tuple(sorted(l + 1 - t for t in theta))
+    return theta
 
 
 def pretty_name(l, theta):
@@ -143,6 +147,18 @@ def find_targets(dual_algebra):
     that no type-A parabolic target exists.  The one-block flags (points,
     dimension 0) are never targets.
 
+    A candidate is decided from its Levi blocks b_1..b_k before it is built.
+    Its nilradical is sum_{p<q} Hom(V_q, V_p), and the product of the full
+    blocks n_pq and n_qr spans the whole block n_pr, so with
+    a(g) = sum_{q-p >= g} b_p b_q the fingerprint has dim = a(1),
+    abelian iff k <= 2, lcs_dims = (a(2), a(3), ...), derived_dims =
+    (a(2), a(4), a(8), ...), each down to its first 0, center_dim = b_1 b_k
+    and d1_rank = a(2) (``parabolic_fields``).  A candidate whose block
+    fields differ from the dual's is rejected unbuilt and never bracketed;
+    only a survivor is built, with those fields already known, so comparing
+    it computes only d2_rank.  An abelian survivor equals an abelian dual
+    and needs no field at all.
+
     Returns (targets, reason); reason is None when targets exist, else a
     deterministic account of why the search came up empty.
     """
@@ -153,13 +169,17 @@ def find_targets(dual_algebra):
     rejected = 0
     unconfirmed = 0
     for l in range(1, dim + 1):
-        for theta in _thetas_of_dim(l, dim, feasible):
-            canon = _canonical_theta(l, theta)
+        for theta, blocks in _thetas_of_dim(l, dim, feasible):
+            canon = _canonical_theta(l, theta, blocks)
             if (l, canon) in seen:
                 continue
             seen.add((l, canon))
+            if _first_difference(parabolic_fields(blocks), dual_algebra) is not None:
+                rejected += 1
+                continue
             spec = FlagSpec("A", l, canon)
             cand, _legend = nilradical_presentation(spec)
+            cand._invariants.update(parabolic_fields(blocks))
             equal, _field = compare_fingerprints(cand, dual_algebra)
             if not equal:
                 rejected += 1

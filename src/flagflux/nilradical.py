@@ -11,12 +11,28 @@ delta_li E_kj is nonzero only when j == k or l == i, so a slot is bracketed
 only with the slots whose unit starts at its column or ends at its row:
 each pair tried gives one structure constant, and the cost follows the
 size of the presentation, not the square of its dimension.
+
+Most of the fingerprint of n = sum_{p<q} Hom(V_q, V_p) follows from the
+block sizes b_1..b_k alone (``parabolic_fields``).  The product of the full
+blocks n_pq and n_qr spans the whole block n_pr, so the bracket of the
+blocks of gap >= g with those of gap >= h is the sum of the blocks of gap
+>= g + h.  With a(g) = sum_{q-p >= g} b_p b_q:
+
+    dim = a(1), abelian iff k <= 2,
+    lcs_dims = (a(2), a(3), ...) and derived_dims = (a(2), a(4), a(8), ...),
+    each down to its first 0,
+    center_dim = b_1 b_k, d1_rank = dim [n, n] = a(2).
+
+The center is spanned by root vectors, and a unit of n_pq brackets a unit
+of n_(p-1)p or of n_q(q+1) to a nonzero one unless p = 1 and q = k, so the
+center is the corner block n_1k.  The rank of d on 1-forms is the rank of
+the structure constants, which is dim [n, n].
 """
 
 from collections import namedtuple
 
 from .exterior import Form, MalcevPresentation, ce_diff
-from .rootsys import UnsupportedSeriesError, _summands
+from .rootsys import _summands
 
 __all__ = [
     "JacobiReport",
@@ -42,8 +58,6 @@ def nilradical_presentation(spec):
         >>> print_malcev(p)
         '(0,0,-e^{12})'
     """
-    if spec.series != "A":
-        raise UnsupportedSeriesError("only series A is supported, got %r" % spec.series)
     legend = [r for s in _summands(spec.rank, spec.theta) for r in s.roots]
     slot_of = {(r.row, r.col): k for k, r in enumerate(legend, start=1)}
     starting_at, ending_at = {}, {}
@@ -63,6 +77,42 @@ def nilradical_presentation(spec):
             if b > a:  # [E_ij, E_ki] = -E_kj
                 diffs[slot_of[k, j] - 1][(a, b)] = 1
     return MalcevPresentation([Form(2, d) for d in diffs]), legend
+
+
+def parabolic_fields(blocks):
+    """(name, value) fingerprint fields of the nilradical with these Levi
+    block sizes, in fingerprint order, read off the blocks alone (see the
+    module docstring).
+
+    Yields every field but d2_rank, and stops after "abelian" when there are
+    at most two blocks: two abelian algebras of one dimension are equal
+    presentations, so no further field can tell them apart.
+
+    Examples::
+
+        >>> dict(parabolic_fields((1, 1, 1)))["lcs_dims"]
+        (1, 0)
+    """
+    k = len(blocks)
+
+    def a(gap):
+        return sum(blocks[p] * blocks[q] for p in range(k) for q in range(p + gap, k))
+
+    def series(step):
+        dims, gap = [], 2
+        while not dims or dims[-1]:
+            dims.append(a(gap))
+            gap = step(gap)
+        return tuple(dims)
+
+    yield "dim", a(1)
+    yield "abelian", k <= 2
+    if k <= 2:
+        return
+    yield "lcs_dims", series(lambda gap: gap + 1)
+    yield "derived_dims", series(lambda gap: 2 * gap)
+    yield "center_dim", blocks[0] * blocks[-1]
+    yield "d1_rank", a(2)
 
 
 def jacobi_check(p):

@@ -72,6 +72,8 @@ class FlagSpec:
     theta: tuple = ()
 
     def __post_init__(self):
+        if self.series != "A":
+            raise UnsupportedSeriesError("only series A is supported, got %r" % self.series)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         theta = tuple(sorted(set(self.theta)))
@@ -186,7 +188,5 @@ def flag_dimension(spec):
     With Levi blocks of sizes b this is ((rank+1)**2 - sum b**2) / 2, the
     entries above the block diagonal.
     """
-    if spec.series != "A":
-        raise UnsupportedSeriesError("only series A is supported, got %r" % spec.series)
     sizes = block_sizes(spec.rank, spec.theta)
     return ((spec.rank + 1) ** 2 - sum(b * b for b in sizes)) // 2

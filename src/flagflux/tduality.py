@@ -542,6 +542,20 @@ def fingerprint(p):
     return tuple(_field(p, name, compute) for name, compute in _FIELDS)
 
 
+def _first_difference(fields, q):
+    """Name of the first of ``fields``, (name, value) pairs in fingerprint
+    order, whose value differs from q's; None when all agree.
+
+    q's field is computed (or reused) only when the pair is reached, so a
+    lazy ``fields`` that stops early spares q the fields after it.
+    """
+    computes = dict(_FIELDS)
+    for name, value in fields:
+        if value != _field(q, name, computes[name]):
+            return name
+    return None
+
+
 def compare_fingerprints(p, q):
     """(equal, first differing field name); a field of the two fingerprints
     is computed only when every field before it agreed.
@@ -551,10 +565,10 @@ def compare_fingerprints(p, q):
     """
     if p == q:
         return True, None
-    for name, compute in _FIELDS:
-        if _field(p, name, compute) != _field(q, name, compute):
-            return False, name
-    return True, None
+    differs = _first_difference(
+        ((name, _field(p, name, compute)) for name, compute in _FIELDS), q
+    )
+    return differs is None, differs
 
 
 # --- random admissible triples for property suites -----------------------

@@ -293,3 +293,43 @@ def nilradical_oracle(spec):
             diffs[k - 1][(a, b)] = -c
     legend = [r for _sig, roots in summands for r in roots]
     return MalcevPresentation([Form(2, d) for d in diffs]), legend, summands, complement
+
+
+def parabolic_fields_oracle(spec):
+    """Fingerprint fields but d2_rank of a type-A flag's nilradical, by
+    closing sets of matrix units under the bracket.
+
+    The nilradical is spanned by the units E_ij, i < j, whose rows i and j
+    lie in different Levi blocks.  The bracket of two units is a signed unit
+    or 0 (``weyl_bracket_oracle``), so the bracket of two spans of units is
+    the span of the units their pairs bracket to, and every term of both
+    series is a set of units.  The center is torus-stable, hence the set of
+    units that bracket to nothing, and the rank of d on 1-forms is
+    dim [n, n].
+    """
+    units = {
+        (i, j)
+        for i in range(1, spec.rank + 2)
+        for j in range(i + 1, spec.rank + 2)
+        if any(k not in spec.theta for k in range(i, j))
+    }
+
+    def bracket(left, right):
+        return {u for a in left for b in right for u, _c in weyl_bracket_oracle(a, b)}
+
+    def series(lower):
+        dims, term = [], units
+        while not dims or dims[-1]:
+            term = bracket(units if lower else term, term)
+            dims.append(len(term))
+        return tuple(dims)
+
+    lcs = series(lower=True)
+    return {
+        "dim": len(units),
+        "abelian": lcs[0] == 0,
+        "lcs_dims": lcs,
+        "derived_dims": series(lower=False),
+        "center_dim": sum(1 for u in units if not bracket({u}, units)),
+        "d1_rank": lcs[0],
+    }

@@ -35,6 +35,15 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert json.loads(result.stdout)["error"]["kind"] == "unsupported-series"
 
+    @pytest.mark.parametrize(
+        "command", ["nilradical", "selfdual", "dualize", "correspond", "root-system", "gcs-transport"]
+    )
+    def test_unsupported_series_wins_over_bad_rank(self, runner, command):
+        extra = ["--ideal", "1"] if command in ("dualize", "correspond") else []
+        result = runner.invoke(main, [command, "--series", "B", "--rank", "0", *extra])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["error"]["kind"] == "unsupported-series"
+
     @pytest.mark.parametrize("rank", ["0", "-2"])
     @pytest.mark.parametrize(
         "command", ["nilradical", "selfdual", "dualize", "correspond", "root-system", "gcs-transport"]

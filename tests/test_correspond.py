@@ -1,4 +1,6 @@
 import importlib
+import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -51,12 +53,15 @@ class TestThetaDimTable:
                 assert 25 - sum(b * b for b in block_sizes(4, theta)) == 2 * dim
 
     def test_enumerator_matches_oracle(self):
-        # content and order, with one memo shared as in find_targets
+        # content and order, with one memo shared as in find_targets; each
+        # theta comes with the block sizes the walk composed it from
         feasible = {}
         for l in range(1, 15):
             table = theta_dim_oracle(l)
             for dim in range(l * (l + 1) // 2 + 2):
-                assert C._thetas_of_dim(l, dim, feasible) == table.get(dim, []), (l, dim)
+                found = C._thetas_of_dim(l, dim, feasible)
+                assert [theta for theta, _ in found] == table.get(dim, []), (l, dim)
+                assert all(blocks == block_sizes(l, theta) for theta, blocks in found)
 
     def test_no_theta_above_dim(self):
         feasible = {}
@@ -75,21 +80,25 @@ class TestThetaDimTable:
             start += b
         mask = sum(1 << (t - 1) for t in theta)
         found = C._thetas_of_dim(l, mask_dim_oracle(l, mask), {})
-        assert tuple(theta) in found
-        masks = [sum(1 << (t - 1) for t in th) for th in found]
+        assert (tuple(theta), tuple(blocks)) in found
+        masks = [sum(1 << (t - 1) for t in th) for th, _ in found]
         assert masks == sorted(set(masks))
+
+
+def canonical(l, theta):
+    return C._canonical_theta(l, theta, block_sizes(l, theta))
 
 
 class TestCanonicalTheta:
     def test_prefers_larger_block(self):
-        assert C._canonical_theta(3, (1,)) == (1,)
-        assert C._canonical_theta(3, (3,)) == (1,)
-        assert C._canonical_theta(3, (2, 3)) == (1, 2)
-        assert C._canonical_theta(3, (1, 2)) == (1, 2)
+        assert canonical(3, (1,)) == (1,)
+        assert canonical(3, (3,)) == (1,)
+        assert canonical(3, (2, 3)) == (1, 2)
+        assert canonical(3, (1, 2)) == (1, 2)
 
     def test_symmetric_theta_fixed(self):
-        assert C._canonical_theta(3, (2,)) == (2,)
-        assert C._canonical_theta(5, (1, 3, 5)) == (1, 3, 5)
+        assert canonical(3, (2,)) == (2,)
+        assert canonical(5, (1, 3, 5)) == (1, 3, 5)
 
 
 class TestPrettyName:
@@ -170,6 +179,40 @@ class TestTargets:
         b = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
         assert [t.spec for t in a.targets] == [t.spec for t in b.targets]
         assert a.search_reason == b.search_reason
+
+
+class TestBuildsOnlySurvivors:
+    """find_targets rejects a candidate from its Levi blocks before building
+    it; only candidates whose block fields all agree with the dual's are
+    built."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        specs = []
+        real = C.nilradical_presentation
+
+        def counted(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(C, "nilradical_presentation", counted)
+        return specs
+
+    def test_three_summand_builds_source_and_targets(self, built):
+        report = three_summand_correspond(2, 3, 3)
+        assert report.ok
+        assert built == [report.spec] + [t.spec for t in report.result.targets]
+
+    def test_job_09_builds_nothing_and_keeps_its_reason(self, built):
+        jobs = resources.files("flagflux").joinpath("jobs")
+        job = json.loads(jobs.joinpath("09-correspond-dim6-top.json").read_text())
+        expected = json.loads(jobs.joinpath("expected", "09-correspond-dim6-top.json").read_text())
+        cfg = job["config"]
+        result = correspond_presentation(
+            parse_malcev(cfg["algebra"]), cfg["ideal"], parse_form(cfg["flux"])
+        )
+        assert result.search_reason == expected["search_reason"]
+        assert built == []
 
 
 class TestSelfDual:

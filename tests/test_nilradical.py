@@ -18,9 +18,17 @@ from flagflux import (
     parse_malcev,
     print_malcev,
 )
+from flagflux import tduality
+from flagflux.nilradical import parabolic_fields
+from flagflux.rootsys import block_sizes
 from flagflux.tduality import BasisChange
 
-from conftest import jacobi_oracle, nilradical_oracle, weyl_bracket_oracle
+from conftest import (
+    jacobi_oracle,
+    nilradical_oracle,
+    parabolic_fields_oracle,
+    weyl_bracket_oracle,
+)
 
 
 def unit_matrix(size, i, j):
@@ -165,6 +173,39 @@ class TestWholeRootSystemOracle:
     def test_random_flags_of_higher_rank(self, rank, data):
         theta = data.draw(st.sets(st.integers(1, rank)))
         assert_matches_oracle(FlagSpec("A", rank, tuple(theta)))
+
+
+def flags(max_rank):
+    """Every (rank, theta) of A_1..A_max_rank with two or more Levi blocks."""
+    for rank in range(1, max_rank + 1):
+        for mask in range((1 << rank) - 1):
+            yield rank, tuple(k + 1 for k in range(rank) if mask >> k & 1)
+
+
+class TestParabolicFields:
+    """The fingerprint fields read off the Levi blocks, which decide the
+    target search's candidates before any is built."""
+
+    def test_every_flag_up_to_rank_five_against_the_fingerprint(self):
+        names = [name for name, _compute in tduality._FIELDS]
+        computes = dict(tduality._FIELDS)
+        for rank, theta in flags(5):
+            blocks = block_sizes(rank, theta)
+            p, _legend = nilradical_presentation(FlagSpec("A", rank, theta))
+            fields = list(parabolic_fields(blocks))
+            assert [name for name, _ in fields] == names[: 2 if len(blocks) == 2 else 6]
+            for name, value in fields:
+                assert computes[name](p) == value, (rank, theta, name)
+            if len(blocks) == 2:
+                # the early stop relies on this: one zero presentation per dim
+                assert p == MalcevPresentation([Form(2)] * p.dim)
+
+    def test_every_flag_up_to_rank_nine_against_unit_closure(self):
+        for rank, theta in flags(9):
+            want = parabolic_fields_oracle(FlagSpec("A", rank, theta))
+            fields = dict(parabolic_fields(block_sizes(rank, theta)))
+            assert fields == {name: want[name] for name in fields}, (rank, theta)
+            assert len(fields) == (2 if want["abelian"] else 6), (rank, theta)
 
 
 class TestWeylBracketOracle:

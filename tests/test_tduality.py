@@ -314,6 +314,15 @@ class TestFingerprint:
             n, r1, r2 = p.dim, fields["d1_rank"](p), fields["d2_rank"](p)
             assert (n - r1, comb(n, 2) - r2 - r1) == (h.get(1, 0), h.get(2, 0)), theta
 
+    @given(filtered_presentations())
+    @settings(max_examples=100, deadline=None)
+    def test_d1_rank_is_dim_of_derived_algebra(self, p):
+        """de^k = -sum c^k_ij e^ij, so the rank of d on 1-forms is the rank
+        of the structure constants, dim [g, g]; Jacobi is not needed.  The
+        target search reads d1_rank off the Levi blocks this way."""
+        fields = dict(tduality._FIELDS)
+        assert fields["d1_rank"](p) == fields["lcs_dims"](p)[0]
+
 
 NAMES = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim", "d1_rank", "d2_rank")
 
