@@ -172,6 +172,8 @@ def _algebra_from_cfg(cfg):
 
     A key of the other branch is a usage error, not silently dropped; the
     series counts only when it is not the default "A" that --series supplies.
+    An explicit algebra must satisfy the Jacobi identity (d after d is 0);
+    the first de^k that fails is reported as invalid input.
     """
     if "algebra" in cfg:
         mixed = [key for key in ("rank", "theta") if cfg.get(key) is not None]
@@ -186,6 +188,12 @@ def _algebra_from_cfg(cfg):
             _as_str(cfg["algebra"], "algebra"),
             None if dim is None else _as_int(dim, "dim"),
         )
+        jacobi = jacobi_check(presentation)
+        if not jacobi.ok:
+            raise MalcevValueError(
+                "algebra fails the Jacobi identity: d(de^%d) = %s"
+                % (jacobi.failing_index, print_form(jacobi.residual))
+            )
         return presentation, None, None
     if cfg.get("dim") is not None:
         raise click.UsageError("'dim' is read only together with 'algebra'")

@@ -151,13 +151,20 @@ def find_targets(dual_algebra):
     Its nilradical is sum_{p<q} Hom(V_q, V_p), and the product of the full
     blocks n_pq and n_qr spans the whole block n_pr, so with
     a(g) = sum_{q-p >= g} b_p b_q the fingerprint has dim = a(1),
-    abelian iff k <= 2, lcs_dims = (a(2), a(3), ...), derived_dims =
-    (a(2), a(4), a(8), ...), each down to its first 0, center_dim = b_1 b_k
-    and d1_rank = a(2) (``parabolic_fields``).  A candidate whose block
-    fields differ from the dual's is rejected unbuilt and never bracketed;
-    only a survivor is built, with those fields already known, so comparing
-    it computes only d2_rank.  An abelian survivor equals an abelian dual
-    and needs no field at all.
+    abelian iff k <= 2, d1_rank = a(2), center_dim = b_1 b_k, lcs_dims =
+    (a(2), a(3), ...) and derived_dims = (a(2), a(4), a(8), ...), each down
+    to its first 0 (``parabolic_fields``).  A candidate whose block fields
+    differ from the dual's is rejected unbuilt and never bracketed; only a
+    survivor is built, with those fields already known, so comparing it
+    computes only d2_rank.  An abelian survivor equals an abelian dual and
+    needs no field at all.
+
+    The block fields are checked in that order, and each of the dual's
+    fields is computed when a candidate first reaches it and then kept on
+    the dual: its d1_rank and center_dim are sparse ranks read off its
+    structure constants, and its bracket series are computed only when some
+    candidate agrees with it on both.  The order cannot change the outcome,
+    since a candidate survives only when all of its fields agree.
 
     Returns (targets, reason); reason is None when targets exist, else a
     deterministic account of why the search came up empty.

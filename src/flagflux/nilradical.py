@@ -19,14 +19,20 @@ blocks of gap >= g with those of gap >= h is the sum of the blocks of gap
 >= g + h.  With a(g) = sum_{q-p >= g} b_p b_q:
 
     dim = a(1), abelian iff k <= 2,
+    d1_rank = dim [n, n] = a(2), center_dim = b_1 b_k,
     lcs_dims = (a(2), a(3), ...) and derived_dims = (a(2), a(4), a(8), ...),
-    each down to its first 0,
-    center_dim = b_1 b_k, d1_rank = dim [n, n] = a(2).
+    each down to its first 0.
 
 The center is spanned by root vectors, and a unit of n_pq brackets a unit
 of n_(p-1)p or of n_q(q+1) to a nonzero one unless p = 1 and q = k, so the
 center is the corner block n_1k.  The rank of d on 1-forms is the rank of
 the structure constants, which is dim [n, n].
+
+``parabolic_fields`` yields the fields in the order above, not in
+fingerprint order: d1_rank and center_dim cost the other side of a
+comparison one sparse rank each, while the two series cost it a round of
+brackets per entry, so a candidate that differs from the dual in a cheap
+field never makes the dual compute a series.
 """
 
 from collections import namedtuple
@@ -81,12 +87,13 @@ def nilradical_presentation(spec):
 
 def parabolic_fields(blocks):
     """(name, value) fingerprint fields of the nilradical with these Levi
-    block sizes, in fingerprint order, read off the blocks alone (see the
-    module docstring).
+    block sizes, read off the blocks alone (see the module docstring).
 
-    Yields every field but d2_rank, and stops after "abelian" when there are
-    at most two blocks: two abelian algebras of one dimension are equal
-    presentations, so no further field can tell them apart.
+    Yields dim, abelian, d1_rank, center_dim, lcs_dims and derived_dims, in
+    that order, cheapest first for the other side of a comparison.  Never
+    yields d2_rank, and stops after "abelian" when there are at most two
+    blocks: two abelian algebras of one dimension are equal presentations,
+    so no further field can tell them apart.
 
     Examples::
 
@@ -109,10 +116,10 @@ def parabolic_fields(blocks):
     yield "abelian", k <= 2
     if k <= 2:
         return
+    yield "d1_rank", a(2)
+    yield "center_dim", blocks[0] * blocks[-1]
     yield "lcs_dims", series(lambda gap: gap + 1)
     yield "derived_dims", series(lambda gap: 2 * gap)
-    yield "center_dim", blocks[0] * blocks[-1]
-    yield "d1_rank", a(2)
 
 
 def jacobi_check(p):

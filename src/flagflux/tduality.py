@@ -495,15 +495,17 @@ def _bracket_series(p, lower):
 
 
 def _center_dim(p):
-    n = p.dim
-    consts = p.structure_constants()
-    basis = _unit_basis(n)
-    ad_rows = []
-    for j in range(n):
-        for row in zip(*[_bracket_vec(consts, n, basis[i], basis[j]) for i in range(n)]):
-            if any(row):
-                ad_rows.append(dict(enumerate(row)))
-    return n - rank(ad_rows)
+    """n minus the rank of the map z -> ([z, e_j])_j, with no bracket built.
+
+    Row (j, k) of that map holds the coefficient of e_k in [z, e_j], so a
+    constant [e_i, e_j] = c e_k (i < j) puts c in column i of row (j, k)
+    and -c in column j of row (i, k); every other entry is 0.
+    """
+    rows = {}
+    for (i, j, k), c in p.structure_constants().items():
+        rows.setdefault((j, k), {})[i] = c
+        rows.setdefault((i, k), {})[j] = -c
+    return p.dim - rank(rows.values())
 
 
 def _diff_rank(p, degree):
@@ -543,11 +545,13 @@ def fingerprint(p):
 
 
 def _first_difference(fields, q):
-    """Name of the first of ``fields``, (name, value) pairs in fingerprint
-    order, whose value differs from q's; None when all agree.
+    """Name of the first of ``fields``, (name, value) pairs in whatever
+    order they come, whose value differs from q's; None when all agree.
 
     q's field is computed (or reused) only when the pair is reached, so a
-    lazy ``fields`` that stops early spares q the fields after it.
+    lazy ``fields`` that stops early spares q the fields after it, and a
+    stream that puts cheap fields first (``parabolic_fields``) spares q its
+    costly ones whenever a cheap one differs.
     """
     computes = dict(_FIELDS)
     for name, value in fields:

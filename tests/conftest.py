@@ -6,12 +6,14 @@ systems) so the kernel is checked against code that shares none of its
 shortcuts.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from flagflux import Form, MalcevPresentation, Root
+from flagflux import FlagSpec, Form, MalcevPresentation, Root
+from flagflux import fingerprint, iso_small, nilradical_presentation
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -113,6 +115,26 @@ def jacobi_oracle(p):
     return True
 
 
+def center_dim_oracle(p):
+    """Dimension of the center, from every bracket of two basis vectors.
+
+    z = sum z_i e_i is central iff [z, e_j] = 0 for every j, so the center
+    is the kernel of the dense n^2 x n matrix whose row (j, k) holds, in
+    column i, the e_k coefficient of [e_i, e_j].
+    """
+    n = p.dim
+    brackets = {
+        (i, j): bracket_oracle(p, i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+    }
+    rows = [
+        [brackets[i, j][k] for i in range(1, n + 1)]
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+    ]
+    _mat, pivots = rref_oracle(rows, n)
+    return n - len(pivots)
+
+
 def mask_dim_oracle(l, mask):
     """Flag dimension of the rank-l theta with this bit mask, by run lengths.
 
@@ -138,6 +160,64 @@ def theta_dim_oracle(l):
         theta = tuple(i + 1 for i in range(l) if (mask >> i) & 1)
         table.setdefault(mask_dim_oracle(l, mask), []).append(theta)
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_table(l):
+    return {dim: tuple(thetas) for dim, thetas in theta_dim_oracle(l).items()}
+
+
+def _blocks_oracle(l, theta):
+    """Levi block sizes of the rank-l theta: a run of r theta entries joins
+    r + 1 of the l + 1 cells into one block."""
+    blocks = [1]
+    for i in range(1, l + 1):
+        if i in theta:
+            blocks[-1] += 1
+        else:
+            blocks.append(1)
+    return tuple(blocks)
+
+
+def find_targets_oracle(dual):
+    """(targets, reason) of the target search, by brute force: ``targets`` is
+    a list of (FlagSpec, witness) pairs.
+
+    Every theta of every rank 1..dim is tried, from the 2**l masks of
+    ``theta_dim_oracle``; a flag and its diagram flip count once, as the
+    theta with the larger block sequence.  Each candidate is built and its
+    full fingerprint compared with a fresh copy of the dual's, and iso_small
+    runs on the candidates whose fingerprints agree.
+    """
+    dim = dual.dim
+    dual_fp = fingerprint(MalcevPresentation(dual.differentials))
+    seen, targets = set(), []
+    rejected = unconfirmed = 0
+    for l in range(1, dim + 1):
+        for theta in _theta_table(l).get(dim, ()):
+            flipped = tuple(sorted(l + 1 - t for t in theta))
+            blocks = _blocks_oracle(l, theta)
+            canon = flipped if blocks[::-1] > blocks else theta
+            if (l, canon) in seen:
+                continue
+            seen.add((l, canon))
+            spec = FlagSpec("A", l, canon)
+            cand, _legend = nilradical_presentation(spec)
+            if fingerprint(cand) != dual_fp:
+                rejected += 1
+                continue
+            iso = iso_small(cand, dual)
+            if iso.witness is None:
+                unconfirmed += 1
+            else:
+                targets.append((spec, iso.witness))
+    if targets:
+        return targets, None
+    return targets, (
+        "no parabolic nilradical, every rank searched, is isomorphic to the dual: "
+        "%d candidates of dimension %d, %d rejected by invariant fingerprint, "
+        "%d unconfirmed within search budget" % (len(seen), dim, rejected, unconfirmed)
+    )
 
 
 def rref_oracle(rows, ncols):

@@ -65,6 +65,18 @@ class TestExitCodes:
         assert body["error"]["kind"] == "invalid-input"
         assert "beyond dimension" in body["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["dualize", "correspond"])
+    def test_algebra_failing_jacobi_is_one(self, runner, command, tmp_path):
+        # d(de^5) = d(e^{34}) = e^{124}: not a Lie algebra, though admissible
+        cfg = tmp_path / "nonjacobi.json"
+        cfg.write_text(json.dumps({"algebra": "(0,0,e^{12},e^{13},e^{34})", "ideal": [5]}))
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["error"] == {
+            "kind": "invalid-input",
+            "message": "algebra fails the Jacobi identity: d(de^5) = e^{124}",
+        }
+
     def test_malcev_syntax_error_is_two(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"algebra": "(0,0,-e^{1", "ideal": [3]}))

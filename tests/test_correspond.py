@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagflux import (
+    AdmissibleTriple,
     FlagSpec,
     FlowingFlag,
     Form,
@@ -15,6 +16,9 @@ from flagflux import (
     correspond,
     correspond_presentation,
     dimension_obstruction_scan,
+    dualize,
+    find_targets,
+    isotropy_summands,
     nilradical_presentation,
     parse_form,
     parse_malcev,
@@ -25,9 +29,10 @@ from flagflux import (
     three_summand_dims,
 )
 
+from flagflux import tduality
 from flagflux.rootsys import block_sizes
 
-from conftest import mask_dim_oracle, theta_dim_oracle
+from conftest import find_targets_oracle, mask_dim_oracle, theta_dim_oracle
 
 C = importlib.import_module("flagflux.correspond")
 
@@ -213,6 +218,74 @@ class TestBuildsOnlySurvivors:
         )
         assert result.search_reason == expected["search_reason"]
         assert built == []
+
+
+def flags_with_blocks(rank):
+    """Every theta of A_rank with two or more Levi blocks (theta != Sigma)."""
+    for mask in range((1 << rank) - 1):
+        yield tuple(i + 1 for i in range(rank) if mask >> i & 1)
+
+
+def last_summand_flag(rank, theta):
+    """(flowing flag with zero flux, ideal of its last isotropy summand); the
+    last summand is central, so the triple is admissible."""
+    summands = isotropy_summands(build_root_system("A", rank), theta)
+    dim = sum(s.dim for s in summands)
+    ideal = tuple(range(dim - summands[-1].dim + 1, dim + 1))
+    return FlowingFlag(FlagSpec("A", rank, theta), Form.zero(3)), ideal
+
+
+def assert_matches_oracle(dual):
+    targets, reason = find_targets(dual)
+    want_targets, want_reason = find_targets_oracle(dual)
+    assert [(t.spec, t.witness) for t in targets] == want_targets
+    assert reason == want_reason
+
+
+class TestFindTargetsOracle:
+    """The block check against building every candidate of the dual's
+    dimension and comparing full fingerprints."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_duals_of_every_flag(self, rank):
+        for theta in flags_with_blocks(rank):
+            flag, ideal = last_summand_flag(rank, theta)
+            p, _legend = nilradical_presentation(flag.spec)
+            assert_matches_oracle(dualize(AdmissibleTriple(p, ideal, flag.flux)).dual.algebra)
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            "08-correspond-heisenberg",
+            "09-correspond-dim6-top",
+            "10-correspond-dim6-triple",
+            "11-correspond-su6",
+        ],
+    )
+    def test_golden_duals(self, job):
+        cfg = json.loads(
+            resources.files("flagflux").joinpath("jobs", job + ".json").read_text()
+        )["config"]
+        if "algebra" in cfg:
+            p = parse_malcev(cfg["algebra"])
+        else:
+            p, _legend = nilradical_presentation(
+                FlagSpec(cfg["series"], cfg["rank"], tuple(cfg["theta"]))
+            )
+        triple = AdmissibleTriple(p, tuple(cfg["ideal"]), parse_form(cfg["flux"], 3))
+        assert_matches_oracle(dualize(triple).dual.algebra)
+
+    def test_no_bracket_series_up_to_rank_six(self, monkeypatch):
+        """Every candidate differs from these duals in a field cheaper than
+        the bracket series, or is an abelian survivor of an abelian dual."""
+
+        def refuse(p, lower):
+            raise AssertionError("bracket series computed")
+
+        monkeypatch.setattr(tduality, "_bracket_series", refuse)
+        for rank in range(2, 7):
+            for theta in flags_with_blocks(rank):
+                correspond(*last_summand_flag(rank, theta))
 
 
 class TestSelfDual:

@@ -5,7 +5,7 @@ import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagflux import (
@@ -33,7 +33,12 @@ from flagflux import (
 from flagflux import tduality
 from flagflux.tduality import BasisChange, _arrangements
 
-from conftest import filtered_presentations, kostant_oracle, mahonian_oracle
+from conftest import (
+    center_dim_oracle,
+    filtered_presentations,
+    kostant_oracle,
+    mahonian_oracle,
+)
 
 HEISENBERG = "(0,0,-e^{12})"
 DIM6 = "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})"
@@ -332,6 +337,26 @@ def fresh(p):
     return MalcevPresentation(p.differentials)
 
 
+class TestCenterDim:
+    """The center read off the structure constants against every bracket of
+    two basis vectors."""
+
+    # one de^k pairing e_1, e_2, e_3 cyclically: the ad rows are then an
+    # antisymmetric 3 x 3 block, and a sign slip makes it invertible
+    @given(filtered_presentations())
+    @example(parse_malcev("(0,0,0,e^{12}+e^{13}+e^{23})"))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_ad_matrix(self, p):
+        assert tduality._center_dim(p) == center_dim_oracle(p)
+
+    def test_every_flag_up_to_rank_six(self):
+        for rank in range(1, 7):
+            for mask in range(1 << rank):
+                theta = tuple(k + 1 for k in range(rank) if mask >> k & 1)
+                p, _legend = nilradical_presentation(FlagSpec("A", rank, theta))
+                assert tduality._center_dim(p) == center_dim_oracle(p), (rank, theta)
+
+
 class TestStagedComparison:
     @given(filtered_presentations(max_dim=5), filtered_presentations(max_dim=5))
     @settings(max_examples=150, deadline=None)
@@ -384,7 +409,10 @@ class TestStagedComparison:
             tduality, "_FIELDS", tuple((name, counted(name, f)) for name, f in tduality._FIELDS)
         )
         assert find_targets(dual)[0] == []
-        assert requested.count("lcs_dims") == 4
+        # four candidates reach the first field past "abelian"; every one
+        # differs there, so the dual never computes a bracket series
+        assert requested.count("d1_rank") == 4
+        assert "lcs_dims" not in requested and "derived_dims" not in requested
         assert sorted(computed) == sorted(set(requested))
 
     def test_no_memory_retained(self):
