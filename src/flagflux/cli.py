@@ -9,6 +9,7 @@ stdout), 2 parse or usage error.
 
 import json
 import sys
+from collections import namedtuple
 from importlib import resources
 
 import click
@@ -33,13 +34,7 @@ from .rootsys import (
     flag_dimension,
     isotropy_summands,
 )
-from .tduality import (
-    AdmissibleTriple,
-    DualityError,
-    check_admissible,
-    dualize,
-    duality_certificate,
-)
+from .tduality import AdmissibleTriple, DualityError, dualize, duality_certificate
 
 
 def _dump(report):
@@ -49,7 +44,7 @@ def _dump(report):
 def _emit(command, cfg, fmt):
     report = _report(command, cfg)
     if fmt == "text":
-        click.echo("\n".join(_RUNNERS[command][1](report)))
+        click.echo("\n".join(_COMMANDS[command].text(report)))
     else:
         click.echo(_dump(report), nl=False)
 
@@ -172,8 +167,6 @@ def _algebra_from_cfg(cfg):
 
     A key of the other branch is a usage error, not silently dropped; the
     series counts only when it is not the default "A" that --series supplies.
-    An explicit algebra must satisfy the Jacobi identity (d after d is 0);
-    the first de^k that fails is reported as invalid input.
     """
     if "algebra" in cfg:
         mixed = [key for key in ("rank", "theta") if cfg.get(key) is not None]
@@ -188,27 +181,12 @@ def _algebra_from_cfg(cfg):
             _as_str(cfg["algebra"], "algebra"),
             None if dim is None else _as_int(dim, "dim"),
         )
-        jacobi = jacobi_check(presentation)
-        if not jacobi.ok:
-            raise MalcevValueError(
-                "algebra fails the Jacobi identity: d(de^%d) = %s"
-                % (jacobi.failing_index, print_form(jacobi.residual))
-            )
         return presentation, None, None
     if cfg.get("dim") is not None:
         raise click.UsageError("'dim' is read only together with 'algebra'")
     spec = _spec_from_cfg(cfg)
     presentation, legend = nilradical_presentation(spec)
     return presentation, legend, spec
-
-
-def _flux_from_cfg(cfg, dim):
-    form = parse_form(_as_str(cfg.get("flux", "0"), "flux"), 3)
-    if form.max_index() > dim:
-        raise MalcevValueError(
-            "flux references index %d beyond dimension %d" % (form.max_index(), dim)
-        )
-    return form
 
 
 # ---------------------------------------------------------------- reports
@@ -317,20 +295,21 @@ def _text_nilradical(report):
 
 
 def _dualize_core(cfg):
+    """(algebra, ideal, flux, source spec) as read; AdmissibleTriple checks them."""
     presentation, _legend, source = _algebra_from_cfg(cfg)
     if "ideal" not in cfg:
         raise click.UsageError("missing --ideal (or config key \"ideal\")")
     ideal = _as_int_tuple(cfg["ideal"], "ideal")
-    flux = _flux_from_cfg(cfg, presentation.dim)
+    flux = parse_form(_as_str(cfg.get("flux", "0"), "flux"), 3)
     return presentation, ideal, flux, source
 
 
-def _dualize_report(algebra, ideal, flux, admissibility, dualization, certificate, source):
+def _dualize_report(algebra, ideal, flux, dualization, certificate, source):
     report = {
         "algebra": print_malcev(algebra),
         "ideal": list(ideal),
         "flux": print_form(flux),
-        "admissibility": admissibility.to_json(),
+        "admissibility": dualization.admissibility.to_json(),
         "dual": {
             "algebra": print_malcev(dualization.dual.algebra),
             "ideal": list(dualization.dual.ideal),
@@ -349,12 +328,9 @@ def _dualize_report(algebra, ideal, flux, admissibility, dualization, certificat
 def _run_dualize(cfg):
     presentation, ideal, flux, source = _dualize_core(cfg)
     triple = AdmissibleTriple(presentation, ideal, flux)
-    admissibility = check_admissible(triple)
     result = dualize(triple)
     certificate = duality_certificate(triple, result)
-    return _dualize_report(
-        presentation, triple.ideal, flux, admissibility, result, certificate, source
-    )
+    return _dualize_report(presentation, triple.ideal, flux, result, certificate, source)
 
 
 def _text_dualize(report):
@@ -376,13 +352,7 @@ def _run_correspond(cfg):
     presentation, ideal, flux, source = _dualize_core(cfg)
     result = correspond_presentation(presentation, ideal, flux)
     report = _dualize_report(
-        presentation,
-        result.ideal,
-        flux,
-        result.admissibility,
-        result.dualization,
-        result.certificate,
-        source,
+        presentation, result.ideal, flux, result.dualization, result.certificate, source
     )
     report["targets"] = [t.to_json() for t in result.targets]
     if result.search_reason is not None:
@@ -538,27 +508,10 @@ def _text_gcs_transport(report):
     return lines
 
 
-_SPEC_KEYS = ("series", "rank", "theta")
-_TRIPLE_KEYS = _SPEC_KEYS + ("algebra", "dim", "ideal", "flux")
-
-# command -> (report builder, text lines, the config keys the builder reads)
-_RUNNERS = {
-    "root-system": (_run_root_system, _text_root_system, _SPEC_KEYS),
-    "nilradical": (_run_nilradical, _text_nilradical, _SPEC_KEYS),
-    "dualize": (_run_dualize, _text_dualize, _TRIPLE_KEYS),
-    "correspond": (_run_correspond, _text_correspond, _TRIPLE_KEYS),
-    "selfdual": (_run_selfdual, _text_selfdual, _SPEC_KEYS),
-    "gcs-transport": (
-        _run_gcs_transport, _text_gcs_transport, _SPEC_KEYS + ("blocks", "dual")
-    ),
-}
-
-
 def _report(command, cfg):
     """Build a command's report; a config key it would not read is a usage error."""
-    run, _text, keys = _RUNNERS[command]
-    _check_keys(cfg, keys, "config")
-    return run(cfg)
+    _check_keys(cfg, _COMMANDS[command].keys, "config")
+    return _COMMANDS[command].run(cfg)
 
 
 # ------------------------------------------------------------------ click
@@ -572,6 +525,8 @@ def main():
 _series = click.option("--series", default="A", show_default=True)
 _rank = click.option("--rank", type=int, default=None)
 _theta = click.option("--theta", default=None, help="comma list, empty for maximal")
+_ideal = click.option("--ideal", default=None, help="comma list of slots")
+_flux = click.option("--flux", default=None, help="Malcev 3-form, 0 for none")
 _fmt = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="json",
     show_default=True,
@@ -581,100 +536,60 @@ _config = click.option(
     default=None,
 )
 
+_SPEC_FLAGS = (_series, _rank, _theta)
+_TRIPLE_FLAGS = _SPEC_FLAGS + (_ideal, _flux)
+_SPEC_KEYS = ("series", "rank", "theta")
+_TRIPLE_KEYS = _SPEC_KEYS + ("algebra", "dim", "ideal", "flux")
 
-@main.command("root-system")
-@_series
-@_rank
-@_theta
-@_fmt
-@_config
-@click.pass_context
-@_guarded
-def cmd_root_system(ctx, series, rank, theta, fmt, config_path):
-    """Positive roots; with --theta also the isotropy summands."""
-    cfg = _merge(ctx, config_path, {"series": series, "rank": rank, "theta": theta})
-    _emit("root-system", cfg, fmt)
+# flags: the command's options before --format and --config; keys: the
+# config keys its report builder reads
+_Command = namedtuple("_Command", "help flags run text keys")
 
-
-@main.command("nilradical")
-@_series
-@_rank
-@_theta
-@_fmt
-@_config
-@click.pass_context
-@_guarded
-def cmd_nilradical(ctx, series, rank, theta, fmt, config_path):
-    """Malcev presentation of the nilradical, with legend and d2 check."""
-    cfg = _merge(ctx, config_path, {"series": series, "rank": rank, "theta": theta})
-    _emit("nilradical", cfg, fmt)
-
-
-@main.command("dualize")
-@_series
-@_rank
-@_theta
-@click.option("--ideal", default=None, help="comma list of slots")
-@click.option("--flux", default=None, help="Malcev 3-form, 0 for none")
-@_fmt
-@_config
-@click.pass_context
-@_guarded
-def cmd_dualize(ctx, series, rank, theta, ideal, flux, fmt, config_path):
-    """Dualize an admissible triple; report dual, delta, certificate."""
-    cfg = _merge(
-        ctx,
-        config_path,
-        {"series": series, "rank": rank, "theta": theta, "ideal": ideal, "flux": flux},
-    )
-    _emit("dualize", cfg, fmt)
+_COMMANDS = {
+    "root-system": _Command(
+        "Positive roots; with --theta also the isotropy summands.",
+        _SPEC_FLAGS, _run_root_system, _text_root_system, _SPEC_KEYS,
+    ),
+    "nilradical": _Command(
+        "Malcev presentation of the nilradical, with legend and d2 check.",
+        _SPEC_FLAGS, _run_nilradical, _text_nilradical, _SPEC_KEYS,
+    ),
+    "dualize": _Command(
+        "Dualize an admissible triple; report dual, delta, certificate.",
+        _TRIPLE_FLAGS, _run_dualize, _text_dualize, _TRIPLE_KEYS,
+    ),
+    "correspond": _Command(
+        "Full pipeline: dualize, then search for parabolic targets.",
+        _TRIPLE_FLAGS, _run_correspond, _text_correspond, _TRIPLE_KEYS,
+    ),
+    "selfdual": _Command(
+        "Top-root flux on the maximal flag and its self-duality check.",
+        (_series, _rank), _run_selfdual, _text_selfdual, _SPEC_KEYS,
+    ),
+    "gcs-transport": _Command(
+        "Transport per-root blocks and check per-summand type uniformity.",
+        _SPEC_FLAGS, _run_gcs_transport, _text_gcs_transport,
+        _SPEC_KEYS + ("blocks", "dual"),
+    ),
+}
 
 
-@main.command("correspond")
-@_series
-@_rank
-@_theta
-@click.option("--ideal", default=None, help="comma list of slots")
-@click.option("--flux", default=None, help="Malcev 3-form, 0 for none")
-@_fmt
-@_config
-@click.pass_context
-@_guarded
-def cmd_correspond(ctx, series, rank, theta, ideal, flux, fmt, config_path):
-    """Full pipeline: dualize, then search for parabolic targets."""
-    cfg = _merge(
-        ctx,
-        config_path,
-        {"series": series, "rank": rank, "theta": theta, "ideal": ideal, "flux": flux},
-    )
-    _emit("correspond", cfg, fmt)
+def _register(name, spec):
+    """One click command: its flags merged with --config into the report."""
+
+    @click.pass_context
+    @_guarded
+    def command(ctx, fmt, config_path, **flags):
+        _emit(name, _merge(ctx, config_path, flags), fmt)
+
+    # applied last to first, as a decorator stack is, so --help lists them in order
+    for option in reversed(spec.flags + (_fmt, _config)):
+        command = option(command)
+    main.command(name, help=spec.help)(command)
 
 
-@main.command("selfdual")
-@_series
-@_rank
-@_fmt
-@_config
-@click.pass_context
-@_guarded
-def cmd_selfdual(ctx, series, rank, fmt, config_path):
-    """Top-root flux on the maximal flag and its self-duality check."""
-    cfg = _merge(ctx, config_path, {"series": series, "rank": rank})
-    _emit("selfdual", cfg, fmt)
-
-
-@main.command("gcs-transport")
-@_series
-@_rank
-@_theta
-@_fmt
-@_config
-@click.pass_context
-@_guarded
-def cmd_gcs_transport(ctx, series, rank, theta, fmt, config_path):
-    """Transport per-root blocks and check per-summand type uniformity."""
-    cfg = _merge(ctx, config_path, {"series": series, "rank": rank, "theta": theta})
-    _emit("gcs-transport", cfg, fmt)
+for _name, _spec in _COMMANDS.items():
+    _register(_name, _spec)
 
 
 @main.command("golden")
@@ -693,7 +608,7 @@ def cmd_golden(list_only):
     failures = 0
     for name in names:
         job = json.loads(jobs_root.joinpath(name).read_text())
-        if job.get("command") not in _RUNNERS:
+        if job.get("command") not in _COMMANDS:
             click.echo("BAD  %s (unknown command %r)" % (name, job.get("command")))
             failures += 1
             continue

@@ -14,9 +14,8 @@ from .nilradical import nilradical_presentation, parabolic_fields
 from .rootsys import FlagSpec, block_sizes, three_summand_dims
 from .tduality import (
     AdmissibleTriple,
+    DualityError,
     _first_difference,
-    check_admissible,
-    compare_fingerprints,
     dualize,
     duality_certificate,
     iso_small,
@@ -155,9 +154,10 @@ def find_targets(dual_algebra):
     (a(2), a(3), ...) and derived_dims = (a(2), a(4), a(8), ...), each down
     to its first 0 (``parabolic_fields``).  A candidate whose block fields
     differ from the dual's is rejected unbuilt and never bracketed; only a
-    survivor is built, with those fields already known, so comparing it
-    computes only d2_rank.  An abelian survivor equals an abelian dual and
-    needs no field at all.
+    survivor is built, with those fields already known, and goes to
+    iso_small, whose own fingerprint comparison computes only d2_rank; a
+    survivor it proves distinct counts as rejected by the fingerprint.  An
+    abelian survivor equals an abelian dual and needs no field at all.
 
     The block fields are checked in that order, and each of the dual's
     fields is computed when a candidate first reaches it and then kept on
@@ -181,21 +181,25 @@ def find_targets(dual_algebra):
             if (l, canon) in seen:
                 continue
             seen.add((l, canon))
-            if _first_difference(parabolic_fields(blocks), dual_algebra) is not None:
+            # the block fields are kept as they stream, for a survivor's memo
+            known = {}
+            fields = (
+                (name, known.setdefault(name, value))
+                for name, value in parabolic_fields(blocks)
+            )
+            if _first_difference(fields, dual_algebra) is not None:
                 rejected += 1
                 continue
             spec = FlagSpec("A", l, canon)
             cand, _legend = nilradical_presentation(spec)
-            cand._invariants.update(parabolic_fields(blocks))
-            equal, _field = compare_fingerprints(cand, dual_algebra)
-            if not equal:
-                rejected += 1
-                continue
+            cand._invariants.update(known)
             iso = iso_small(cand, dual_algebra)
-            if iso.witness is None:
+            if iso.witness is not None:
+                targets.append(TargetCandidate(spec, iso.witness, pretty_name(l, canon)))
+            elif iso.proved_distinct:
+                rejected += 1
+            else:
                 unconfirmed += 1
-                continue
-            targets.append(TargetCandidate(spec, iso.witness, pretty_name(l, canon)))
     if targets:
         return targets, None
     reason = (
@@ -208,9 +212,13 @@ def find_targets(dual_algebra):
 
 
 def correspond_presentation(algebra, ideal, flux):
-    """Dualize an explicit presentation and search for parabolic targets."""
+    """Dualize an explicit presentation and search for parabolic targets.
+
+    The input must make an AdmissibleTriple (a Lie algebra, a flux within
+    its dimension) and an admissible one; otherwise this raises
+    MalcevValueError or DualityError before any search.
+    """
     triple = AdmissibleTriple(algebra, tuple(ideal), flux)
-    admissibility = check_admissible(triple)
     dualization = dualize(triple)
     certificate = duality_certificate(triple, dualization)
     targets, reason = find_targets(dualization.dual.algebra)
@@ -218,7 +226,7 @@ def correspond_presentation(algebra, ideal, flux):
         algebra,
         triple.ideal,
         flux,
-        admissibility,
+        dualization.admissibility,
         dualization,
         certificate,
         targets,
@@ -258,11 +266,11 @@ def selfdual_flux(spec):
     presentation, _legend = nilradical_presentation(spec)
     n = presentation.dim
     flux = -wedge(presentation.differentials[n - 1], Form.basis(n))
-    triple = AdmissibleTriple(presentation, (n,), flux)
-    report = check_admissible(triple)
-    if not report.ok:
-        return SelfDualReport(flux, report, None)
-    dualization = dualize(triple)
+    try:
+        dualization = dualize(AdmissibleTriple(presentation, (n,), flux))
+    except DualityError as exc:
+        return SelfDualReport(flux, exc.report, None)
+    report = dualization.admissibility
     iso = iso_small(presentation, dualization.dual.algebra)
     if iso.witness is None:
         verdict = False if iso.proved_distinct else None

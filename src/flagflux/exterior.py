@@ -184,7 +184,9 @@ class MalcevPresentation:
 
     differentials[k-1] is de^k, a 2-form supported on indices < k; that
     filtration rule is what makes the notation well founded.  Jacobi
-    (d after d = 0) is deliberately not enforced here; see jacobi_check.
+    (d after d = 0) is not enforced here, so a presentation can be any
+    filtered tuple; jacobi_check reports it, and AdmissibleTriple, the
+    input of dualization and the target search, rejects a failure.
     A presentation is treated as immutable: it keeps the term maps of its
     differentials and, in ``_invariants``, the basis-independent invariants
     computed for it so far (see tduality.fingerprint), both freed with it.

@@ -18,7 +18,16 @@ from fractions import Fraction
 from typing import Optional
 
 from ._linalg import echelon, nullspace, rank
-from .exterior import Form, MalcevPresentation, ce_diff, interior, print_form, wedge
+from .exterior import (
+    Form,
+    MalcevPresentation,
+    MalcevValueError,
+    ce_diff,
+    interior,
+    print_form,
+    wedge,
+)
+from .nilradical import jacobi_check
 
 __all__ = [
     "AdmissibleTriple",
@@ -41,13 +50,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdmissibleTriple:
-    """(algebra, abelian ideal, closed flux); validity via check_admissible."""
+    """(Lie algebra, ideal slots, 3-form flux) on the algebra's basis.
+
+    Construction rejects what is not such a triple, first failure first: an
+    algebra that fails the Jacobi identity (naming the first de^k with
+    d(de^k) != 0), a flux index beyond the dimension, an ideal slot outside
+    1..dim, a flux that is not a 3-form.  Whether the ideal is abelian, the
+    flux closed and so on is check_admissible's report, not a construction
+    error.
+    """
 
     algebra: MalcevPresentation
     ideal: tuple
     flux: Form
 
     def __post_init__(self):
+        jacobi = jacobi_check(self.algebra)
+        if not jacobi.ok:
+            raise MalcevValueError(
+                "algebra fails the Jacobi identity: d(de^%d) = %s"
+                % (jacobi.failing_index, print_form(jacobi.residual))
+            )
+        if self.flux.max_index() > self.algebra.dim:
+            raise MalcevValueError(
+                "flux references index %d beyond dimension %d"
+                % (self.flux.max_index(), self.algebra.dim)
+            )
         ideal = tuple(sorted(set(self.ideal)))
         if any(not 1 <= k <= self.algebra.dim for k in ideal):
             raise ValueError("ideal %r outside 1..%d" % (self.ideal, self.algebra.dim))
@@ -122,6 +150,7 @@ class DualizationResult:
     ideal_dim: int
     slot_map: SlotMap
     delta: Form
+    admissibility: AdmissibilityReport  # of the triple that was dualized
 
 
 @dataclass
@@ -227,7 +256,8 @@ def dualize(t):
 
     The quotient differentials survive; each ideal slot k trades its
     differential for a flux leg, so H_dual = delta + sum_k e^k ^ de^k
-    in the reordered basis.
+    in the reordered basis.  The admissibility report it checks first is
+    kept on the result, so a caller that reports it need not check again.
     """
     report = check_admissible(t)
     if not report.ok:
@@ -257,7 +287,7 @@ def dualize(t):
         h_dual = h_dual + wedge(Form.basis(k), t.algebra.differentials[k - 1])
 
     dual = AdmissibleTriple(MalcevPresentation(diffs), t.ideal, h_dual)
-    return DualizationResult(dual, m, slot_map, delta)
+    return DualizationResult(dual, m, slot_map, delta, report)
 
 
 def duality_certificate(t, d):
@@ -293,7 +323,8 @@ class BasisChange:
 
     def apply(self, p):
         diffs = [dict() for _ in range(p.dim)]
-        for (i, j, k), c in _transported_constants(p, self.perm, self.signs).items():
+        moved = _transported_constants(p.structure_constants(), self.perm, self.signs)
+        for (i, j, k), c in moved.items():
             diffs[k - 1][(i, j)] = -c
         return MalcevPresentation([Form(2, d) for d in diffs])
 
@@ -334,10 +365,12 @@ class IsoResult:
     reason: str
 
 
-def _transported_constants(p, perm, signs):
+def _transported_constants(consts, perm, signs):
+    """The structure constants ``consts`` rewritten in the basis
+    f_i = signs[i-1] * e_{perm[i-1]}."""
     new_of = {old: new for new, old in enumerate(perm, start=1)}
     out = {}
-    for (a, b, k), c in p.structure_constants().items():
+    for (a, b, k), c in consts.items():
         i, j, m = new_of[a], new_of[b], new_of[k]
         s = signs[i - 1] * signs[j - 1] * signs[m - 1]
         if i > j:
@@ -439,6 +472,7 @@ def iso_small(p, q, budget=20000):
     # each layer's slots first pair up in order: the identity when p and q
     # share their layers, so a signed diagonal witness is found first
     weights = sorted(layers_p)
+    source = p.structure_constants()
     target = q.structure_constants()
     tried = 0
     for combo in _arrangements([layers_p[w] for w in weights]):
@@ -450,7 +484,7 @@ def iso_small(p, q, budget=20000):
             for slot_q, slot_p in zip(layers_q[w], arrangement):
                 perm[slot_q - 1] = slot_p
         perm = tuple(perm)
-        moved = _transported_constants(p, perm, (1,) * n)
+        moved = _transported_constants(source, perm, (1,) * n)
         signs = _solve_signs(n, moved, target)
         if signs is not None:
             return IsoResult(BasisChange(perm, signs), False, "signed monomial")

@@ -38,13 +38,38 @@ def forms(draw, degree=2, max_index=6, max_terms=4):
 
 
 @st.composite
+def cyclic_forms(draw, max_index):
+    """e^{ab} +- e^{ac} +- e^{bc} for some a < b < c <= max_index."""
+    a, b, c = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=1, max_value=max_index),
+                min_size=3,
+                max_size=3,
+                unique=True,
+            )
+        )
+    )
+    s, t = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    return Form(2, {(a, b): 1, (a, c): s, (b, c): t})
+
+
+@st.composite
 def filtered_presentations(draw, max_dim=6):
-    """Random strictly filtered tuples; Jacobi not imposed."""
+    """Random strictly filtered tuples; Jacobi not imposed.
+
+    From de^4 on, an entry is sometimes a cyclic three-term form on three
+    earlier slots (``cyclic_forms``): its ad rows make an antisymmetric
+    block that a sign slip turns invertible, so a rank computed with the
+    wrong sign differs.  Other entries have at most two terms.
+    """
     dim = draw(st.integers(min_value=1, max_value=max_dim))
     diffs = []
     for k in range(1, dim + 1):
         if k < 3:
             diffs.append(Form(2))
+        elif k > 3 and draw(st.booleans()):
+            diffs.append(draw(cyclic_forms(k - 1)))
         else:
             diffs.append(draw(forms(2, max_index=k - 1, max_terms=2)))
     return MalcevPresentation(diffs)
@@ -113,6 +138,39 @@ def jacobi_oracle(p):
                 if any(total):
                     return False
     return True
+
+
+def bracket_series_oracle(p, lower):
+    """Dimensions of the lower central series [g, g_i] (lower=True) or of the
+    derived series [g_i, g_i], down to 0, with dense vectors throughout.
+
+    [u, v] = sum_ij u_i v_j [e_i, e_j] with each [e_i, e_j] from
+    ``bracket_oracle``; a term is spanned by the brackets of every pair of
+    its spanning vectors, and ``rref_oracle`` reduces those to a basis.
+    """
+    n = p.dim
+    units = {
+        (i - 1, j - 1): bracket_oracle(p, i, j)[1:]
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    }
+
+    def bracket(u, v):
+        out = [Fraction(0)] * n
+        for (i, j), unit in units.items():
+            if u[i] and v[j]:
+                for k in range(n):
+                    out[k] += u[i] * v[j] * unit[k]
+        return out
+
+    whole = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+    term, dims = whole, []
+    while not dims or dims[-1]:
+        rows = [bracket(u, v) for u in (whole if lower else term) for v in term]
+        mat, pivots = rref_oracle(rows, n)
+        term = mat[: len(pivots)]
+        dims.append(len(pivots))
+    return tuple(dims)
 
 
 def center_dim_oracle(p):

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from flagflux import tduality
 from flagflux.cli import main
 
 
@@ -463,3 +464,42 @@ class TestGolden:
         assert len(names) == 14
         assert names == sorted(names)
         assert "11-correspond-su6.json" in names
+
+
+class TestLibraryChecks:
+    """The CLI reads admissibility off the library's dualization and leaves
+    the triple's input rules to AdmissibleTriple."""
+
+    @pytest.mark.parametrize("command", ["dualize", "correspond"])
+    def test_checks_admissibility_once(self, runner, monkeypatch, command):
+        calls = []
+        real = tduality.check_admissible
+        monkeypatch.setattr(tduality, "check_admissible", lambda t: calls.append(t) or real(t))
+        result = invoke(runner, command, "--rank", "3", "--theta", "2", "--ideal", "5")
+        assert json.loads(result.stdout)["admissibility"]["ok"] is True
+        assert len(calls) == 1
+
+
+class TestCommandFlags:
+    """Each report command takes exactly the flags it always took."""
+
+    SPEC = ["--series", "--rank", "--theta"]
+    TRIPLE = SPEC + ["--ideal", "--flux"]
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("root-system", SPEC),
+            ("nilradical", SPEC),
+            ("dualize", TRIPLE),
+            ("correspond", TRIPLE),
+            ("selfdual", ["--series", "--rank"]),
+            ("gcs-transport", SPEC),
+        ],
+    )
+    def test_flags(self, command, flags):
+        params = main.commands[command].params
+        assert [opt for p in params for opt in p.opts] == flags + ["--format", "--config"]
+
+    def test_golden_flags(self):
+        assert [opt for p in main.commands["golden"].params for opt in p.opts] == ["--list"]

@@ -11,6 +11,7 @@ from flagflux import (
     FlagSpec,
     FlowingFlag,
     Form,
+    MalcevValueError,
     build_root_system,
     complementary_positive_roots,
     correspond,
@@ -184,6 +185,28 @@ class TestTargets:
         b = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
         assert [t.spec for t in a.targets] == [t.spec for t in b.targets]
         assert a.search_reason == b.search_reason
+
+
+class TestPresentationInput:
+    def test_non_jacobi_algebra_rejected(self):
+        with pytest.raises(MalcevValueError) as err:
+            correspond_presentation(
+                parse_malcev("(0,0,e^{12},e^{13},e^{34})"), (5,), parse_form("0")
+            )
+        assert str(err.value) == "algebra fails the Jacobi identity: d(de^5) = e^{124}"
+
+    def test_flux_beyond_dimension_rejected(self):
+        with pytest.raises(MalcevValueError) as err:
+            correspond_presentation(parse_malcev(HEISENBERG), (3,), parse_form("e^{145}"))
+        assert str(err.value) == "flux references index 5 beyond dimension 3"
+
+    def test_checks_admissibility_once(self, monkeypatch):
+        calls = []
+        real = tduality.check_admissible
+        monkeypatch.setattr(tduality, "check_admissible", lambda t: calls.append(t) or real(t))
+        result = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
+        assert len(calls) == 1
+        assert result.admissibility is result.dualization.admissibility
 
 
 class TestBuildsOnlySurvivors:

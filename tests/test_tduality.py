@@ -14,6 +14,7 @@ from flagflux import (
     FlagSpec,
     Form,
     MalcevPresentation,
+    MalcevValueError,
     check_admissible,
     compare_fingerprints,
     duality_certificate,
@@ -34,6 +35,7 @@ from flagflux import tduality
 from flagflux.tduality import BasisChange, _arrangements
 
 from conftest import (
+    bracket_series_oracle,
     center_dim_oracle,
     filtered_presentations,
     kostant_oracle,
@@ -94,7 +96,40 @@ class TestAdmissibility:
             AdmissibleTriple(p, (4,), Form.zero(3))
 
 
+NON_JACOBI = "(0,0,e^{12},e^{13},e^{34})"  # d(de^5) = d(e^{34}) = e^{124}
+JACOBI_MESSAGE = "algebra fails the Jacobi identity: d(de^5) = e^{124}"
+FLUX_MESSAGE = "flux references index 5 beyond dimension 3"
+
+
+class TestTripleInput:
+    """A triple is an explicit Lie algebra with a flux on its own basis; the
+    constructor rejects anything else, so dualize and check_admissible,
+    which take a triple, never see it."""
+
+    def test_non_jacobi_algebra_rejected(self):
+        with pytest.raises(MalcevValueError) as err:
+            triple(NON_JACOBI, (5,))
+        assert str(err.value) == JACOBI_MESSAGE
+
+    def test_flux_beyond_dimension_rejected(self):
+        with pytest.raises(MalcevValueError) as err:
+            triple(HEISENBERG, (3,), "e^{145}")
+        assert str(err.value) == FLUX_MESSAGE
+
+    def test_jacobi_reported_before_flux_range_and_ideal(self):
+        with pytest.raises(MalcevValueError) as err:
+            triple(NON_JACOBI, (9,), "e^{129}")
+        assert str(err.value) == JACOBI_MESSAGE
+        with pytest.raises(MalcevValueError) as err:
+            triple(HEISENBERG, (9,), "e^{145}")
+        assert str(err.value) == FLUX_MESSAGE
+
+
 class TestDualize:
+    def test_keeps_the_admissibility_report(self):
+        t = triple(DIM6, (4, 6))
+        assert dualize(t).admissibility == check_admissible(t)
+
     def test_heisenberg_no_flux(self):
         result = dualize(triple(HEISENBERG, (3,)))
         assert print_malcev(result.dual.algebra) == "(0,0,0)"
@@ -355,6 +390,22 @@ class TestCenterDim:
                 theta = tuple(k + 1 for k in range(rank) if mask >> k & 1)
                 p, _legend = nilradical_presentation(FlagSpec("A", rank, theta))
                 assert tduality._center_dim(p) == center_dim_oracle(p), (rank, theta)
+
+
+class TestBracketSeries:
+    """The echelon-form bracket series against dense brackets of dense
+    spanning vectors."""
+
+    # [g, g] holds 3e_3 - 4e_4 but neither slot alone, and [e_3, e_4] != 0:
+    # a bracket that is not antisymmetric gives that vector a nonzero
+    # square, and a second derived term
+    @given(filtered_presentations())
+    @example(parse_malcev("(0,0,0,e^{12}+e^{13}+e^{23})"))
+    @example(parse_malcev("(0,0,1/2e^{12},-2/3e^{12},3/4e^{34})"))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_oracle(self, p):
+        for lower in (True, False):
+            assert tduality._bracket_series(p, lower) == bracket_series_oracle(p, lower)
 
 
 class TestStagedComparison:
