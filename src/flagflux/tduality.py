@@ -8,8 +8,12 @@ dz^k the contraction of H by x_k.  The dual flux is
 
 delta being the part of H free of ideal legs; ideal legs inside old de^k
 are reread as z legs, which is what makes the bookkeeping slot stable.
-The duality certificate rebuilds the correspondence algebra and verifies
-pullback(H) - pullback(H_dual) = dF exactly.
+Only an admissible triple is dualized: a is an abelian ideal and H is
+closed, has at most one ideal leg per term and is a-invariant (L_x H = 0
+for x in a), which makes d(dz^k) = 0, so the dual is a Lie algebra; a
+central a is reported but not required.  The duality certificate rebuilds
+the correspondence algebra and verifies pullback(H) - pullback(H_dual) = dF
+exactly.
 """
 
 import itertools
@@ -84,37 +88,46 @@ class AdmissibleTriple:
         object.__setattr__(self, "ideal", ideal)
 
 
+# The admissibility flags in report order, and whether ``ok`` requires each.
+_FLAGS = (
+    ("ideal", True),
+    ("abelian", True),
+    ("central", False),
+    ("closed", True),
+    ("degenerate", True),
+    ("invariant", True),
+)
+
+
 @dataclass
 class AdmissibilityReport:
-    ideal: bool
-    abelian: bool
-    central: bool
-    closed: bool
-    degenerate: bool
+    """``details`` maps each failing flag to why it fails; a flag holds when
+    it has no detail, and ``report.<flag>`` reads it.
+
+    ``ok`` requires every flag but ``central``, and guarantees that the dual
+    is a Lie algebra: its new differentials are the i_x H, and with H closed
+    d(i_x H) = L_x H, which ``invariant`` asks to vanish.
+    """
+
     details: dict
+
+    def __getattr__(self, name):
+        if name not in dict(_FLAGS):
+            raise AttributeError(name)
+        return name not in self.details
 
     @property
     def ok(self):
-        """Centrality is reported but not required."""
-        return self.ideal and self.abelian and self.closed and self.degenerate
+        return not self.failed_flags()
 
     def failed_flags(self):
-        return [
-            name
-            for name in ("ideal", "abelian", "closed", "degenerate")
-            if not getattr(self, name)
-        ]
+        return [name for name, required in _FLAGS if required and name in self.details]
 
     def to_json(self):
-        return {
-            "ideal": self.ideal,
-            "abelian": self.abelian,
-            "central": self.central,
-            "closed": self.closed,
-            "degenerate": self.degenerate,
-            "ok": self.ok,
-            "details": dict(sorted(self.details.items())),
-        }
+        out = {name: name not in self.details for name, _required in _FLAGS}
+        out["ok"] = self.ok
+        out["details"] = dict(sorted(self.details.items()))
+        return out
 
 
 class DualityError(ValueError):
@@ -170,67 +183,56 @@ class CertificateReport:
 
 
 def check_admissible(t):
-    """Evaluate the ideal/abelian/central/closed/degenerate flags one by one."""
+    """Every admissibility flag of the triple, with the first failure of each.
+
+    One pass over the differentials settles ideal, abelian and central from
+    the terms with an ideal leg; closed and degenerate read the flux.  Then
+    invariant asks L_x H = d(i_x H) + i_x dH = 0 for each ideal slot x that
+    some differential touches; an untouched slot is central, where L_x = 0.
+    """
     ideal = set(t.ideal)
     details = {}
-
-    ideal_ok = True
-    for k, f in enumerate(t.algebra.differentials, start=1):
-        if k in ideal:
-            continue
-        for key in f.terms:
-            if any(i in ideal for i in key):
-                ideal_ok = False
-                details["ideal"] = (
-                    "quotient differential contains ideal legs (de^%d)" % k
-                )
-                break
-        if not ideal_ok:
-            break
-
-    abelian_ok = True
-    for k in t.ideal:
-        for key in t.algebra.differentials[k - 1].terms:
-            if key[0] in ideal and key[1] in ideal:
-                abelian_ok = False
-                details["abelian"] = (
-                    "de^%d has a term with both legs in the ideal" % k
-                )
-                break
-        if not abelian_ok:
-            break
-
-    central_ok = True
+    touched = set()
     for k, f in enumerate(t.algebra.differentials, start=1):
         for key in f.terms:
-            if any(i in ideal for i in key):
-                central_ok = False
-                details["central"] = "de^%d touches the ideal" % k
-                break
-        if not central_ok:
-            break
+            legs = [i for i in key if i in ideal]
+            if not legs:
+                continue
+            touched.update(legs)
+            details.setdefault("central", "de^%d touches the ideal" % k)
+            if k not in ideal:
+                details.setdefault(
+                    "ideal", "quotient differential contains ideal legs (de^%d)" % k
+                )
+            elif len(legs) == 2:
+                details.setdefault(
+                    "abelian", "de^%d has a term with both legs in the ideal" % k
+                )
 
     closure = ce_diff(t.algebra, t.flux)
-    closed_ok = closure.is_zero()
-    if not closed_ok:
+    if not closure.is_zero():
         details["closed"] = "dH = %s" % print_form(closure)
 
-    degenerate_ok = True
     for key in t.flux.terms:
         if sum(1 for i in key if i in ideal) > 1:
-            degenerate_ok = False
             details["degenerate"] = "H term %s has two ideal legs" % print_form(
                 Form(3, {key: 1})
             )
             break
 
-    return AdmissibilityReport(
-        ideal_ok, abelian_ok, central_ok, closed_ok, degenerate_ok, details
-    )
+    if not t.flux.is_zero():
+        for x in sorted(touched):
+            lie = ce_diff(t.algebra, interior(x, t.flux)) + interior(x, closure)
+            if not lie.is_zero():
+                details["invariant"] = "L_{e_%d} H = %s" % (x, print_form(lie))
+                break
+
+    return AdmissibilityReport(details)
 
 
 def _reorder_triple(t):
-    """Permute so the ideal occupies the trailing slots; returns (t', map)."""
+    """(algebra, flux, slot map) relabelled so the ideal occupies the
+    trailing slots; a relabelled Lie algebra is one, so nothing is rechecked."""
     n = t.algebra.dim
     ideal = set(t.ideal)
     quotient = [k for k in range(1, n + 1) if k not in ideal]
@@ -242,13 +244,11 @@ def _reorder_triple(t):
         tuple(range(len(quotient) + 1, n + 1)),
     )
     if slot_map.identity:
-        return t, slot_map
+        return t.algebra, t.flux, slot_map
     diffs = [None] * n
     for old, f in enumerate(t.algebra.differentials, start=1):
         diffs[new_of[old] - 1] = f.relabel(new_of)
-    algebra = MalcevPresentation(diffs)
-    flux = t.flux.relabel(new_of)
-    return AdmissibleTriple(algebra, slot_map.z_slots, flux), slot_map
+    return MalcevPresentation(diffs), t.flux.relabel(new_of), slot_map
 
 
 def dualize(t):
@@ -256,8 +256,10 @@ def dualize(t):
 
     The quotient differentials survive; each ideal slot k trades its
     differential for a flux leg, so H_dual = delta + sum_k e^k ^ de^k
-    in the reordered basis.  The admissibility report it checks first is
-    kept on the result, so a caller that reports it need not check again.
+    in the reordered basis.  Only an ok triple is dualized, so the dual is
+    a Lie algebra; building it as an AdmissibleTriple checks that again.
+    The admissibility report is kept on the result, so a caller that
+    reports it need not check again.
     """
     report = check_admissible(t)
     if not report.ok:
@@ -265,47 +267,40 @@ def dualize(t):
             "triple is not admissible: %s failed" % ", ".join(report.failed_flags()),
             report,
         )
-    t, slot_map = _reorder_triple(t)
-    n = t.algebra.dim
+    algebra, flux, slot_map = _reorder_triple(t)
+    n = algebra.dim
     m = len(t.ideal)
     q = n - m
 
-    diffs = list(t.algebra.differentials[:q])
+    diffs = list(algebra.differentials[:q])
     for k in range(q + 1, n + 1):
-        diffs.append(interior(k, t.flux))
+        diffs.append(interior(k, flux))
 
-    delta = Form(
-        3,
-        {
-            key: c
-            for key, c in t.flux.terms.items()
-            if not any(i > q for i in key)
-        },
-    )
+    delta = Form(3, {key: c for key, c in flux.terms.items() if key[-1] <= q})
     h_dual = delta
     for k in range(q + 1, n + 1):
-        h_dual = h_dual + wedge(Form.basis(k), t.algebra.differentials[k - 1])
+        h_dual = h_dual + wedge(Form.basis(k), algebra.differentials[k - 1])
 
-    dual = AdmissibleTriple(MalcevPresentation(diffs), t.ideal, h_dual)
+    dual = AdmissibleTriple(MalcevPresentation(diffs), slot_map.z_slots, h_dual)
     return DualizationResult(dual, m, slot_map, delta, report)
 
 
 def duality_certificate(t, d):
     """Exact check of pullback(H) - pullback(H_dual) = dF on the
     correspondence algebra; F pairs each ideal direction with its z."""
-    t, _ = _reorder_triple(t)
-    n = t.algebra.dim
+    algebra, flux, _ = _reorder_triple(t)
+    n = algebra.dim
     m = d.ideal_dim
     q = n - m
 
-    diffs = list(t.algebra.differentials)
+    diffs = list(algebra.differentials)
     for j in range(1, m + 1):
-        diffs.append(interior(q + j, t.flux))
+        diffs.append(interior(q + j, flux))
     corr = MalcevPresentation(diffs)
 
     F = Form(2, {(q + j, n + j): -1 for j in range(1, m + 1)})
 
-    pull_h = t.flux
+    pull_h = flux
     pull_h_dual = d.dual.flux.relabel(lambda i: i if i <= q else i + m)
     residual = (pull_h - pull_h_dual) - ce_diff(corr, F)
     return CertificateReport(residual.is_zero(), residual, F, n + m)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from flagflux import FlagSpec, Form, MalcevPresentation, Root
-from flagflux import fingerprint, iso_small, nilradical_presentation
+from flagflux import ce_diff, fingerprint, iso_small, nilradical_presentation, print_form
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -191,6 +191,72 @@ def center_dim_oracle(p):
     ]
     _mat, pivots = rref_oracle(rows, n)
     return n - len(pivots)
+
+
+def admissibility_oracle(t):
+    """(flags, details) of every admissibility flag but invariant, one loop
+    per flag, each stopping at its first failure."""
+    ideal = set(t.ideal)
+    details = {}
+
+    ideal_ok = True
+    for k, f in enumerate(t.algebra.differentials, start=1):
+        if k in ideal:
+            continue
+        for key in f.terms:
+            if any(i in ideal for i in key):
+                ideal_ok = False
+                details["ideal"] = (
+                    "quotient differential contains ideal legs (de^%d)" % k
+                )
+                break
+        if not ideal_ok:
+            break
+
+    abelian_ok = True
+    for k in t.ideal:
+        for key in t.algebra.differentials[k - 1].terms:
+            if key[0] in ideal and key[1] in ideal:
+                abelian_ok = False
+                details["abelian"] = (
+                    "de^%d has a term with both legs in the ideal" % k
+                )
+                break
+        if not abelian_ok:
+            break
+
+    central_ok = True
+    for k, f in enumerate(t.algebra.differentials, start=1):
+        for key in f.terms:
+            if any(i in ideal for i in key):
+                central_ok = False
+                details["central"] = "de^%d touches the ideal" % k
+                break
+        if not central_ok:
+            break
+
+    closure = ce_diff(t.algebra, t.flux)
+    closed_ok = closure.is_zero()
+    if not closed_ok:
+        details["closed"] = "dH = %s" % print_form(closure)
+
+    degenerate_ok = True
+    for key in t.flux.terms:
+        if sum(1 for i in key if i in ideal) > 1:
+            degenerate_ok = False
+            details["degenerate"] = "H term %s has two ideal legs" % print_form(
+                Form(3, {key: 1})
+            )
+            break
+
+    flags = {
+        "ideal": ideal_ok,
+        "abelian": abelian_ok,
+        "central": central_ok,
+        "closed": closed_ok,
+        "degenerate": degenerate_ok,
+    }
+    return flags, details
 
 
 def mask_dim_oracle(l, mask):

@@ -78,6 +78,28 @@ class TestExitCodes:
             "message": "algebra fails the Jacobi identity: d(de^5) = e^{124}",
         }
 
+    @pytest.mark.parametrize("command", ["dualize", "correspond"])
+    def test_non_invariant_flux_is_inadmissible(self, runner, command):
+        # a Lie algebra, but slot 4 moves H: its dual would fail the Jacobi identity
+        result = runner.invoke(
+            main, [command, "--rank", "3", "--ideal", "4,6", "--flux", "e^{126}+e^{145}"]
+        )
+        assert result.exit_code == 1
+        error = json.loads(result.stdout)["error"]
+        assert error["kind"] == "inadmissible"
+        assert error["message"] == "triple is not admissible: invariant failed"
+        assert error["admissibility"]["invariant"] is False
+        assert error["admissibility"]["details"]["invariant"] == "L_{e_4} H = -e^{123}"
+
+    def test_invariant_flux_on_non_central_ideal_is_zero(self, runner):
+        result = invoke(
+            runner, "dualize", "--rank", "3", "--theta", "1", "--ideal", "1,4", "--flux", "e^{123}"
+        )
+        assert result.exit_code == 0
+        admissibility = json.loads(result.stdout)["admissibility"]
+        assert admissibility["ok"] and admissibility["invariant"]
+        assert not admissibility["central"]
+
     def test_malcev_syntax_error_is_two(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"algebra": "(0,0,-e^{1", "ideal": [3]}))

@@ -23,6 +23,7 @@ from flagflux import (
     fingerprint,
     interior,
     iso_small,
+    jacobi_check,
     nilradical_presentation,
     parse_form,
     parse_malcev,
@@ -35,15 +36,24 @@ from flagflux import tduality
 from flagflux.tduality import BasisChange, _arrangements
 
 from conftest import (
+    admissibility_oracle,
     bracket_series_oracle,
     center_dim_oracle,
     filtered_presentations,
+    forms,
+    interior_oracle,
     kostant_oracle,
     mahonian_oracle,
 )
 
 HEISENBERG = "(0,0,-e^{12})"
 DIM6 = "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})"
+# The A3 nilradical with a closed, degenerate flux that ideal slot 4 moves:
+# L_{e_4} H != 0, so dualizing it would give d(dz) != 0.
+A3 = "(0,0,0,-e^{12},-e^{23},-e^{15}+e^{34})"
+NON_INVARIANT = (A3, (4, 6), "e^{126}+e^{145}")
+# Non-central ideal {1, 4} (de^4 = -e^{13}) that leaves H invariant.
+INVARIANT_NON_CENTRAL = ("(0,0,0,-e^{13},-e^{23})", (1, 4), "e^{123}")
 
 
 def triple(algebra, ideal, flux="0"):
@@ -83,6 +93,18 @@ class TestAdmissibility:
         report = check_admissible(triple("(0,0,0)", (2, 3), "e^{123}"))
         assert "degenerate" in report.failed_flags()
 
+    def test_non_invariant_flux_rejected(self):
+        report = check_admissible(triple(*NON_INVARIANT))
+        assert report.failed_flags() == ["invariant"]
+        assert not report.invariant
+        assert report.details["invariant"] == "L_{e_4} H = -e^{123}"
+
+    def test_invariant_flux_on_non_central_ideal_admissible(self):
+        report = check_admissible(triple(*INVARIANT_NON_CENTRAL))
+        assert report.ok
+        assert report.invariant and not report.central
+        assert report.to_json()["invariant"] is True
+
     def test_flux_degree_enforced(self):
         p = parse_malcev(HEISENBERG)
         with pytest.raises(ValueError):
@@ -94,6 +116,88 @@ class TestAdmissibility:
             AdmissibleTriple(p, (0,), Form.zero(3))
         with pytest.raises(ValueError):
             AdmissibleTriple(p, (4,), Form.zero(3))
+
+
+@st.composite
+def triple_inputs(draw):
+    """(algebra, ideal, flux): a Lie algebra from filtered_presentations, a
+    nonempty set of its slots and a 3-form that need not be closed or
+    degenerate."""
+    p = draw(filtered_presentations().filter(lambda p: jacobi_check(p).ok))
+    ideal = tuple(sorted(draw(st.sets(st.integers(1, p.dim), min_size=1))))
+    flux = draw(forms(3, max_index=p.dim, max_terms=3)) if p.dim >= 3 else Form(3)
+    return p, ideal, flux
+
+
+def dual_by_hand(p, ideal, flux):
+    """The dual algebra: the quotient slots, in order, keep their
+    differentials and each ideal slot x follows with differential i_x H."""
+    quotient = [k for k in range(1, p.dim + 1) if k not in ideal]
+    new_of = {old: new for new, old in enumerate(quotient + list(ideal), start=1)}
+    diffs = [p.differentials[k - 1].relabel(new_of) for k in quotient]
+    diffs += [interior_oracle(x, flux).relabel(new_of) for x in ideal]
+    return MalcevPresentation(diffs)
+
+
+def parsed(algebra, ideal, flux):
+    return parse_malcev(algebra), ideal, parse_form(flux, 3)
+
+
+def nonempty_subsets(n):
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(1, n + 1), size)
+
+
+class TestAdmissibilityOracle:
+    """check_admissible against one loop per flag, and invariance against the
+    Jacobi identity of the dual built by hand.  Drawn triples almost never
+    pair a non-central ideal with a closed, degenerate flux that it moves,
+    so the second test sweeps the small flags for those."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(triple_inputs())
+    @example(parsed(*NON_INVARIANT))
+    @example(parsed(*INVARIANT_NON_CENTRAL))
+    @example(parsed(DIM6, (4, 5, 6), "0"))
+    def test_one_scan_matches_one_loop_per_flag(self, inputs):
+        t = AdmissibleTriple(*inputs)
+        report = check_admissible(t)
+        flags, details = admissibility_oracle(t)
+        assert {name: getattr(report, name) for name in flags} == flags
+        assert {k: v for k, v in report.details.items() if k != "invariant"} == details
+        required = [flags[k] for k in flags if k != "central"] + [report.invariant]
+        assert report.ok == all(required)
+        if report.ideal and report.abelian and report.closed and report.degenerate:
+            dual = dual_by_hand(t.algebra, t.ideal, t.flux)
+            assert report.invariant == jacobi_check(dual).ok
+
+    def test_invariance_is_the_dual_jacobi_identity_on_flags(self):
+        # every non-central abelian ideal of every flag of A2..A4, each basis
+        # vector of its closed 3-forms with at most one ideal leg as the flux
+        failing = 0
+        for l in (2, 3, 4):
+            for size in range(l):
+                for theta in itertools.combinations(range(1, l + 1), size):
+                    p, _ = nilradical_presentation(FlagSpec("A", l, theta))
+                    for ideal in nonempty_subsets(p.dim):
+                        flags, _ = admissibility_oracle(AdmissibleTriple(p, ideal, Form(3)))
+                        if flags["central"] or not (flags["ideal"] and flags["abelian"]):
+                            continue
+                        keys = [
+                            key
+                            for key in itertools.combinations(range(1, p.dim + 1), 3)
+                            if sum(i in ideal for i in key) <= 1
+                        ]
+                        for vec in tduality._closed_forms(p, keys):
+                            flux = Form(3, {k: v for k, v in zip(keys, vec) if v})
+                            t = AdmissibleTriple(p, ideal, flux)
+                            invariant = jacobi_check(dual_by_hand(p, ideal, flux)).ok
+                            assert check_admissible(t).ok == invariant
+                            if not invariant:
+                                failing += 1
+                                with pytest.raises(DualityError):
+                                    dualize(t)
+        assert failing == 364
 
 
 NON_JACOBI = "(0,0,e^{12},e^{13},e^{34})"  # d(de^5) = d(e^{34}) = e^{124}
@@ -175,6 +279,23 @@ class TestDualize:
             dualize(triple(HEISENBERG, (1, 2)))
         assert err.value.report is not None
         assert not err.value.report.ok
+
+    def test_non_invariant_raises(self):
+        with pytest.raises(DualityError) as err:
+            dualize(triple(*NON_INVARIANT))
+        assert str(err.value) == "triple is not admissible: invariant failed"
+        assert err.value.report.details["invariant"] == "L_{e_4} H = -e^{123}"
+
+    def test_jacobi_checked_for_input_and_dual_only(self, monkeypatch):
+        # the relabelled copies of a non-trailing ideal are not rechecked
+        checked = []
+        real = tduality.jacobi_check
+        monkeypatch.setattr(tduality, "jacobi_check", lambda p: checked.append(p) or real(p))
+        t = triple(A3, (4, 6))
+        result = dualize(t)
+        assert not result.slot_map.identity
+        duality_certificate(t, result)
+        assert checked == [t.algebra, result.dual.algebra]
 
     def test_decomposition_identity(self):
         # H = delta + sum over ideal slots of e^k wedge (interior of x_k in H)
