@@ -55,22 +55,6 @@ def _norm_coeff(c):
     return c
 
 
-def _sort_indices(indices):
-    """Sort an index tuple, returning (sorted tuple, permutation sign)."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
-
-
 class Form:
     """Sparse exterior form: degree plus {increasing index tuple: coeff}."""
 
@@ -94,10 +78,17 @@ class Form:
 
     @classmethod
     def from_terms(cls, degree, items):
-        """Build from (indices, coeff) pairs, normalizing order with signs."""
+        """Build from (indices, coeff) pairs, normalizing order with signs.
+
+        Each index is merged into the sorted key in turn, so the sign is
+        that of the sorting permutation, and 0 on a repeated index.
+        """
         acc = {}
         for indices, c in items:
-            key, sign = _sort_indices(indices)
+            key, sign = (), 1
+            for i in indices:
+                key, step = _kernel.merge_indices(key, (i,))
+                sign *= step
             if sign == 0:
                 continue
             s = acc.get(key, 0) + sign * _norm_coeff(c)
@@ -121,14 +112,6 @@ class Form:
 
     def max_index(self):
         return max((key[-1] for key in self.terms), default=0)
-
-    def relabel(self, mapping):
-        """Push indices through mapping (a dict or callable), resorting keys."""
-        get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-        return Form.from_terms(
-            self.degree,
-            [(tuple(get(i) for i in key), c) for key, c in self.terms.items()],
-        )
 
     def __add__(self, other):
         if not isinstance(other, Form):

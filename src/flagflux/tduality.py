@@ -8,12 +8,15 @@ dz^k the contraction of H by x_k.  The dual flux is
 
 delta being the part of H free of ideal legs; ideal legs inside old de^k
 are reread as z legs, which is what makes the bookkeeping slot stable.
+A non-trailing ideal is first moved to the trailing slots by a unit-sign
+BasisChange, the same relabelling iso_small's witnesses use.
 Only an admissible triple is dualized: a is an abelian ideal and H is
 closed, has at most one ideal leg per term and is a-invariant (L_x H = 0
 for x in a), which makes d(dz^k) = 0, so the dual is a Lie algebra; a
-central a is reported but not required.  The duality certificate rebuilds
-the correspondence algebra and verifies pullback(H) - pullback(H_dual) = dF
-exactly.
+central a is reported but not required.  The duality certificate builds
+the correspondence algebra from the source and the dual it is handed, and
+verifies pullback(H) - pullback(H_dual) = dF exactly, so it certifies the
+dual's algebra and flux rather than recomputing them.
 """
 
 import itertools
@@ -160,7 +163,6 @@ class SlotMap:
 @dataclass
 class DualizationResult:
     dual: AdmissibleTriple
-    ideal_dim: int
     slot_map: SlotMap
     delta: Form
     admissibility: AdmissibilityReport  # of the triple that was dualized
@@ -231,24 +233,20 @@ def check_admissible(t):
 
 
 def _reorder_triple(t):
-    """(algebra, flux, slot map) relabelled so the ideal occupies the
-    trailing slots; a relabelled Lie algebra is one, so nothing is rechecked."""
+    """(algebra, flux, slot map) rewritten so the ideal occupies the trailing
+    slots, by the unit-sign BasisChange along the slot map's permutation; a
+    rewritten Lie algebra is one, so nothing is rechecked."""
     n = t.algebra.dim
-    ideal = set(t.ideal)
-    quotient = [k for k in range(1, n + 1) if k not in ideal]
-    perm = tuple(quotient + sorted(ideal))
-    new_of = {old: new for new, old in enumerate(perm, start=1)}
+    quotient = [k for k in range(1, n + 1) if k not in t.ideal]
     slot_map = SlotMap(
-        perm,
+        tuple(quotient) + t.ideal,
         tuple(range(1, len(quotient) + 1)),
         tuple(range(len(quotient) + 1, n + 1)),
     )
     if slot_map.identity:
         return t.algebra, t.flux, slot_map
-    diffs = [None] * n
-    for old, f in enumerate(t.algebra.differentials, start=1):
-        diffs[new_of[old] - 1] = f.relabel(new_of)
-    return MalcevPresentation(diffs), t.flux.relabel(new_of), slot_map
+    change = BasisChange(slot_map.permutation, (1,) * n)
+    return change.apply(t.algebra), change.push_form(t.flux), slot_map
 
 
 def dualize(t):
@@ -282,28 +280,37 @@ def dualize(t):
         h_dual = h_dual + wedge(Form.basis(k), algebra.differentials[k - 1])
 
     dual = AdmissibleTriple(MalcevPresentation(diffs), slot_map.z_slots, h_dual)
-    return DualizationResult(dual, m, slot_map, delta, report)
+    return DualizationResult(dual, slot_map, delta, report)
 
 
 def duality_certificate(t, d):
     """Exact check of pullback(H) - pullback(H_dual) = dF on the
-    correspondence algebra; F pairs each ideal direction with its z."""
+    correspondence algebra of t and the dual d hands over.
+
+    The correspondence slots are the reordered source's (quotient, then the
+    ideal's x) followed by the dual's z, with the source's differentials and
+    the dual's dz.  The dual's forms move there by the monotone map i -> i
+    on the quotient and i -> i + m on z, which needs no sort and no sign.
+    F pairs each ideal direction with its z.  So the certificate checks the
+    dual's algebra and flux as given: ``ok`` also needs the dual's quotient
+    differentials to be the source's, which makes the projection to the
+    dual a homomorphism.
+    """
     algebra, flux, _ = _reorder_triple(t)
     n = algebra.dim
-    m = d.ideal_dim
+    m = len(d.dual.ideal)
     q = n - m
 
-    diffs = list(algebra.differentials)
-    for j in range(1, m + 1):
-        diffs.append(interior(q + j, flux))
-    corr = MalcevPresentation(diffs)
+    def lift(f):
+        terms = {tuple(i if i <= q else i + m for i in key): c for key, c in f.terms.items()}
+        return Form(f.degree, terms)
 
+    dual_diffs = d.dual.algebra.differentials
+    corr = MalcevPresentation(algebra.differentials + tuple(map(lift, dual_diffs[q:])))
     F = Form(2, {(q + j, n + j): -1 for j in range(1, m + 1)})
-
-    pull_h = flux
-    pull_h_dual = d.dual.flux.relabel(lambda i: i if i <= q else i + m)
-    residual = (pull_h - pull_h_dual) - ce_diff(corr, F)
-    return CertificateReport(residual.is_zero(), residual, F, n + m)
+    residual = (flux - lift(d.dual.flux)) - ce_diff(corr, F)
+    ok = residual.is_zero() and dual_diffs[:q] == algebra.differentials[:q]
+    return CertificateReport(ok, residual, F, n + m)
 
 
 # --- small-dimension isomorphism search ---------------------------------
@@ -311,7 +318,12 @@ def duality_certificate(t, d):
 
 @dataclass(frozen=True)
 class BasisChange:
-    """f_i = signs[i-1] * e_{perm[i-1]}; apply(p) rewrites p in the f basis."""
+    """f_i = signs[i-1] * e_{perm[i-1]}; apply(p) rewrites p in the f basis.
+
+    This is the one relabelling of slots: iso_small's witnesses are signed
+    changes, and dualization moves a non-trailing ideal to the trailing
+    slots by the unit-sign change along its slot map's permutation.
+    """
 
     perm: tuple
     signs: tuple
@@ -337,20 +349,17 @@ class BasisChange:
         return Form.from_terms(f.degree, items)
 
     def push_form(self, f):
-        """Rewrite an e-indexed form in the f basis (inverse of pull_form)."""
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p - 1] = i + 1
-        items = []
-        for key, c in f.terms.items():
-            s = 1
-            new = []
-            for a in key:
-                b = inv[a - 1]
-                s *= self.signs[b - 1]
-                new.append(b)
-            items.append((tuple(new), s * c))
-        return Form.from_terms(f.degree, items)
+        """Rewrite an e-indexed form in the f basis: pull_form of the inverse."""
+        return self.inverse().pull_form(f)
+
+    def inverse(self):
+        """The change back: e_j = signs[i-1] * f_i where perm[i-1] = j."""
+        perm = [0] * len(self.perm)
+        signs = [0] * len(self.perm)
+        for i, (j, s) in enumerate(zip(self.perm, self.signs), start=1):
+            perm[j - 1] = i
+            signs[j - 1] = s
+        return BasisChange(tuple(perm), tuple(signs))
 
 
 @dataclass
@@ -549,7 +558,7 @@ _FIELDS = (
     ("lcs_dims", lambda p: _bracket_series(p, lower=True)),
     ("derived_dims", lambda p: _bracket_series(p, lower=False)),
     ("center_dim", _center_dim),
-    ("d1_rank", lambda p: _diff_rank(p, 1)),
+    ("d1_rank", lambda p: rank(f.terms for f in p.differentials)),
     ("d2_rank", lambda p: _diff_rank(p, 2)),
 )
 

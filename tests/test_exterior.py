@@ -19,9 +19,11 @@ from flagflux import (
 )
 
 from conftest import (
+    coefficients,
     filtered_presentations,
     forms,
     interior_oracle,
+    permutation_sign,
     wedge_oracle,
 )
 
@@ -65,6 +67,14 @@ class TestForm:
     @given(forms(3), st.integers(-4, 4))
     def test_scalar_distributes(self, f, c):
         assert (f * c) + (f * (-c)) == Form.zero(3)
+
+    @given(st.lists(st.integers(1, 6), min_size=0, max_size=5), coefficients)
+    def test_from_terms_sorts_with_the_permutation_sign(self, idx, c):
+        f = Form.from_terms(len(idx), [(idx, c)])
+        if len(set(idx)) < len(idx):
+            assert f.is_zero()
+        else:
+            assert f == Form(len(idx), {tuple(sorted(idx)): permutation_sign(idx) * c})
 
 
 class TestWedge:

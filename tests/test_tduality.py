@@ -2,10 +2,11 @@ import gc
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flagflux import (
@@ -44,6 +45,8 @@ from conftest import (
     interior_oracle,
     kostant_oracle,
     mahonian_oracle,
+    permutation_sign,
+    wedge_oracle,
 )
 
 HEISENBERG = "(0,0,-e^{12})"
@@ -129,14 +132,35 @@ def triple_inputs(draw):
     return p, ideal, flux
 
 
+def relabel_by_hand(f, new_of):
+    """f with each index i moved to new_of[i], resorted with brute-force signs."""
+    moved = {tuple(new_of[i] for i in key): c for key, c in f.terms.items()}
+    return Form(f.degree, {tuple(sorted(k)): permutation_sign(k) * c for k, c in moved.items()})
+
+
+def slots_by_hand(p, ideal):
+    """{old slot: dual slot}: the quotient slots in order, then the ideal's."""
+    quotient = [k for k in range(1, p.dim + 1) if k not in ideal]
+    return {old: new for new, old in enumerate(quotient + list(ideal), start=1)}
+
+
 def dual_by_hand(p, ideal, flux):
     """The dual algebra: the quotient slots, in order, keep their
     differentials and each ideal slot x follows with differential i_x H."""
-    quotient = [k for k in range(1, p.dim + 1) if k not in ideal]
-    new_of = {old: new for new, old in enumerate(quotient + list(ideal), start=1)}
-    diffs = [p.differentials[k - 1].relabel(new_of) for k in quotient]
-    diffs += [interior_oracle(x, flux).relabel(new_of) for x in ideal]
+    new_of = slots_by_hand(p, ideal)
+    diffs = [relabel_by_hand(p.differentials[k - 1], new_of) for k in new_of if k not in ideal]
+    diffs += [relabel_by_hand(interior_oracle(x, flux), new_of) for x in ideal]
     return MalcevPresentation(diffs)
+
+
+def dual_flux_by_hand(p, ideal, flux):
+    """The dual flux: the terms of H with no ideal leg, plus e^x wedge de^x
+    for each ideal slot x, on the dual's slots."""
+    new_of = slots_by_hand(p, ideal)
+    out = Form(3, {key: c for key, c in flux.terms.items() if not set(key) & set(ideal)})
+    for x in ideal:
+        out = out + wedge_oracle(Form(1, {(x,): 1}), p.differentials[x - 1])
+    return relabel_by_hand(out, new_of)
 
 
 def parsed(algebra, ideal, flux):
@@ -198,6 +222,22 @@ class TestAdmissibilityOracle:
                                 with pytest.raises(DualityError):
                                     dualize(t)
         assert failing == 364
+
+
+class TestReorderOracle:
+    """dualize on admissible triples, non-trailing ideals included, against
+    the dual written down slot by slot with its own relabelling."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(triple_inputs())
+    @example(parsed(*INVARIANT_NON_CENTRAL))
+    @example(parsed(DIM6, (4, 6), "0"))
+    def test_dual_matches_the_hand_relabelling(self, inputs):
+        t = AdmissibleTriple(*inputs)
+        assume(check_admissible(t).ok)
+        result = dualize(t)
+        assert result.dual.algebra == dual_by_hand(t.algebra, t.ideal, t.flux)
+        assert result.dual.flux == dual_flux_by_hand(t.algebra, t.ideal, t.flux)
 
 
 NON_JACOBI = "(0,0,e^{12},e^{13},e^{34})"  # d(de^5) = d(e^{34}) = e^{124}
@@ -340,6 +380,19 @@ class TestCertificate:
         # summands carry at most one z covector
         assert (1, 7, 9) in cert.residual.terms
         assert (3, 8, 9) in cert.residual.terms
+
+    def test_fails_on_a_dual_with_another_quotient(self):
+        # negating de^4 of the dual keeps it a Lie algebra, and the residual
+        # never reads the dual's quotient, but the projection to it is no longer a
+        # homomorphism
+        t = triple(DIM6, (6,))
+        result = dualize(t)
+        diffs = list(result.dual.algebra.differentials)
+        diffs[3] = -diffs[3]
+        dual = AdmissibleTriple(MalcevPresentation(diffs), result.dual.ideal, result.dual.flux)
+        cert = duality_certificate(t, replace(result, dual=dual))
+        assert cert.residual.is_zero()
+        assert not cert.ok
 
     def test_fails_on_non_central_heisenberg(self):
         t = triple(HEISENBERG, (2, 3))
@@ -666,6 +719,18 @@ class TestIsoSmall:
         assert not result.proved_distinct
 
 
+class TestBasisChange:
+    @given(
+        st.permutations(range(1, 7)),
+        st.lists(st.sampled_from([1, -1]), min_size=6, max_size=6),
+        forms(3),
+    )
+    def test_push_and_pull_invert_each_other(self, perm, signs, f):
+        change = BasisChange(tuple(perm), tuple(signs))
+        assert change.pull_form(change.push_form(f)) == f
+        assert change.push_form(change.pull_form(f)) == f
+
+
 @st.composite
 def central_triples(draw):
     seed = draw(st.integers(min_value=0, max_value=10**6))
@@ -681,3 +746,17 @@ class TestCertificateProperty:
         back = dualize(result.dual)
         assert back.dual.algebra == t.algebra
         assert back.dual.flux == t.flux
+
+    @given(central_triples(), st.integers(min_value=0, max_value=7))
+    @settings(max_examples=40, deadline=None)
+    def test_rejects_a_dual_with_one_z_differential_negated(self, t, pick):
+        result = dualize(t)
+        q = t.algebra.dim - len(t.ideal)
+        diffs = list(result.dual.algebra.differentials)
+        nonzero = [k for k in range(q, len(diffs)) if not diffs[k].is_zero()]
+        assume(nonzero)
+        k = nonzero[pick % len(nonzero)]
+        diffs[k] = -diffs[k]
+        # the z slots are central in the dual, so it stays a Lie algebra
+        dual = AdmissibleTriple(MalcevPresentation(diffs), result.dual.ideal, result.dual.flux)
+        assert not duality_certificate(t, replace(result, dual=dual)).ok
