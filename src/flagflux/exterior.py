@@ -46,6 +46,8 @@ class MalcevValueError(ValueError):
 
 
 def _norm_coeff(c):
+    if isinstance(c, bool):
+        raise TypeError("coefficients must be exact (int or Fraction), got a bool")
     if isinstance(c, float):
         raise TypeError("coefficients must be exact (int or Fraction)")
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -56,7 +58,18 @@ def _norm_coeff(c):
 
 
 class Form:
-    """Sparse exterior form: degree plus {increasing index tuple: coeff}."""
+    """Sparse exterior form: degree plus {increasing index tuple: coeff}.
+
+    ``Form(degree, terms)``, ``from_terms``, ``parse_form`` and
+    ``parse_malcev`` are where forms enter: they check every key (int
+    indices, not bools, strictly increasing from 1, as many as the degree)
+    and every coefficient (int or Fraction, not a bool or float), reduce an
+    integral Fraction to an int and drop zeros.  The results of form
+    arithmetic (+, -, scalar *, wedge, interior, ce_diff) are built by the
+    kernel from such terms, already sorted, normalized and nonzero, in a
+    fresh dict, so ``_adopt`` stores them as they are.  ``terms`` is never
+    written to after construction.
+    """
 
     __slots__ = ("degree", "terms")
 
@@ -69,12 +82,23 @@ class Form:
             key = tuple(key)
             if len(key) != degree:
                 raise ValueError("key %r does not match degree %d" % (key, degree))
+            if not all(isinstance(i, int) and not isinstance(i, bool) for i in key):
+                raise TypeError("key %r: indices must be integers" % (key,))
             if any(b <= a for a, b in zip(key, key[1:])) or (key and key[0] < 1):
                 raise ValueError("key %r is not strictly increasing from 1" % (key,))
             c = _norm_coeff(c)
             if c:
                 clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _adopt(cls, degree, terms):
+        """A form holding ``terms`` unchecked: a fresh dict, owned by no
+        other form, whose keys and coefficients are already well formed."""
+        f = object.__new__(cls)
+        f.degree = degree
+        f.terms = terms
+        return f
 
     @classmethod
     def from_terms(cls, degree, items):
@@ -111,6 +135,8 @@ class Form:
         return not self.terms
 
     def max_index(self):
+        if not self.degree:
+            return 0
         return max((key[-1] for key in self.terms), default=0)
 
     def __add__(self, other):
@@ -118,16 +144,16 @@ class Form:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch in form addition")
-        return Form(self.degree, _kernel.add_terms(self.terms, other.terms))
+        return Form._adopt(self.degree, _kernel.add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.degree, _kernel.scale_terms(self.terms, -1))
+        return Form._adopt(self.degree, _kernel.scale_terms(self.terms, -1))
 
     def __mul__(self, scalar):
-        return Form(self.degree, _kernel.scale_terms(self.terms, _norm_coeff(scalar)))
+        return Form._adopt(self.degree, _kernel.scale_terms(self.terms, _norm_coeff(scalar)))
 
     __rmul__ = __mul__
 
@@ -145,31 +171,38 @@ class Form:
 
 def wedge(f, g):
     """Exterior product; terms with a repeated index cancel."""
-    return Form(f.degree + g.degree, _kernel.wedge_terms(f.terms, g.terms))
+    return Form._adopt(f.degree + g.degree, _kernel.wedge_terms(f.terms, g.terms))
 
 
 def interior(x_index, f):
     """Contraction in the first slot: (interior(x, f))(...) = f(e_x, ...)."""
     if f.degree == 0:
         return Form.zero(0)
-    return Form(f.degree - 1, _kernel.interior_terms(x_index, f.terms))
+    return Form._adopt(f.degree - 1, _kernel.interior_terms(x_index, f.terms))
 
 
 def ce_diff(p, f):
     """Chevalley-Eilenberg differential of f for the presentation p."""
     if f.max_index() > p.dim:
         raise MalcevValueError("form references index beyond dim %d" % p.dim)
-    return Form(f.degree + 1, _kernel.ce_terms(p._dterms, f.terms))
+    return Form._adopt(f.degree + 1, _kernel.ce_terms(p._dterms, f.terms))
 
 
 class MalcevPresentation:
     """Nilpotent Lie algebra as the differentials of its dual basis.
 
     differentials[k-1] is de^k, a 2-form supported on indices < k; that
-    filtration rule is what makes the notation well founded.  Jacobi
-    (d after d = 0) is not enforced here, so a presentation can be any
-    filtered tuple; jacobi_check reports it, and AdmissibleTriple, the
-    input of dualization and the target search, rejects a failure.
+    filtration rule is what makes the notation well founded.
+    ``MalcevPresentation(differentials)`` and ``parse_malcev`` are where
+    presentations enter, and check it.  A presentation whose filtration
+    holds by construction is stored by ``_adopt`` without the check: the
+    nilradical of a flag, whose summand-then-root order puts every bracket
+    in a strictly later slot, and the correspondence algebra of the duality
+    certificate, whose slots are two checked presentations joined by an
+    order-keeping map.  Jacobi (d after d = 0) is not enforced here, so a
+    presentation can be any filtered tuple; jacobi_check reports it, and
+    AdmissibleTriple, the input of dualization and the target search,
+    rejects a failure.
     A presentation is treated as immutable: it keeps the term maps of its
     differentials and, in ``_invariants``, the basis-independent invariants
     computed for it so far (see tduality.fingerprint), both freed with it.
@@ -179,7 +212,6 @@ class MalcevPresentation:
 
     def __init__(self, differentials):
         diffs = tuple(differentials)
-        self.dim = len(diffs)
         for k, f in enumerate(diffs, start=1):
             if not isinstance(f, Form) or f.degree != 2:
                 raise MalcevValueError("entry %d is not a 2-form" % k)
@@ -189,6 +221,18 @@ class MalcevPresentation:
                     "de^%d references index %d; only indices below %d are allowed"
                     % (k, top, k)
                 )
+        self._hold(diffs)
+
+    @classmethod
+    def _adopt(cls, differentials):
+        """A presentation of these 2-forms, whose filtration already holds,
+        stored unchecked."""
+        p = object.__new__(cls)
+        p._hold(tuple(differentials))
+        return p
+
+    def _hold(self, diffs):
+        self.dim = len(diffs)
         self.differentials = diffs
         self._dterms = tuple(f.terms for f in diffs)
         self._invariants = {}

@@ -82,7 +82,9 @@ def nilradical_presentation(spec):
         for b, k in ending_at.get(i, ()):
             if b > a:  # [E_ij, E_ki] = -E_kj
                 diffs[slot_of[k, j] - 1][(a, b)] = 1
-    return MalcevPresentation([Form(2, d) for d in diffs]), legend
+    # each key (a, b) has a < b and a +-1 value, and each bracket lands in a
+    # later slot, so the forms and their filtration hold by construction
+    return MalcevPresentation._adopt([Form._adopt(2, d) for d in diffs]), legend
 
 
 def parabolic_fields(blocks):

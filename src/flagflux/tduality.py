@@ -32,7 +32,6 @@ from .exterior import (
     ce_diff,
     interior,
     print_form,
-    wedge,
 )
 from .nilradical import jacobi_check
 
@@ -274,10 +273,15 @@ def dualize(t):
     for k in range(q + 1, n + 1):
         diffs.append(interior(k, flux))
 
-    delta = Form(3, {key: c for key, c in flux.terms.items() if key[-1] <= q})
-    h_dual = delta
+    # e^k ^ de^k = sum c e^{ijk} over the terms c e^{ij} of de^k, i < j < k:
+    # keys ending past q, so they never meet delta's
+    delta_terms = {key: c for key, c in flux.terms.items() if key[-1] <= q}
+    h_terms = dict(delta_terms)
     for k in range(q + 1, n + 1):
-        h_dual = h_dual + wedge(Form.basis(k), algebra.differentials[k - 1])
+        for (i, j), c in algebra.differentials[k - 1].terms.items():
+            h_terms[i, j, k] = c
+    delta = Form._adopt(3, delta_terms)
+    h_dual = Form._adopt(3, h_terms)
 
     dual = AdmissibleTriple(MalcevPresentation(diffs), slot_map.z_slots, h_dual)
     return DualizationResult(dual, slot_map, delta, report)
@@ -294,7 +298,10 @@ def duality_certificate(t, d):
     F pairs each ideal direction with its z.  So the certificate checks the
     dual's algebra and flux as given: ``ok`` also needs the dual's quotient
     differentials to be the source's, which makes the projection to the
-    dual a homomorphism.
+    dual a homomorphism.  The source is relabelled here from t, not read
+    from a relabelled copy on d, although dualize built one: the
+    certificate must not trust the dual it checks, and a source taken from
+    d would let a wrong dualization certify itself.
     """
     algebra, flux, _ = _reorder_triple(t)
     n = algebra.dim
@@ -303,10 +310,12 @@ def duality_certificate(t, d):
 
     def lift(f):
         terms = {tuple(i if i <= q else i + m for i in key): c for key, c in f.terms.items()}
-        return Form(f.degree, terms)
+        return Form._adopt(f.degree, terms)
 
     dual_diffs = d.dual.algebra.differentials
-    corr = MalcevPresentation(algebra.differentials + tuple(map(lift, dual_diffs[q:])))
+    # both parts are checked presentations and the lift keeps index order,
+    # so every dz^k still references only slots below its own
+    corr = MalcevPresentation._adopt(algebra.differentials + tuple(map(lift, dual_diffs[q:])))
     F = Form(2, {(q + j, n + j): -1 for j in range(1, m + 1)})
     residual = (flux - lift(d.dual.flux)) - ce_diff(corr, F)
     ok = residual.is_zero() and dual_diffs[:q] == algebra.differentials[:q]
@@ -323,17 +332,29 @@ class BasisChange:
     This is the one relabelling of slots: iso_small's witnesses are signed
     changes, and dualization moves a non-trailing ideal to the trailing
     slots by the unit-sign change along its slot map's permutation.
+    Construction rejects a perm that is not a permutation of 1..n and signs
+    that are not n values of 1 or -1, so ``apply`` moves each nonzero
+    constant to a distinct key with its sign and adopts the forms it
+    builds; their filtration is still checked, since a permutation can
+    break it.
     """
 
     perm: tuple
     signs: tuple
+
+    def __post_init__(self):
+        n = len(self.perm)
+        if sorted(self.perm) != list(range(1, n + 1)):
+            raise ValueError("perm %r is not a permutation of 1..%d" % (self.perm, n))
+        if len(self.signs) != n or not all(type(s) is int and s in (1, -1) for s in self.signs):
+            raise ValueError("signs %r must be %d values of 1 or -1" % (self.signs, n))
 
     def apply(self, p):
         diffs = [dict() for _ in range(p.dim)]
         moved = _transported_constants(p.structure_constants(), self.perm, self.signs)
         for (i, j, k), c in moved.items():
             diffs[k - 1][(i, j)] = -c
-        return MalcevPresentation([Form(2, d) for d in diffs])
+        return MalcevPresentation([Form._adopt(2, d) for d in diffs])
 
     def to_json(self):
         return {"perm": list(self.perm), "signs": list(self.signs)}

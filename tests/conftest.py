@@ -75,6 +75,28 @@ def filtered_presentations(draw, max_dim=6):
     return MalcevPresentation(diffs)
 
 
+def revalidated(f):
+    """f rebuilt through the checking constructor, for results that were
+    adopted without the check."""
+    return Form(f.degree, dict(f.terms))
+
+
+def assert_well_formed(f):
+    """f holds what the checking constructor would store: it equals
+    ``revalidated(f)``, each key has ``degree`` int indices strictly
+    increasing from 1, and each coefficient is a nonzero int or a
+    non-integral Fraction (equality alone misses Fraction(2, 1) for 2)."""
+    assert f == revalidated(f)
+    for key, c in f.terms.items():
+        assert len(key) == f.degree, key
+        assert all(type(i) is int for i in key), key
+        assert all(a < b for a, b in zip((0,) + key, key)), key
+        if type(c) is Fraction:
+            assert c.denominator != 1, (key, c)
+        else:
+            assert type(c) is int and c != 0, (key, c)
+
+
 def permutation_sign(seq):
     """Brute-force inversion count; 0 on a repeated entry."""
     sign = 1

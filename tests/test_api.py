@@ -1,3 +1,7 @@
+import warnings
+
+import pytest
+
 import flagflux
 
 # The package's public names, one entry per name.
@@ -33,3 +37,9 @@ def test_every_public_name_resolves():
     for name in flagflux.__all__:
         assert getattr(flagflux, name) is not None, name
 
+
+def test_warnings_from_flagflux_fail_the_suite():
+    # pyproject's filterwarnings turns a warning raised from flagflux code
+    # into an error, in the tests and the doctests alike
+    with pytest.raises(UserWarning, match="probe"):
+        warnings.warn_explicit("probe", UserWarning, "exterior.py", 1, module="flagflux.exterior")

@@ -19,6 +19,7 @@ from flagflux import (
 )
 
 from conftest import (
+    assert_well_formed,
     coefficients,
     filtered_presentations,
     forms,
@@ -68,6 +69,26 @@ class TestForm:
     def test_scalar_distributes(self, f, c):
         assert (f * c) + (f * (-c)) == Form.zero(3)
 
+    @pytest.mark.parametrize(
+        "degree, terms",
+        [
+            (2, {(1.5, 2): 1}),
+            (2, {(True, 2): 1}),
+            (2, {(1, Fraction(2)): 1}),
+            (1, {(1,): True}),
+            (1, {(1,): False}),
+        ],
+    )
+    def test_rejects_non_int_indices_and_bool_coefficients(self, degree, terms):
+        with pytest.raises(TypeError):
+            Form(degree, terms)
+        with pytest.raises(TypeError):
+            Form.from_terms(degree, terms.items())
+
+    def test_rejects_bool_scalar(self):
+        with pytest.raises(TypeError):
+            Form.basis(1, 2) * True
+
     @given(st.lists(st.integers(1, 6), min_size=0, max_size=5), coefficients)
     def test_from_terms_sorts_with_the_permutation_sign(self, idx, c):
         f = Form.from_terms(len(idx), [(idx, c)])
@@ -75,6 +96,41 @@ class TestForm:
             assert f.is_zero()
         else:
             assert f == Form(len(idx), {tuple(sorted(idx)): permutation_sign(idx) * c})
+
+
+class TestAdoptedResults:
+    """Form arithmetic stores the kernel's term maps without the input
+    check; each result must still be what the check would store, in a dict
+    of its own."""
+
+    @settings(max_examples=150)
+    @given(
+        filtered_presentations(),
+        st.data(),
+        st.integers(-4, 4),
+        st.fractions(-3, 3, max_denominator=6).filter(lambda c: c.denominator != 1),
+    )
+    def test_results_are_well_formed_and_unshared(self, p, data, k, r):
+        n = p.dim
+        degree = data.draw(st.integers(0, min(n, 3)))
+        f = data.draw(forms(degree, max_index=n))
+        g = data.draw(forms(degree, max_index=n))
+        h = data.draw(forms(1, max_index=n, max_terms=3))
+        x = data.draw(st.integers(1, n))
+        results = [
+            (f + g, (f, g)),
+            (f - g, (f, g)),
+            (-f, (f,)),
+            (f * k, (f,)),
+            (r * f, (f,)),
+            (f * Fraction(4, 2), (f,)),
+            (wedge(f, h), (f, h)),
+            (interior(x, f), (f,)),
+            (ce_diff(p, f), (f,)),
+        ]
+        for result, operands in results:
+            assert_well_formed(result)
+            assert all(result.terms is not o.terms for o in operands)
 
 
 class TestWedge:
@@ -162,6 +218,10 @@ class TestCeDiff:
         p = parse_malcev("(0,0,0,-e^{12},-e^{34})")
         residual = ce_diff(p, ce_diff(p, Form.basis(5)))
         assert residual == parse_form("-e^{123}")
+
+    def test_constant_is_closed(self):
+        p = parse_malcev("(0,0,-e^{12})")
+        assert ce_diff(p, Form(0, {(): 3})) == Form.zero(1)
 
     def test_rejects_out_of_range_form(self):
         p = parse_malcev("(0,0,-e^{12})")

@@ -24,6 +24,7 @@ from flagflux.rootsys import block_sizes
 from flagflux.tduality import BasisChange
 
 from conftest import (
+    assert_well_formed,
     jacobi_oracle,
     nilradical_oracle,
     parabolic_fields_oracle,
@@ -173,6 +174,20 @@ class TestWholeRootSystemOracle:
     def test_random_flags_of_higher_rank(self, rank, data):
         theta = data.draw(st.sets(st.integers(1, rank)))
         assert_matches_oracle(FlagSpec("A", rank, tuple(theta)))
+
+
+class TestAdoptedPresentation:
+    """nilradical_presentation stores its forms and presentation without
+    the input checks; rebuilt through them, nothing changes."""
+
+    def test_every_flag_up_to_rank_seven(self):
+        for rank in range(1, 8):
+            for mask in range(1 << rank):
+                theta = tuple(k + 1 for k in range(rank) if mask >> k & 1)
+                p, _ = nilradical_presentation(FlagSpec("A", rank, theta))
+                assert MalcevPresentation(list(p.differentials)) == p
+                for f in p.differentials:
+                    assert_well_formed(f)
 
 
 def flags(max_rank):

@@ -38,6 +38,7 @@ from flagflux.tduality import BasisChange, _arrangements
 
 from conftest import (
     admissibility_oracle,
+    assert_well_formed,
     bracket_series_oracle,
     center_dim_oracle,
     filtered_presentations,
@@ -232,6 +233,7 @@ class TestReorderOracle:
     @given(triple_inputs())
     @example(parsed(*INVARIANT_NON_CENTRAL))
     @example(parsed(DIM6, (4, 6), "0"))
+    @example(parsed(DIM6, (4, 5, 6), "0"))  # golden job 10: a non-central ideal
     def test_dual_matches_the_hand_relabelling(self, inputs):
         t = AdmissibleTriple(*inputs)
         assume(check_admissible(t).ok)
@@ -729,6 +731,35 @@ class TestBasisChange:
         change = BasisChange(tuple(perm), tuple(signs))
         assert change.pull_form(change.push_form(f)) == f
         assert change.push_form(change.pull_form(f)) == f
+
+    @pytest.mark.parametrize(
+        "perm, signs",
+        [
+            ((1, 1, 3), (1, 1, 1)),
+            ((1, 2, 4), (1, 1, 1)),
+            ((1, 2, 3), (1, 1)),
+            ((1, 2, 3), (1, 0, 1)),
+            ((1, 2, 3), (1, 2, 1)),
+            ((1, 2, 3), (1, 1.0, 1)),
+            ((1, 2, 3), (1, True, 1)),
+        ],
+    )
+    def test_rejects_what_is_not_a_signed_permutation(self, perm, signs):
+        # apply adopts the forms it builds, so a zero or float sign must
+        # not get that far
+        with pytest.raises(ValueError):
+            BasisChange(perm, signs)
+
+    @given(filtered_presentations(), st.data())
+    def test_applied_forms_are_well_formed(self, p, data):
+        perm = data.draw(st.permutations(range(1, p.dim + 1)))
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=p.dim, max_size=p.dim))
+        try:
+            moved = BasisChange(tuple(perm), tuple(signs)).apply(p)
+        except MalcevValueError:
+            return  # the permutation broke the filtration, which apply checks
+        for f in moved.differentials:
+            assert_well_formed(f)
 
 
 @st.composite
