@@ -11,7 +11,7 @@ from typing import Optional
 
 from .exterior import Form, wedge
 from .nilradical import nilradical_presentation, parabolic_fields
-from .rootsys import FlagSpec, block_sizes, three_summand_dims
+from .rootsys import FlagSpec, block_sizes, theta_of_blocks, three_summand_dims
 from .tduality import (
     AdmissibleTriple,
     DualityError,
@@ -91,41 +91,34 @@ def _completes(cells, squares, feasible):
 
 
 def _thetas_of_dim(l, dim, feasible):
-    """(theta, block sizes) of every rank-l flag of dimension dim, by
-    ascending bit mask of theta.
+    """(theta, block sizes) of every rank-l flag of dimension dim, each flag
+    once, in its larger block orientation, by ascending bit mask of theta.
 
     The dimension depends only on the block sizes b of theta,
     dim = ((l+1)**2 - sum b**2) / 2, so this walks the compositions of l+1
     with that sum of squares and enters only states that can still be
     completed.  ``feasible`` memoizes those (cells, squares) states; it does
     not depend on l or dim, so one dict serves a whole search.
+
+    The walk picks the last block first, smallest first: theta's mask is
+    2**l - 1 less that of the cuts, whose top is l+1 - b_k, so masks compare
+    blocks from the end and the walk's order is ascending mask.  A flag and
+    its flip (blocks reversed) are one manifold, and the larger block
+    sequence, the one with the smaller mask, is kept.
     """
     found = []
 
-    def walk(start, cells, squares, theta, blocks):
+    def walk(cells, squares, blocks):
         if not cells:
-            found.append((theta, blocks))
+            if blocks >= blocks[::-1]:
+                found.append((theta_of_blocks(blocks), blocks))
             return
         for b in range(1, cells + 1):
             if _completes(cells - b, squares - b * b, feasible):
-                # a block of b cells from start: all but its last cell join theta
-                walk(start + b, cells - b, squares - b * b,
-                     theta + tuple(range(start, start + b - 1)), blocks + (b,))
+                walk(cells - b, squares - b * b, (b,) + blocks)
 
-    walk(1, l + 1, (l + 1) ** 2 - 2 * dim, (), ())
-    found.sort(key=lambda pair: sum(1 << (t - 1) for t in pair[0]))
+    walk(l + 1, (l + 1) ** 2 - 2 * dim, ())
     return found
-
-
-def _canonical_theta(l, theta, blocks):
-    """Pick one of theta / reversed theta; diagram flip gives the same flag.
-
-    Reversing theta reverses its block sizes; the larger block sequence
-    wins, and a palindromic one is its own reverse.
-    """
-    if blocks[::-1] > blocks:
-        return tuple(sorted(l + 1 - t for t in theta))
-    return theta
 
 
 def pretty_name(l, theta):
@@ -144,7 +137,9 @@ def find_targets(dual_algebra):
     dimension at least l (CP^l attains it), so no rank above the dual's
     dimension holds a candidate, and a search that comes up empty proves
     that no type-A parabolic target exists.  The one-block flags (points,
-    dimension 0) are never targets.
+    dimension 0) are never targets.  A flag and its diagram flip are one
+    manifold, so each flag is enumerated once, in its larger block
+    orientation (``_thetas_of_dim``), and is one candidate.
 
     A candidate is decided from its Levi blocks b_1..b_k before it is built.
     Its nilradical is sum_{p<q} Hom(V_q, V_p), and the product of the full
@@ -171,16 +166,13 @@ def find_targets(dual_algebra):
     """
     dim = dual_algebra.dim
     feasible = {}
-    seen = set()
     targets = []
+    candidates = 0
     rejected = 0
     unconfirmed = 0
     for l in range(1, dim + 1):
         for theta, blocks in _thetas_of_dim(l, dim, feasible):
-            canon = _canonical_theta(l, theta, blocks)
-            if (l, canon) in seen:
-                continue
-            seen.add((l, canon))
+            candidates += 1
             # the block fields are kept as they stream, for a survivor's memo
             known = {}
             fields = (
@@ -190,12 +182,12 @@ def find_targets(dual_algebra):
             if _first_difference(fields, dual_algebra) is not None:
                 rejected += 1
                 continue
-            spec = FlagSpec("A", l, canon)
+            spec = FlagSpec("A", l, theta)
             cand, _legend = nilradical_presentation(spec)
             cand._invariants.update(known)
             iso = iso_small(cand, dual_algebra)
             if iso.witness is not None:
-                targets.append(TargetCandidate(spec, iso.witness, pretty_name(l, canon)))
+                targets.append(TargetCandidate(spec, iso.witness, pretty_name(l, theta)))
             elif iso.proved_distinct:
                 rejected += 1
             else:
@@ -206,7 +198,7 @@ def find_targets(dual_algebra):
         "no parabolic nilradical, every rank searched, is isomorphic to the dual: "
         "%d candidates of dimension %d, %d rejected by invariant fingerprint, "
         "%d unconfirmed within search budget"
-        % (len(seen), dim, rejected, unconfirmed)
+        % (candidates, dim, rejected, unconfirmed)
     )
     return targets, reason
 
@@ -294,9 +286,7 @@ def three_summand_correspond(l, m, n):
     """Dualize along the third summand of SU(l+m+n)/S(U(l)x U(m)x U(n))."""
     dims = three_summand_dims(l, m, n)
     total = sum(dims)
-    rank = l + m + n - 1
-    theta = tuple(k for k in range(1, rank + 1) if k not in (l, l + m))
-    spec = FlagSpec("A", rank, theta)
+    spec = FlagSpec("A", l + m + n - 1, theta_of_blocks((l, m, n)))
     ideal = tuple(range(total - dims[-1] + 1, total + 1))
 
     flag = FlowingFlag(spec, Form.zero(3))

@@ -337,23 +337,22 @@ class _Scanner:
         self.expect("}")
         return idx, coeff
 
-    def signed_sum(self):
-        items = []
-        sign = 1
+    def sign(self):
+        """-1 or 1 for a "-" or "+", which is consumed; 1 for neither."""
         ch = self.peek()
         if ch in ("+", "-"):
-            sign = -1 if ch == "-" else 1
             self.pos += 1
+        return -1 if ch == "-" else 1
+
+    def signed_sum(self):
+        items = []
+        sign = self.sign()
         while True:
             idx, coeff = self.term()
             items.append((idx, sign * coeff))
-            ch = self.peek()
-            if ch in ("+", "-"):
-                sign = -1 if ch == "-" else 1
-                self.pos += 1
-            else:
-                break
-        return items
+            if self.peek() not in ("+", "-"):
+                return items
+            sign = self.sign()
 
     def entry(self):
         if self.peek() == "0":
@@ -369,10 +368,11 @@ def parse_form(text, degree=None):
     """Parse a single signed sum (or "0") into a Form.
 
     With degree=None the degree is taken from the terms, which must agree;
-    a bare "0" then parses as the zero 3-form, the common flux case.
+    a bare "0" then parses as the zero 3-form, the common flux case.  A
+    0-form (degree=0) is a lone signed rational, as print_form writes it.
     """
     sc = _Scanner(text)
-    items = sc.entry()
+    items = [((), sc.sign() * sc.rational())] if degree == 0 else sc.entry()
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.fail("trailing input")
@@ -400,9 +400,11 @@ def _fmt_indices(key):
 
 
 def print_form(f):
-    """Canonical text: terms sorted lexicographically by index tuple."""
+    """Canonical text: terms sorted by index tuple; a 0-form is its coefficient."""
     if not f.terms:
         return "0"
+    if not f.degree:
+        return str(f.terms[()])
     parts = []
     for key in sorted(f.terms):
         piece = "%se^{%s}" % (_fmt_coeff(f.terms[key]), _fmt_indices(key))

@@ -74,6 +74,8 @@ class FlagSpec:
     def __post_init__(self):
         if self.series != "A":
             raise UnsupportedSeriesError("only series A is supported, got %r" % self.series)
+        if not all(type(k) is int for k in (self.rank, *self.theta)):
+            raise TypeError("rank %r and theta %r must be integers" % (self.rank, self.theta))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         theta = tuple(sorted(set(self.theta)))
@@ -83,7 +85,7 @@ class FlagSpec:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["series"], int(obj["rank"]), tuple(obj.get("theta", ())))
+        return cls(obj["series"], obj["rank"], tuple(obj.get("theta", ())))
 
     def to_json(self):
         return {"series": self.series, "rank": self.rank, "theta": list(self.theta)}
@@ -129,6 +131,13 @@ def block_sizes(rank, theta):
     theta = set(theta)
     cuts = [0] + [k for k in range(1, rank + 1) if k not in theta] + [rank + 1]
     return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+def theta_of_blocks(blocks):
+    """The theta of rank sum(blocks) - 1 with these Levi blocks: (2, 1, 3)
+    gives (1, 4, 5).  The inverse of block_sizes."""
+    cuts = set(accumulate(blocks[:-1]))
+    return tuple(k for k in range(1, sum(blocks)) if k not in cuts)
 
 
 def _summands(rank, theta):

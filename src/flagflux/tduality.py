@@ -336,7 +336,8 @@ class BasisChange:
     that are not n values of 1 or -1, so ``apply`` moves each nonzero
     constant to a distinct key with its sign and adopts the forms it
     builds; their filtration is still checked, since a permutation can
-    break it.
+    break it.  A change of size n rewrites a presentation of dimension n
+    and forms with indices up to n, and raises ValueError on any other.
     """
 
     perm: tuple
@@ -350,6 +351,8 @@ class BasisChange:
             raise ValueError("signs %r must be %d values of 1 or -1" % (self.signs, n))
 
     def apply(self, p):
+        if p.dim != len(self.perm):
+            raise ValueError("basis change of size %d on dimension %d" % (len(self.perm), p.dim))
         diffs = [dict() for _ in range(p.dim)]
         moved = _transported_constants(p.structure_constants(), self.perm, self.signs)
         for (i, j, k), c in moved.items():
@@ -361,6 +364,10 @@ class BasisChange:
 
     def pull_form(self, f):
         """Rewrite a form on the f-indexed side in the e-indexed basis."""
+        if f.max_index() > len(self.perm):
+            raise ValueError(
+                "basis change of size %d on index %d" % (len(self.perm), f.max_index())
+            )
         items = []
         for key, c in f.terms.items():
             s = 1
@@ -467,11 +474,14 @@ def _arrangements(layers):
             yield (first,) + rest
 
 
-def iso_small(p, q, budget=20000):
+ISO_BUDGET = 20000
+
+
+def iso_small(p, q):
     """Search for a signed, filtration-friendly basis change taking p to q.
 
-    Exhausting the budget is inconclusive; only a fingerprint mismatch
-    proves the two presentations non-isomorphic.
+    Exhausting ISO_BUDGET arrangements is inconclusive; only a fingerprint
+    mismatch proves the two presentations non-isomorphic.
     """
     if p.dim != q.dim:
         return IsoResult(None, True, "dimension mismatch")
@@ -502,8 +512,8 @@ def iso_small(p, q, budget=20000):
     tried = 0
     for combo in _arrangements([layers_p[w] for w in weights]):
         tried += 1
-        if tried > budget:
-            return IsoResult(None, False, "budget exhausted after %d candidates" % budget)
+        if tried > ISO_BUDGET:
+            return IsoResult(None, False, "budget exhausted after %d candidates" % ISO_BUDGET)
         perm = [0] * n
         for w, arrangement in zip(weights, combo):
             for slot_q, slot_p in zip(layers_q[w], arrangement):

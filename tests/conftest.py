@@ -325,15 +325,24 @@ def _blocks_oracle(l, theta):
     return tuple(blocks)
 
 
+def canonical_theta_oracle(l, theta):
+    """Theta or its diagram flip, whichever has the larger block sequence;
+    a flag and its flip are one manifold."""
+    flipped = tuple(sorted(l + 1 - t for t in theta))
+    blocks = _blocks_oracle(l, theta)
+    return flipped if blocks[::-1] > blocks else theta
+
+
 def find_targets_oracle(dual):
     """(targets, reason) of the target search, by brute force: ``targets`` is
     a list of (FlagSpec, witness) pairs.
 
     Every theta of every rank 1..dim is tried, from the 2**l masks of
     ``theta_dim_oracle``; a flag and its diagram flip count once, as the
-    theta with the larger block sequence.  Each candidate is built and its
-    full fingerprint compared with a fresh copy of the dual's, and iso_small
-    runs on the candidates whose fingerprints agree.
+    theta with the larger block sequence (``canonical_theta_oracle``).  Each
+    candidate is built and its full fingerprint compared with a fresh copy
+    of the dual's, and iso_small runs on the candidates whose fingerprints
+    agree.
     """
     dim = dual.dim
     dual_fp = fingerprint(MalcevPresentation(dual.differentials))
@@ -341,9 +350,7 @@ def find_targets_oracle(dual):
     rejected = unconfirmed = 0
     for l in range(1, dim + 1):
         for theta in _theta_table(l).get(dim, ()):
-            flipped = tuple(sorted(l + 1 - t for t in theta))
-            blocks = _blocks_oracle(l, theta)
-            canon = flipped if blocks[::-1] > blocks else theta
+            canon = canonical_theta_oracle(l, theta)
             if (l, canon) in seen:
                 continue
             seen.add((l, canon))

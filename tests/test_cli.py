@@ -107,6 +107,12 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "parse error" in result.stderr
 
+    def test_lone_rational_flux_is_two(self, runner):
+        # a 0-form's text is not a 3-form
+        result = runner.invoke(main, ["dualize", "--rank", "2", "--ideal", "3", "--flux", "3"])
+        assert result.exit_code == 2
+        assert "parse error" in result.stderr
+
     def test_invalid_json_config_is_two(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

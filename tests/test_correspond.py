@@ -31,9 +31,14 @@ from flagflux import (
 )
 
 from flagflux import tduality
-from flagflux.rootsys import block_sizes
+from flagflux.rootsys import block_sizes, theta_of_blocks
 
-from conftest import find_targets_oracle, mask_dim_oracle, theta_dim_oracle
+from conftest import (
+    canonical_theta_oracle,
+    find_targets_oracle,
+    mask_dim_oracle,
+    theta_dim_oracle,
+)
 
 C = importlib.import_module("flagflux.correspond")
 
@@ -59,14 +64,17 @@ class TestThetaDimTable:
                 assert 25 - sum(b * b for b in block_sizes(4, theta)) == 2 * dim
 
     def test_enumerator_matches_oracle(self):
-        # content and order, with one memo shared as in find_targets; each
-        # theta comes with the block sizes the walk composed it from
+        # content and order, with one memo shared as in find_targets: the
+        # oracle's thetas with a flip of the same flag kept once, by the
+        # oracle's own rule; each theta comes with the block sizes the walk
+        # composed it from
         feasible = {}
         for l in range(1, 15):
             table = theta_dim_oracle(l)
             for dim in range(l * (l + 1) // 2 + 2):
+                want = [t for t in table.get(dim, []) if canonical_theta_oracle(l, t) == t]
                 found = C._thetas_of_dim(l, dim, feasible)
-                assert [theta for theta, _ in found] == table.get(dim, []), (l, dim)
+                assert [theta for theta, _ in found] == want, (l, dim)
                 assert all(blocks == block_sizes(l, theta) for theta, blocks in found)
 
     def test_no_theta_above_dim(self):
@@ -78,33 +86,21 @@ class TestThetaDimTable:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
     def test_enumerator_finds_every_composition(self, blocks):
+        # the larger of the two orientations is found, and a reverse that
+        # differs from it is not
+        blocks = tuple(blocks)
+        larger, smaller = max(blocks, blocks[::-1]), min(blocks, blocks[::-1])
         l = sum(blocks) - 1
-        theta = []
-        start = 1
-        for b in blocks:
-            theta.extend(range(start, start + b - 1))
-            start += b
-        mask = sum(1 << (t - 1) for t in theta)
-        found = C._thetas_of_dim(l, mask_dim_oracle(l, mask), {})
-        assert (tuple(theta), tuple(blocks)) in found
-        masks = [sum(1 << (t - 1) for t in th) for th, _ in found]
+        found = C._thetas_of_dim(l, mask_dim_oracle(l, theta_mask(theta_of_blocks(blocks))), {})
+        assert (theta_of_blocks(larger), larger) in found
+        if smaller != larger:
+            assert all(b != smaller for _, b in found)
+        masks = [theta_mask(th) for th, _ in found]
         assert masks == sorted(set(masks))
 
 
-def canonical(l, theta):
-    return C._canonical_theta(l, theta, block_sizes(l, theta))
-
-
-class TestCanonicalTheta:
-    def test_prefers_larger_block(self):
-        assert canonical(3, (1,)) == (1,)
-        assert canonical(3, (3,)) == (1,)
-        assert canonical(3, (2, 3)) == (1, 2)
-        assert canonical(3, (1, 2)) == (1, 2)
-
-    def test_symmetric_theta_fixed(self):
-        assert canonical(3, (2,)) == (2,)
-        assert canonical(5, (1, 3, 5)) == (1, 3, 5)
+def theta_mask(theta):
+    return sum(1 << (t - 1) for t in theta)
 
 
 class TestPrettyName:

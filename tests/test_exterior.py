@@ -334,7 +334,22 @@ class TestPrinter:
     def test_malcev_tuple(self):
         assert print_malcev(parse_malcev("(0,0,-e^{12})")) == "(0,0,-e^{12})"
 
-    @given(forms(2, max_index=14, max_terms=4))
+    @pytest.mark.parametrize(
+        "c, text", [(3, "3"), (1, "1"), (-1, "-1"), (Fraction(-1, 2), "-1/2")]
+    )
+    def test_zero_form_is_its_coefficient(self, c, text):
+        assert print_form(Form(0, {(): c})) == text
+        assert parse_form(text, 0) == Form(0, {(): c})
+
+    def test_zero_parses_at_degree_zero(self):
+        assert parse_form("0", 0) == Form.zero(0)
+
+    @pytest.mark.parametrize("degree", [None, 1, 3])
+    def test_lone_rational_needs_degree_zero(self, degree):
+        with pytest.raises(MalcevSyntaxError):
+            parse_form("3", degree)
+
+    @given(st.integers(0, 3).flatmap(lambda d: forms(d, max_index=14, max_terms=4)))
     def test_form_round_trip(self, f):
         assert parse_form(print_form(f), f.degree) == f
 

@@ -15,6 +15,8 @@ from flagflux import (
     three_summand_dims,
 )
 
+from flagflux.rootsys import block_sizes, theta_of_blocks
+
 from conftest import mask_dim_oracle, nilradical_oracle, positive_root_vectors_oracle
 
 
@@ -132,6 +134,37 @@ class TestFlagSpec:
     def test_json_round_trip(self):
         spec = FlagSpec("A", 5, (1, 3, 5))
         assert FlagSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FlagSpec("A", 2.5),
+            lambda: FlagSpec("A", True),
+            lambda: FlagSpec("A", "3"),
+            lambda: FlagSpec("A", 3, (1.0,)),
+            lambda: FlagSpec("A", 3, (True,)),
+            lambda: FlagSpec.from_json({"series": "A", "rank": "3"}),
+            lambda: FlagSpec.from_json({"series": "A", "rank": 3.9}),
+            lambda: FlagSpec.from_json({"series": "A", "rank": 3, "theta": ["1"]}),
+        ],
+    )
+    def test_rank_and_theta_must_be_integers(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_unsupported_series_wins_over_bad_rank(self):
+        with pytest.raises(UnsupportedSeriesError):
+            FlagSpec("B", 2.5)
+
+
+class TestThetaOfBlocks:
+    def test_inverts_block_sizes(self):
+        for rank in range(1, 11):
+            for mask in range(1 << rank):
+                theta = tuple(k + 1 for k in range(rank) if mask >> k & 1)
+                blocks = block_sizes(rank, theta)
+                assert theta_of_blocks(blocks) == theta
+                assert block_sizes(rank, theta_of_blocks(blocks)) == blocks
 
 
 class TestSummands:

@@ -699,10 +699,12 @@ class TestIsoSmall:
         assert result.proved_distinct
         assert "abelian" in result.reason
 
-    def test_exhausted_budget_is_inconclusive(self):
+    def test_exhausted_budget_is_inconclusive(self, monkeypatch):
         p, _ = nilradical_presentation(FlagSpec("A", 3))
         q = BasisChange((2, 1, 3, 5, 4, 6), (1,) * 6).apply(p)
-        result = iso_small(p, q, budget=1)
+        with monkeypatch.context() as m:
+            m.setattr(tduality, "ISO_BUDGET", 1)
+            result = iso_small(p, q)
         assert result.witness is None
         assert not result.proved_distinct
         assert result.reason == "budget exhausted after 1 candidates"
@@ -749,6 +751,19 @@ class TestBasisChange:
         # not get that far
         with pytest.raises(ValueError):
             BasisChange(perm, signs)
+
+    @pytest.mark.parametrize(
+        "rewrite, sizes",
+        [
+            (lambda c: c.apply(parse_malcev("(0,0,-e^{12})")), "size 2 .* dimension 3"),
+            (lambda c: c.apply(parse_malcev("(0)")), "size 2 .* dimension 1"),
+            (lambda c: c.pull_form(parse_form("e^{3}")), "size 2 .* index 3"),
+            (lambda c: c.push_form(parse_form("e^{3}")), "size 2 .* index 3"),
+        ],
+    )
+    def test_rejects_a_basis_of_another_size(self, rewrite, sizes):
+        with pytest.raises(ValueError, match=sizes):
+            rewrite(BasisChange((2, 1), (1, 1)))
 
     @given(filtered_presentations(), st.data())
     def test_applied_forms_are_well_formed(self, p, data):
