@@ -8,8 +8,17 @@ from fractions import Fraction
 
 
 def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    """c, with an integral Fraction reduced to the int it equals.
+
+    Exact type tests: isinstance against Fraction, an ABC, costs an int
+    several times the type test.  Kernel arithmetic yields only ints and
+    plain Fractions (arithmetic on a Fraction subclass returns a plain
+    Fraction), and an integral subclass value never enters a form.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 

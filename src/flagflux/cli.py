@@ -136,7 +136,7 @@ def _merge(ctx, config_path, flags):
     """Flags plus config file; the file wins per key, conflicts warned."""
     cfg = {}
     if config_path:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise click.UsageError("config file must hold a JSON object")
@@ -607,7 +607,7 @@ def cmd_golden(list_only):
         return
     failures = 0
     for name in names:
-        job = json.loads(jobs_root.joinpath(name).read_text())
+        job = json.loads(jobs_root.joinpath(name).read_text(encoding="utf-8"))
         if job.get("command") not in _COMMANDS:
             click.echo("BAD  %s (unknown command %r)" % (name, job.get("command")))
             failures += 1
@@ -620,7 +620,7 @@ def cmd_golden(list_only):
             continue
         expected_path = jobs_root.joinpath("expected").joinpath(name)
         try:
-            expected = expected_path.read_text()
+            expected = expected_path.read_text(encoding="utf-8")
         except FileNotFoundError:
             click.echo("MISS %s (no expected report)" % name)
             failures += 1

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exterior import Form, wedge
-from .nilradical import nilradical_presentation, parabolic_fields
+from .nilradical import _nilradical, nilradical_presentation, parabolic_fields
 from .rootsys import FlagSpec, block_sizes, theta_of_blocks, three_summand_dims
 from .tduality import (
     AdmissibleTriple,
+    BasisChange,
     DualityError,
     _first_difference,
     dualize,
@@ -90,9 +91,9 @@ def _completes(cells, squares, feasible):
     return feasible[key]
 
 
-def _thetas_of_dim(l, dim, feasible):
-    """(theta, block sizes) of every rank-l flag of dimension dim, each flag
-    once, in its larger block orientation, by ascending bit mask of theta.
+def _blocks_of_dim(l, dim, feasible):
+    """Levi block sizes of every rank-l flag of dimension dim, each flag
+    once, in its larger orientation, by ascending bit mask of its theta.
 
     The dimension depends only on the block sizes b of theta,
     dim = ((l+1)**2 - sum b**2) / 2, so this walks the compositions of l+1
@@ -104,14 +105,15 @@ def _thetas_of_dim(l, dim, feasible):
     2**l - 1 less that of the cuts, whose top is l+1 - b_k, so masks compare
     blocks from the end and the walk's order is ascending mask.  A flag and
     its flip (blocks reversed) are one manifold, and the larger block
-    sequence, the one with the smaller mask, is kept.
+    sequence, the one with the smaller mask, is kept.  Theta itself is not
+    formed here (``theta_of_blocks``): the search needs it only for a target.
     """
     found = []
 
     def walk(cells, squares, blocks):
         if not cells:
             if blocks >= blocks[::-1]:
-                found.append((theta_of_blocks(blocks), blocks))
+                found.append(blocks)
             return
         for b in range(1, cells + 1):
             if _completes(cells - b, squares - b * b, feasible):
@@ -139,7 +141,7 @@ def find_targets(dual_algebra):
     that no type-A parabolic target exists.  The one-block flags (points,
     dimension 0) are never targets.  A flag and its diagram flip are one
     manifold, so each flag is enumerated once, in its larger block
-    orientation (``_thetas_of_dim``), and is one candidate.
+    orientation (``_blocks_of_dim``), and is one candidate.
 
     A candidate is decided from its Levi blocks b_1..b_k before it is built.
     Its nilradical is sum_{p<q} Hom(V_q, V_p), and the product of the full
@@ -148,11 +150,17 @@ def find_targets(dual_algebra):
     abelian iff k <= 2, d1_rank = a(2), center_dim = b_1 b_k, lcs_dims =
     (a(2), a(3), ...) and derived_dims = (a(2), a(4), a(8), ...), each down
     to its first 0 (``parabolic_fields``).  A candidate whose block fields
-    differ from the dual's is rejected unbuilt and never bracketed; only a
-    survivor is built, with those fields already known, and goes to
-    iso_small, whose own fingerprint comparison computes only d2_rank; a
-    survivor it proves distinct counts as rejected by the fingerprint.  An
-    abelian survivor equals an abelian dual and needs no field at all.
+    differ from the dual's is rejected unbuilt and never bracketed.
+
+    A survivor with at most two blocks is abelian of the dual's dimension,
+    so the dual is abelian too and the two presentations are equal: its
+    witness is the identity BasisChange, which is what iso_small returns
+    for an equal pair, and it is decided with no build at all.  Only a
+    survivor with three or more blocks is built, from its blocks with no
+    legend (``nilradical._nilradical``), with its block fields already
+    known, and goes to iso_small, whose own fingerprint comparison computes
+    only d2_rank; a survivor it proves distinct counts as rejected by the
+    fingerprint.  Theta is formed only for a target.
 
     The block fields are checked in that order, and each of the dual's
     fields is computed when a candidate first reaches it and then kept on
@@ -171,7 +179,7 @@ def find_targets(dual_algebra):
     rejected = 0
     unconfirmed = 0
     for l in range(1, dim + 1):
-        for theta, blocks in _thetas_of_dim(l, dim, feasible):
+        for blocks in _blocks_of_dim(l, dim, feasible):
             candidates += 1
             # the block fields are kept as they stream, for a survivor's memo
             known = {}
@@ -182,16 +190,21 @@ def find_targets(dual_algebra):
             if _first_difference(fields, dual_algebra) is not None:
                 rejected += 1
                 continue
-            spec = FlagSpec("A", l, theta)
-            cand, _legend = nilradical_presentation(spec)
-            cand._invariants.update(known)
-            iso = iso_small(cand, dual_algebra)
-            if iso.witness is not None:
-                targets.append(TargetCandidate(spec, iso.witness, pretty_name(l, theta)))
-            elif iso.proved_distinct:
-                rejected += 1
+            if len(blocks) <= 2:
+                witness = BasisChange(tuple(range(1, dim + 1)), (1,) * dim)
             else:
-                unconfirmed += 1
+                cand, _units = _nilradical(blocks)
+                cand._invariants.update(known)
+                iso = iso_small(cand, dual_algebra)
+                if iso.witness is None:
+                    if iso.proved_distinct:
+                        rejected += 1
+                    else:
+                        unconfirmed += 1
+                    continue
+                witness = iso.witness
+            theta = theta_of_blocks(blocks)
+            targets.append(TargetCandidate(FlagSpec("A", l, theta), witness, pretty_name(l, theta)))
     if targets:
         return targets, None
     reason = (

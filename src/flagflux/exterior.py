@@ -46,6 +46,16 @@ class MalcevValueError(ValueError):
 
 
 def _norm_coeff(c):
+    """c checked as an exact coefficient, an integral Fraction as its int.
+
+    An int or a plain Fraction, nearly every coefficient, is settled by an
+    exact type test; anything else takes the isinstance tests, which accept
+    subclasses (an IntEnum, a Fraction subclass) and reject bools and floats.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, bool):
         raise TypeError("coefficients must be exact (int or Fraction), got a bool")
     if isinstance(c, float):

@@ -4,11 +4,14 @@ Each complementary root contributes a rank-4 slice of T + T* spanned by
 the two real root directions and their duals.  A block is an endomorphism
 squaring to -1 and compatible with the split pairing; transport across
 the correspondence conjugates by the involution that swaps x with x*.
-All entries stay exact rationals.
+All entries stay exact rationals: an integral entry is an int, and only
+a non-integral one a Fraction, as in the form kernel.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from ._kernel import _norm
 
 __all__ = [
     "GcsBlock",
@@ -26,22 +29,23 @@ __all__ = [
 
 
 def _rat(value):
+    """value as an exact rational: an int when integral, else a Fraction."""
     if isinstance(value, bool):
         raise TypeError("expected an exact rational, got a bool")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, Fraction):
-        return value
+        return _norm(Fraction(value))
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _norm(Fraction(value))
         except (ValueError, ZeroDivisionError):
             pass
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
 def identity_matrix(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -49,7 +53,7 @@ def mat_mul(a, b):
     k = len(b)
     m = len(b[0])
     return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+        [_norm(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m)]
         for i in range(n)
     ]
 
@@ -68,8 +72,8 @@ def complex_matrix(sign):
     """The two complex-type blocks; sign picks the orientation."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    s = Fraction(sign)
-    z = Fraction(0)
+    s = int(sign)
+    z = 0
     return [
         [z, -s, z, z],
         [s, z, z, z],
@@ -83,7 +87,7 @@ def noncomplex_matrix(a, x, y):
     a = _rat(a)
     x = _rat(x)
     y = _rat(y)
-    z = Fraction(0)
+    z = 0
     return [
         [a, z, z, -x],
         [z, a, x, z],
@@ -103,20 +107,20 @@ def phi_matrix(t, m):
     if t < 0 or m < 0 or t + m == 0:
         raise ValueError("need t, m >= 0 with t + m > 0")
     n = 2 * (t + m)
-    phi = [[Fraction(0)] * n for _ in range(n)]
+    phi = [[0] * n for _ in range(n)]
     for i in range(t):
-        phi[i][i] = Fraction(1)
-        phi[t + m + i][t + m + i] = Fraction(1)
+        phi[i][i] = 1
+        phi[t + m + i][t + m + i] = 1
     for j in range(m):
-        phi[t + j][n - m + j] = Fraction(-1)
-        phi[n - m + j][t + j] = Fraction(-1)
+        phi[t + j][n - m + j] = -1
+        phi[n - m + j][t + j] = -1
     return phi
 
 
 def split_pairing(n):
     """The natural pairing of T with T* in the (vectors, covectors) split."""
     half = Fraction(1, 2)
-    g = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    g = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         g[i][n + i] = half
         g[n + i][i] = half

@@ -5,12 +5,17 @@ positive root spaces, realized concretely as strictly upper-triangular
 matrix units E_ij.  Basis order is summand-then-root order, which makes
 every bracket land in a strictly later slot.
 
-The slots come from the Levi blocks of theta (``isotropy_summands``), and
-each slot's Root is its matrix unit.  [E_ij, E_kl] = delta_jk E_il -
-delta_li E_kj is nonzero only when j == k or l == i, so a slot is bracketed
-only with the slots whose unit starts at its column or ends at its row:
-each pair tried gives one structure constant, and the cost follows the
-size of the presentation, not the square of its dimension.
+The slots are the matrix units of the Levi blocks of theta, read off the
+block sizes alone (``rootsys._summand_units``, which also orders the
+isotropy summands).  ``nilradical_presentation`` makes a Root for each
+slot only for the legend it returns; the target search builds a candidate
+from its blocks with ``_nilradical``, which makes no Root and no legend.
+
+[E_ij, E_kl] = delta_jk E_il - delta_li E_kj is nonzero only when j == k
+or l == i, so a slot is bracketed only with the slots whose unit starts at
+its column or ends at its row: each pair tried gives one structure
+constant, and the cost follows the size of the presentation, not the
+square of its dimension.
 
 Most of the fingerprint of n = sum_{p<q} Hom(V_q, V_p) follows from the
 block sizes b_1..b_k alone (``parabolic_fields``).  The product of the full
@@ -38,7 +43,7 @@ field never makes the dual compute a series.
 from collections import namedtuple
 
 from .exterior import Form, MalcevPresentation, ce_diff
-from .rootsys import _summands
+from .rootsys import Root, _summand_units, block_sizes
 
 __all__ = [
     "JacobiReport",
@@ -64,18 +69,25 @@ def nilradical_presentation(spec):
         >>> print_malcev(p)
         '(0,0,-e^{12})'
     """
-    legend = [r for s in _summands(spec.rank, spec.theta) for r in s.roots]
-    slot_of = {(r.row, r.col): k for k, r in enumerate(legend, start=1)}
+    p, units = _nilradical(block_sizes(spec.rank, spec.theta))
+    return p, [Root(i, j, spec.rank) for i, j in units]
+
+
+def _nilradical(blocks):
+    """(presentation, units) of the nilradical with these Levi blocks, where
+    units[k-1] is the matrix unit (row, col) of slot k, in summand-then-root
+    order (``rootsys._summand_units``)."""
+    units = [u for _p, _q, summand in _summand_units(blocks) for u in summand]
+    slot_of = {u: k for k, u in enumerate(units, start=1)}
     starting_at, ending_at = {}, {}
-    for k, r in enumerate(legend, start=1):
-        starting_at.setdefault(r.row, []).append((k, r.col))
-        ending_at.setdefault(r.col, []).append((k, r.row))
-    diffs = [dict() for _ in legend]
+    for k, (i, j) in enumerate(units, start=1):
+        starting_at.setdefault(i, []).append((k, j))
+        ending_at.setdefault(j, []).append((k, i))
+    diffs = [dict() for _ in units]
     # d e^k = -sum c^k_ab e^ab.  The partners of one slot a land in distinct
     # slots, so ascending a puts each differential's terms in pair order,
     # which _solve_signs reads; sums of complementary roots stay complementary
-    for a, r in enumerate(legend, start=1):
-        i, j = r.row, r.col
+    for a, (i, j) in enumerate(units, start=1):
         for b, l in starting_at.get(j, ()):
             if b > a:  # [E_ij, E_jl] = E_il
                 diffs[slot_of[i, l] - 1][(a, b)] = -1
@@ -84,7 +96,7 @@ def nilradical_presentation(spec):
                 diffs[slot_of[k, j] - 1][(a, b)] = 1
     # each key (a, b) has a < b and a +-1 value, and each bracket lands in a
     # later slot, so the forms and their filtration hold by construction
-    return MalcevPresentation._adopt([Form._adopt(2, d) for d in diffs]), legend
+    return MalcevPresentation._adopt([Form._adopt(2, d) for d in diffs]), units
 
 
 def parabolic_fields(blocks):

@@ -8,7 +8,7 @@ downstream relies on.
 """
 
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate
 
 __all__ = [
     "Root",
@@ -140,18 +140,37 @@ def theta_of_blocks(blocks):
     return tuple(k for k in range(1, sum(blocks)) if k not in cuts)
 
 
+def _summand_units(blocks):
+    """(p, q, units) for each isotropy summand of the Levi blocks ``blocks``,
+    in summand order: by gap q - p, then by p.  ``units`` are the matrix
+    units (i, j) with row i in block p and column j in block q, in root
+    order (by height j - i, then by row).  This is the summand-then-root
+    order of every flag nilradical's slots, read off the blocks alone.
+    """
+    first = list(accumulate(blocks, initial=1))
+    k = len(blocks)
+    for gap in range(1, k):
+        for p in range(k - gap):
+            rows, cols = first[p], first[p + gap]
+            row_end, col_end = first[p + 1], first[p + gap + 1]
+            units = [
+                (i, i + h)
+                for h in range(cols - row_end + 1, col_end - rows)
+                for i in range(max(rows, cols - h), min(row_end, col_end - h))
+            ]
+            yield p, p + gap, units
+
+
 def _summands(rank, theta):
     """The isotropy summands of A_rank and theta, one per pair of blocks p < q."""
     sizes = block_sizes(rank, theta)
-    first = list(accumulate(sizes, initial=1))
-    summands = []
-    for gap in range(1, len(sizes)):
-        for p, q in zip(range(len(sizes)), range(gap, len(sizes))):
-            units = product(range(first[p], first[p + 1]), range(first[q], first[q + 1]))
-            roots = [Root(i, j, rank) for i, j in sorted(units, key=lambda u: (u[1] - u[0], u[0]))]
-            signature = tuple(int(p <= t < q) for t in range(len(sizes) - 1))
-            summands.append(IsotropySummand(signature, roots))
-    return summands
+    return [
+        IsotropySummand(
+            tuple(int(p <= t < q) for t in range(len(sizes) - 1)),
+            [Root(i, j, rank) for i, j in units],
+        )
+        for p, q, units in _summand_units(sizes)
+    ]
 
 
 def complementary_positive_roots(rs, theta):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import flagflux
 from flagflux import tduality
 from flagflux.cli import main
 
@@ -492,6 +496,32 @@ class TestGolden:
         assert len(names) == 14
         assert names == sorted(names)
         assert "11-correspond-su6.json" in names
+
+
+class TestLocale:
+    """Configs are JSON, read as UTF-8 whatever the locale's encoding."""
+
+    def test_unicode_minus_config_in_c_locale(self, tmp_path):
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flagflux.__file__))
+        reports = []
+        for name, minus in (("unicode", "\u2212"), ("ascii", "-")):
+            path = tmp_path / (name + ".json")
+            path.write_text(
+                json.dumps(
+                    {"algebra": "(0,0,%se^{12})" % minus, "ideal": [3], "flux": "0"},
+                    ensure_ascii=False,
+                ),
+                encoding="utf-8",
+            )
+            result = subprocess.run(
+                [sys.executable, "-m", "flagflux.cli", "correspond", "--config", str(path)],
+                env=env, capture_output=True, check=False,
+            )
+            assert result.returncode == 0, result.stdout
+            reports.append(result.stdout)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["targets"][0]["rank"] == 3
 
 
 class TestLibraryChecks:

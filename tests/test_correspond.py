@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 from importlib import resources
 
@@ -66,22 +67,22 @@ class TestThetaDimTable:
     def test_enumerator_matches_oracle(self):
         # content and order, with one memo shared as in find_targets: the
         # oracle's thetas with a flip of the same flag kept once, by the
-        # oracle's own rule; each theta comes with the block sizes the walk
-        # composed it from
+        # oracle's own rule; the walk yields block sizes, and each maps to
+        # its theta and back
         feasible = {}
         for l in range(1, 15):
             table = theta_dim_oracle(l)
             for dim in range(l * (l + 1) // 2 + 2):
                 want = [t for t in table.get(dim, []) if canonical_theta_oracle(l, t) == t]
-                found = C._thetas_of_dim(l, dim, feasible)
-                assert [theta for theta, _ in found] == want, (l, dim)
-                assert all(blocks == block_sizes(l, theta) for theta, blocks in found)
+                found = C._blocks_of_dim(l, dim, feasible)
+                assert [theta_of_blocks(blocks) for blocks in found] == want, (l, dim)
+                assert all(blocks == block_sizes(l, theta_of_blocks(blocks)) for blocks in found)
 
     def test_no_theta_above_dim(self):
         feasible = {}
         for dim in range(1, 30):
             for l in range(dim + 1, 2 * dim + 10):
-                assert C._thetas_of_dim(l, dim, feasible) == [], (l, dim)
+                assert C._blocks_of_dim(l, dim, feasible) == [], (l, dim)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
@@ -91,11 +92,11 @@ class TestThetaDimTable:
         blocks = tuple(blocks)
         larger, smaller = max(blocks, blocks[::-1]), min(blocks, blocks[::-1])
         l = sum(blocks) - 1
-        found = C._thetas_of_dim(l, mask_dim_oracle(l, theta_mask(theta_of_blocks(blocks))), {})
-        assert (theta_of_blocks(larger), larger) in found
+        found = C._blocks_of_dim(l, mask_dim_oracle(l, theta_mask(theta_of_blocks(blocks))), {})
+        assert larger in found
         if smaller != larger:
-            assert all(b != smaller for _, b in found)
-        masks = [theta_mask(th) for th, _ in found]
+            assert smaller not in found
+        masks = [theta_mask(theta_of_blocks(b)) for b in found]
         assert masks == sorted(set(masks))
 
 
@@ -207,25 +208,44 @@ class TestPresentationInput:
 
 class TestBuildsOnlySurvivors:
     """find_targets rejects a candidate from its Levi blocks before building
-    it; only candidates whose block fields all agree with the dual's are
-    built."""
+    it, and decides a survivor with at most two blocks unbuilt; only a
+    survivor with three or more blocks is built."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
+        """The flag of every nilradical the correspond module builds, through
+        either function it builds one with: by spec, with a legend, or by blocks."""
         specs = []
-        real = C.nilradical_presentation
+        by_spec = C.nilradical_presentation
+        by_blocks = C._nilradical
 
-        def counted(spec):
+        def counted_spec(spec):
             specs.append(spec)
-            return real(spec)
+            return by_spec(spec)
 
-        monkeypatch.setattr(C, "nilradical_presentation", counted)
+        def counted_blocks(blocks):
+            specs.append(FlagSpec("A", sum(blocks) - 1, theta_of_blocks(blocks)))
+            return by_blocks(blocks)
+
+        monkeypatch.setattr(C, "nilradical_presentation", counted_spec)
+        monkeypatch.setattr(C, "_nilradical", counted_blocks)
         return specs
 
-    def test_three_summand_builds_source_and_targets(self, built):
+    def test_three_summand_builds_only_the_source(self, built):
+        # every target of an abelian dual has two blocks
         report = three_summand_correspond(2, 3, 3)
         assert report.ok
-        assert built == [report.spec] + [t.spec for t in report.result.targets]
+        assert [t.spec.rank for t in report.result.targets] == [9, 21]
+        assert built == [report.spec]
+
+    def test_survivor_with_three_blocks_is_built(self, built):
+        # CP^5 with this flux dualizes along [1, 2] to the nilradical of
+        # SU(4)/S(U(2)xU(1)xU(1)), found by building it
+        result = correspond_presentation(
+            parse_malcev("(0,0,0,0,0)"), (1, 2), parse_form("-e^{145}-e^{235}")
+        )
+        assert [t.spec for t in result.targets] == [FlagSpec("A", 3, (1,))]
+        assert built == [FlagSpec("A", 3, (1,))]
 
     def test_job_09_builds_nothing_and_keeps_its_reason(self, built):
         jobs = resources.files("flagflux").joinpath("jobs")
@@ -293,6 +313,35 @@ class TestFindTargetsOracle:
             )
         triple = AdmissibleTriple(p, tuple(cfg["ideal"]), parse_form(cfg["flux"], 3))
         assert_matches_oracle(dualize(triple).dual.algebra)
+
+    def test_three_summand_duals(self):
+        # the benchmark's splits: l+m+n <= 8 and dimension at most 17; every
+        # dual is abelian, so every target is a two-block flag decided
+        # unbuilt, while the oracle builds each candidate and runs iso_small
+        splits = [
+            s for s in itertools.product(range(1, 7), repeat=3)
+            if sum(s) <= 8 and s[0] * s[1] + s[1] * s[2] + s[2] * s[0] <= 17
+        ]
+        assert len(splits) == 44
+        for split in splits:
+            dual = three_summand_correspond(*split).result.dualization.dual.algebra
+            assert dual.is_abelian(), split
+            assert_matches_oracle(dual)
+
+    def test_unbuilt_witnesses_map_the_built_candidate(self):
+        # each two-block target's witness is the identity, and carries the
+        # candidate built from its flag onto the dual
+        for split in [(1, 1, 1), (2, 3, 3), (1, 2, 5), (3, 3, 3)]:
+            result = three_summand_correspond(*split).result
+            dual = result.dualization.dual.algebra
+            assert result.targets, split
+            for t in result.targets:
+                assert len(block_sizes(t.spec.rank, t.spec.theta)) == 2
+                assert t.witness == tduality.BasisChange(
+                    tuple(range(1, dual.dim + 1)), (1,) * dual.dim
+                )
+                candidate, _legend = nilradical_presentation(t.spec)
+                assert t.witness.apply(candidate) == dual
 
     def test_no_bracket_series_up_to_rank_six(self, monkeypatch):
         """Every candidate differs from these duals in a field cheaper than

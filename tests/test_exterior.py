@@ -1,3 +1,4 @@
+import enum
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from flagflux import (
     print_malcev,
     wedge,
 )
+
+from flagflux import _kernel
+from flagflux.exterior import _norm_coeff
 
 from conftest import (
     assert_well_formed,
@@ -96,6 +100,77 @@ class TestForm:
             assert f.is_zero()
         else:
             assert f == Form(len(idx), {tuple(sorted(idx)): permutation_sign(idx) * c})
+
+
+class Half(Fraction):
+    pass
+
+
+class Level(enum.IntEnum):
+    TWO = 2
+
+
+def norm_coeff_oracle(c):
+    """The coefficient check by isinstance alone, without exact-type paths."""
+    if isinstance(c, bool):
+        raise TypeError("bool")
+    if isinstance(c, float):
+        raise TypeError("float")
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("inexact")
+    return c
+
+
+class TestExactTypes:
+    """The normalizers test exact types first; what they accept, reject and
+    return is what the isinstance tests alone give."""
+
+    @pytest.mark.parametrize("c", [Fraction(4, 2), Fraction(-3, 1), Half(6, 3)])
+    def test_integral_fraction_becomes_int(self, c):
+        assert type(_norm_coeff(c)) is int
+        assert _norm_coeff(c) == c
+        if type(c) is Fraction:
+            assert type(_kernel._norm(c)) is int
+            assert _kernel._norm(c) == c
+
+    @pytest.mark.parametrize(
+        "c", [3, -1, Fraction(1, 2), Fraction(-5, 3), Half(1, 2), Half(4, 2), Level.TWO]
+    )
+    def test_accepts_as_the_isinstance_check_does(self, c):
+        got, want = _norm_coeff(c), norm_coeff_oracle(c)
+        assert got == want and type(got) is type(want)
+        assert Form(1, {(1,): c}).terms == {(1,): want}
+        assert (Form.basis(1) * c).terms == {(1,): want}
+
+    @pytest.mark.parametrize("c", [True, False, 0.5, 2.0])
+    def test_bool_and_float_still_raise(self, c):
+        with pytest.raises(TypeError):
+            norm_coeff_oracle(c)
+        with pytest.raises(TypeError):
+            _norm_coeff(c)
+        with pytest.raises(TypeError):
+            Form(1, {(1,): c})
+        with pytest.raises(TypeError):
+            Form.basis(1) * c
+
+    def test_kernel_results_hold_no_integral_fraction(self):
+        # each result's coefficients are integral, reached through Fractions
+        half = Form(1, {(1,): Fraction(1, 2), (2,): Fraction(3, 2)})
+        p = parse_malcev("(0,0,1/2e^{12})")
+        results = [
+            half + half,
+            half - Form(1, {(1,): Fraction(-1, 2), (2,): Fraction(1, 2)}),
+            half * 2,
+            wedge(half, Form(1, {(3,): 2})),
+            interior(1, Form(2, {(1, 2): Fraction(1, 3)}) * 3),
+            ce_diff(p, Form(1, {(3,): 4})),
+        ]
+        for result in results:
+            assert not result.is_zero()
+            assert all(type(c) is int for c in result.terms.values()), result.terms
+            assert_well_formed(result)
 
 
 class TestAdoptedResults:

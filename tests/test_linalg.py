@@ -4,9 +4,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagflux import Form
 from flagflux._linalg import echelon, nullspace, rank
 
-from conftest import nullspace_oracle, rref_oracle
+from conftest import coefficients, nullspace_oracle, rref_oracle
 
 entries = st.one_of(
     st.just(0),
@@ -81,3 +82,18 @@ class TestSparseElimination:
         assert rank([]) == 0
         assert rank([{}, {3: 0}]) == 0
         assert nullspace([], 2) == [[1, 0], [0, 1]]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 5), coefficients, max_size=4), max_size=6
+    )
+)
+def test_echelon_rows_hold_no_integral_fraction(rows):
+    # rows of reduced coefficients, as form terms hold, give pivot rows of
+    # ints and non-integral Fractions only
+    rows = [{k: Form(0, {(): c}).terms[()] for k, c in row.items()} for row in rows]
+    for row in echelon(rows).values():
+        for c in row.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), row
