@@ -4,16 +4,20 @@ Every subcommand accepts its inputs as flags or as a JSON config file;
 on conflict the file wins and a warning goes to stderr.  Reports carry
 no timestamps, so identical configs give byte-identical output.  Exit
 codes: 0 success, 1 domain error (machine-readable error object on
-stdout), 2 parse or usage error.
+stdout), 2 parse or usage error (a usage line, then ``flagflux <command>:
+error: <message>``, on stderr).
+
+The front end is one standard-library ``argparse`` parser, built at import
+from the ``_COMMANDS`` table; every command takes ``--help``.
 """
 
+import argparse
 import json
+import os
 import sys
 from collections import namedtuple
+from functools import partial
 from importlib import resources
-
-import click
-from click.core import ParameterSource
 
 from .correspond import correspond_presentation, selfdual_flux
 from .exterior import (
@@ -37,49 +41,42 @@ from .rootsys import (
 from .tduality import AdmissibleTriple, DualityError, dualize, duality_certificate
 
 
+class UsageError(Exception):
+    """Input the command cannot read: exit 2, the message on stderr."""
+
+
+def _echo(text, err=False):
+    """Write one line to stdout or stderr.
+
+    A stream whose encoding cannot hold the text, such as ASCII under
+    ``LC_ALL=C``, gets it as UTF-8, the encoding configs are read in.
+    """
+    stream = sys.stderr if err else sys.stdout
+    try:
+        stream.write(text + "\n")
+    except UnicodeEncodeError:
+        stream.flush()
+        stream.buffer.write((text + "\n").encode("utf-8"))
+
+
 def _dump(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _emit(command, cfg, fmt):
     report = _report(command, cfg)
     if fmt == "text":
-        click.echo("\n".join(_COMMANDS[command].text(report)))
+        _echo("\n".join(_COMMANDS[command].text(report)))
     else:
-        click.echo(_dump(report), nl=False)
+        _echo(_dump(report))
 
 
 def _domain_error(kind, message, extra=None):
     body = {"kind": kind, "message": message}
     if extra:
         body.update(extra)
-    click.echo(_dump({"error": body}), nl=False)
-    sys.exit(1)
-
-
-def _guarded(fn):
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except MalcevSyntaxError as exc:
-            click.echo("parse error: %s" % exc, err=True)
-            sys.exit(2)
-        except json.JSONDecodeError as exc:
-            click.echo("parse error: invalid JSON: %s" % exc, err=True)
-            sys.exit(2)
-        except click.ClickException:
-            raise
-        except DualityError as exc:
-            extra = {"admissibility": exc.report.to_json()} if exc.report else None
-            _domain_error("inadmissible", str(exc), extra)
-        except UnsupportedSeriesError as exc:
-            _domain_error("unsupported-series", str(exc))
-        except (MalcevValueError, ValueError) as exc:
-            _domain_error("invalid-input", str(exc))
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+    _echo(_dump({"error": body}))
+    return 1
 
 
 def _parse_int_list(text):
@@ -89,7 +86,7 @@ def _parse_int_list(text):
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError("expected a comma-separated integer list, got %r" % text)
+        raise UsageError("expected a comma-separated integer list, got %r" % text)
 
 
 def _as_int_tuple(value, label):
@@ -99,27 +96,27 @@ def _as_int_tuple(value, label):
         return _parse_int_list(value)
     if isinstance(value, (list, tuple)):
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise click.UsageError("%s must be a list of integers" % label)
+            raise UsageError("%s must be a list of integers" % label)
         return tuple(value)
-    raise click.UsageError("%s must be a list of integers" % label)
+    raise UsageError("%s must be a list of integers" % label)
 
 
 def _as_int(value, label):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise click.UsageError("%s must be an integer, got %r" % (label, value))
+        raise UsageError("%s must be an integer, got %r" % (label, value))
     return value
 
 
 def _as_str(value, label):
     if not isinstance(value, str):
-        raise click.UsageError("%s must be a string, got %r" % (label, value))
+        raise UsageError("%s must be a string, got %r" % (label, value))
     return value
 
 
 def _check_keys(cfg, keys, where):
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
-        raise click.UsageError(
+        raise UsageError(
             "unknown key%s in %s: %s"
             % ("s" if len(unknown) > 1 else "", where, ", ".join(map(repr, unknown)))
         )
@@ -128,32 +125,22 @@ def _check_keys(cfg, keys, where):
 def _rank_from_cfg(cfg):
     rank = cfg.get("rank")
     if rank is None:
-        raise click.UsageError("missing --rank (or config key \"rank\")")
+        raise UsageError("missing --rank (or config key \"rank\")")
     return _as_int(rank, "rank")
 
 
-def _merge(ctx, config_path, flags):
-    """Flags plus config file; the file wins per key, conflicts warned."""
+def _merge(config_path, flags):
+    """Typed flags plus config file; the file wins per key, conflicts warned."""
     cfg = {}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise click.UsageError("config file must hold a JSON object")
-        cfg.update(data)
-    merged = dict(cfg)
-    for key, value in flags.items():
-        explicit = ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise UsageError("config file must hold a JSON object")
+    for key in flags:
         if key in cfg:
-            if explicit:
-                click.echo(
-                    "warning: config file overrides --%s" % key.replace("_", "-"),
-                    err=True,
-                )
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
+            _echo("warning: config file overrides --%s" % key, err=True)
+    return {**flags, **cfg}
 
 
 def _spec_from_cfg(cfg):
@@ -173,7 +160,7 @@ def _algebra_from_cfg(cfg):
         if cfg.get("series", "A") != "A":
             mixed.append("series")
         if mixed:
-            raise click.UsageError(
+            raise UsageError(
                 "%s cannot be combined with 'algebra'" % ", ".join(map(repr, mixed))
             )
         dim = cfg.get("dim")
@@ -183,7 +170,7 @@ def _algebra_from_cfg(cfg):
         )
         return presentation, None, None
     if cfg.get("dim") is not None:
-        raise click.UsageError("'dim' is read only together with 'algebra'")
+        raise UsageError("'dim' is read only together with 'algebra'")
     spec = _spec_from_cfg(cfg)
     presentation, legend = nilradical_presentation(spec)
     return presentation, legend, spec
@@ -298,7 +285,7 @@ def _dualize_core(cfg):
     """(algebra, ideal, flux, source spec) as read; AdmissibleTriple checks them."""
     presentation, _legend, source = _algebra_from_cfg(cfg)
     if "ideal" not in cfg:
-        raise click.UsageError("missing --ideal (or config key \"ideal\")")
+        raise UsageError("missing --ideal (or config key \"ideal\")")
     ideal = _as_int_tuple(cfg["ideal"], "ideal")
     flux = parse_form(_as_str(cfg.get("flux", "0"), "flux"), 3)
     return presentation, ideal, flux, source
@@ -426,7 +413,7 @@ def _run_gcs_transport(cfg):
     summands = isotropy_summands(rs, spec.theta)
     raw = cfg.get("blocks")
     if not isinstance(raw, dict):
-        raise click.UsageError(
+        raise UsageError(
             "gcs-transport needs a config with a \"blocks\" object keyed by signature"
         )
     blocks = []
@@ -438,7 +425,7 @@ def _run_gcs_transport(cfg):
         try:
             block = block_from_json(raw[key])
         except TypeError as exc:
-            raise click.UsageError("block for signature (%s): %s" % (key, exc))
+            raise UsageError("block for signature (%s): %s" % (key, exc))
         for root in summand.roots:
             blocks.append(block)
             assignment.append(
@@ -464,7 +451,7 @@ def _run_gcs_transport(cfg):
     }
     if "dual" in cfg:
         if not isinstance(cfg["dual"], dict):
-            raise click.UsageError("dual must be a JSON object")
+            raise UsageError("dual must be a JSON object")
         _check_keys(cfg["dual"], _SPEC_KEYS, "dual")
         dual_spec = _spec_from_cfg(cfg["dual"])
         dual_rs = build_root_system(dual_spec.series, dual_spec.rank)
@@ -514,34 +501,40 @@ def _report(command, cfg):
     return _COMMANDS[command].run(cfg)
 
 
-# ------------------------------------------------------------------ click
+# --------------------------------------------------------------- commands
 
 
-@click.group()
-def main():
-    """Flowing flags: nilradicals, infinitesimal T-duality, dual targets."""
+def _config_file(path):
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError("file %r does not exist" % path)
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError("%r is a directory" % path)
+    return path
 
 
-_series = click.option("--series", default="A", show_default=True)
-_rank = click.option("--rank", type=int, default=None)
-_theta = click.option("--theta", default=None, help="comma list, empty for maximal")
-_ideal = click.option("--ideal", default=None, help="comma list of slots")
-_flux = click.option("--flux", default=None, help="Malcev 3-form, 0 for none")
-_fmt = click.option(
-    "--format", "fmt", type=click.Choice(["json", "text"]), default="json",
-    show_default=True,
-)
-_config = click.option(
-    "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-    default=None,
-)
+# add_argument keywords of each flag.  Every flag defaults to SUPPRESS, so
+# the namespace holds exactly the flags that were typed.
+_FLAGS = {
+    "--series": {"help": "root system series (default: A)"},
+    "--rank": {"type": int},
+    "--theta": {"help": "comma list, empty for maximal"},
+    "--ideal": {"help": "comma list of slots"},
+    "--flux": {"help": "Malcev 3-form, 0 for none"},
+    "--format": {
+        "dest": "fmt", "choices": ("json", "text"), "help": "report format (default: json)",
+    },
+    "--config": {
+        "dest": "config_path", "metavar": "PATH", "type": _config_file,
+        "help": "JSON file of inputs; its keys win over flags",
+    },
+}
 
-_SPEC_FLAGS = (_series, _rank, _theta)
-_TRIPLE_FLAGS = _SPEC_FLAGS + (_ideal, _flux)
+_SPEC_FLAGS = ("--series", "--rank", "--theta")
+_TRIPLE_FLAGS = _SPEC_FLAGS + ("--ideal", "--flux")
 _SPEC_KEYS = ("series", "rank", "theta")
 _TRIPLE_KEYS = _SPEC_KEYS + ("algebra", "dim", "ideal", "flux")
 
-# flags: the command's options before --format and --config; keys: the
+# flags: the command's flags before --format and --config; keys: the
 # config keys its report builder reads
 _Command = namedtuple("_Command", "help flags run text keys")
 
@@ -564,7 +557,7 @@ _COMMANDS = {
     ),
     "selfdual": _Command(
         "Top-root flux on the maximal flag and its self-duality check.",
-        (_series, _rank), _run_selfdual, _text_selfdual, _SPEC_KEYS,
+        ("--series", "--rank"), _run_selfdual, _text_selfdual, _SPEC_KEYS,
     ),
     "gcs-transport": _Command(
         "Transport per-root blocks and check per-summand type uniformity.",
@@ -574,64 +567,136 @@ _COMMANDS = {
 }
 
 
-def _register(name, spec):
-    """One click command: its flags merged with --config into the report."""
-
-    @click.pass_context
-    @_guarded
-    def command(ctx, fmt, config_path, **flags):
-        _emit(name, _merge(ctx, config_path, flags), fmt)
-
-    # applied last to first, as a decorator stack is, so --help lists them in order
-    for option in reversed(spec.flags + (_fmt, _config)):
-        command = option(command)
-    main.command(name, help=spec.help)(command)
+def _report_command(name, fmt="json", config_path=None, **flags):
+    _emit(name, _merge(config_path, flags), fmt)
+    return 0
 
 
-for _name, _spec in _COMMANDS.items():
-    _register(_name, _spec)
-
-
-@main.command("golden")
-@click.option("--list", "list_only", is_flag=True, help="list bundled jobs")
-@_guarded
-def cmd_golden(list_only):
-    """Run the bundled jobs and diff against the stored expected reports."""
+def _golden(list_only=False):
     jobs_root = resources.files("flagflux").joinpath("jobs")
     names = sorted(
         entry.name for entry in jobs_root.iterdir() if entry.name.endswith(".json")
     )
     if list_only:
         for name in names:
-            click.echo(name)
-        return
+            _echo(name)
+        return 0
     failures = 0
     for name in names:
         job = json.loads(jobs_root.joinpath(name).read_text(encoding="utf-8"))
         if job.get("command") not in _COMMANDS:
-            click.echo("BAD  %s (unknown command %r)" % (name, job.get("command")))
+            _echo("BAD  %s (unknown command %r)" % (name, job.get("command")))
             failures += 1
             continue
         try:
-            got = _dump(_report(job["command"], job.get("config", {})))
+            got = _dump(_report(job["command"], job.get("config", {}))) + "\n"
         except Exception as exc:
-            click.echo("ERR  %s (%s)" % (name, exc))
+            _echo("ERR  %s (%s)" % (name, exc))
             failures += 1
             continue
         expected_path = jobs_root.joinpath("expected").joinpath(name)
         try:
             expected = expected_path.read_text(encoding="utf-8")
         except FileNotFoundError:
-            click.echo("MISS %s (no expected report)" % name)
+            _echo("MISS %s (no expected report)" % name)
             failures += 1
             continue
         if got == expected:
-            click.echo("ok   %s" % name)
+            _echo("ok   %s" % name)
         else:
-            click.echo("DIFF %s" % name)
+            _echo("DIFF %s" % name)
             failures += 1
     if failures:
-        _domain_error("golden-mismatch", "%d job(s) differ" % failures)
+        return _domain_error("golden-mismatch", "%d job(s) differ" % failures)
+    return 0
+
+
+def _parser(prog):
+    """One subcommand per ``_COMMANDS`` row, plus ``golden``."""
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Flowing flags: nilradicals, infinitesimal T-duality, dual targets.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, spec in _COMMANDS.items():
+        sub = commands.add_parser(
+            name, help=spec.help, description=spec.help, allow_abbrev=False
+        )
+        for flag in spec.flags + ("--format", "--config"):
+            sub.add_argument(flag, default=argparse.SUPPRESS, **_FLAGS[flag])
+        sub.set_defaults(parser=sub, run=partial(_report_command, name))
+    text = "Run the bundled jobs and diff against the stored expected reports."
+    sub = commands.add_parser("golden", help=text, description=text, allow_abbrev=False)
+    sub.add_argument(
+        "--list", dest="list_only", action="store_true", default=argparse.SUPPRESS,
+        help="list bundled jobs",
+    )
+    sub.set_defaults(parser=sub, run=_golden)
+    return parser
+
+
+_PARSER = _parser("flagflux")
+
+
+def _joined(argv):
+    """Each flag of ``_FLAGS`` joined to the word after it, as ``--flag=word``.
+
+    argparse reads a word that starts with "-" as an option, so
+    ``--flux -e^{123}`` would leave --flux without its value; a flag
+    takes the next word, whatever it starts with.
+    """
+    out, words = [], iter(argv)
+    for word in words:
+        value = next(words, None) if word in _FLAGS else None
+        out.append(word if value is None else "%s=%s" % (word, value))
+    return out
+
+
+def _run(parser, run, flags):
+    """Run a parsed command; each kind of error gets its exit code."""
+    try:
+        return run(**flags)
+    except UsageError as exc:
+        _echo(parser.format_usage() + "%s: error: %s" % (parser.prog, exc), err=True)
+        return 2
+    except MalcevSyntaxError as exc:
+        _echo("parse error: %s" % exc, err=True)
+        return 2
+    except json.JSONDecodeError as exc:
+        _echo("parse error: invalid JSON: %s" % exc, err=True)
+        return 2
+    except DualityError as exc:
+        extra = {"admissibility": exc.report.to_json()} if exc.report else None
+        return _domain_error("inadmissible", str(exc), extra)
+    except UnsupportedSeriesError as exc:
+        return _domain_error("unsupported-series", str(exc))
+    except (MalcevValueError, ValueError) as exc:
+        return _domain_error("invalid-input", str(exc))
+
+
+def main(args=None, prog_name="flagflux", standalone_mode=True):
+    """Run one command line (``sys.argv[1:]`` when ``args`` is None).
+
+    ``prog_name`` names the program in usage and help text.  The exit code
+    ends the process, or with ``standalone_mode=False`` is returned, so a
+    caller can run commands in its own process.
+    """
+    parser = _PARSER if prog_name == _PARSER.prog else _parser(prog_name)
+    try:
+        namespace, extra = parser.parse_known_args(
+            _joined(sys.argv[1:] if args is None else args)
+        )
+        if extra:
+            namespace.parser.error("unrecognized arguments: %s" % " ".join(extra))
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a parse error
+        code = exc.code
+    else:
+        flags = vars(namespace)
+        code = _run(flags.pop("parser"), flags.pop("run"), flags)
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,32 +1,40 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import namedtuple
+from importlib import resources
 
 import pytest
-from click.testing import CliRunner
 
 import flagflux
-from flagflux import tduality
+from flagflux import cli, tduality
 from flagflux.cli import main
+
+Result = namedtuple("Result", "exit_code stdout stderr")
 
 
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def run(capsys):
+    """Run one command line in-process; its exit code and captured output."""
 
+    def invoke(*args):
+        code = main(list(args), standalone_mode=False)
+        out, err = capsys.readouterr()
+        return Result(code, out, err)
 
-def invoke(runner, *args, **kwargs):
-    return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+    return invoke
 
 
 class TestExitCodes:
-    def test_success_is_zero(self, runner):
-        result = invoke(runner, "dualize", "--rank", "2", "--ideal", "3")
+    def test_success_is_zero(self, run):
+        result = run("dualize", "--rank", "2", "--ideal", "3")
         assert result.exit_code == 0
 
-    def test_domain_error_is_one_with_error_object(self, runner):
-        result = runner.invoke(main, ["dualize", "--rank", "2", "--ideal", "1"])
+    def test_domain_error_is_one_with_error_object(self, run):
+        result = run("dualize", "--rank", "2", "--ideal", "1")
         assert result.exit_code == 1
         body = json.loads(result.stdout)
         assert body["error"]["kind"] == "inadmissible"
@@ -35,17 +43,17 @@ class TestExitCodes:
             body["error"]["admissibility"]["details"]["ideal"]
         )
 
-    def test_unsupported_series_is_one(self, runner):
-        result = runner.invoke(main, ["root-system", "--series", "B", "--rank", "2"])
+    def test_unsupported_series_is_one(self, run):
+        result = run("root-system", "--series", "B", "--rank", "2")
         assert result.exit_code == 1
         assert json.loads(result.stdout)["error"]["kind"] == "unsupported-series"
 
     @pytest.mark.parametrize(
         "command", ["nilradical", "selfdual", "dualize", "correspond", "root-system", "gcs-transport"]
     )
-    def test_unsupported_series_wins_over_bad_rank(self, runner, command):
+    def test_unsupported_series_wins_over_bad_rank(self, run, command):
         extra = ["--ideal", "1"] if command in ("dualize", "correspond") else []
-        result = runner.invoke(main, [command, "--series", "B", "--rank", "0", *extra])
+        result = run(command, "--series", "B", "--rank", "0", *extra)
         assert result.exit_code == 1
         assert json.loads(result.stdout)["error"]["kind"] == "unsupported-series"
 
@@ -53,29 +61,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command", ["nilradical", "selfdual", "dualize", "correspond", "root-system", "gcs-transport"]
     )
-    def test_rank_below_one_is_one(self, runner, command, rank):
+    def test_rank_below_one_is_one(self, run, command, rank):
         extra = ["--ideal", "1"] if command in ("dualize", "correspond") else []
-        result = runner.invoke(main, [command, "--rank", rank, *extra])
+        result = run(command, "--rank", rank, *extra)
         assert result.exit_code == 1
         body = json.loads(result.stdout)
         assert body["error"] == {"kind": "invalid-input", "message": "rank must be >= 1"}
 
-    def test_flux_out_of_range_is_one(self, runner):
-        result = runner.invoke(
-            main,
-            ["dualize", "--rank", "2", "--ideal", "3", "--flux", "e^{145}"],
-        )
+    def test_flux_out_of_range_is_one(self, run):
+        result = run("dualize", "--rank", "2", "--ideal", "3", "--flux", "e^{145}")
         assert result.exit_code == 1
         body = json.loads(result.stdout)
         assert body["error"]["kind"] == "invalid-input"
         assert "beyond dimension" in body["error"]["message"]
 
     @pytest.mark.parametrize("command", ["dualize", "correspond"])
-    def test_algebra_failing_jacobi_is_one(self, runner, command, tmp_path):
+    def test_algebra_failing_jacobi_is_one(self, run, command, tmp_path):
         # d(de^5) = d(e^{34}) = e^{124}: not a Lie algebra, though admissible
         cfg = tmp_path / "nonjacobi.json"
         cfg.write_text(json.dumps({"algebra": "(0,0,e^{12},e^{13},e^{34})", "ideal": [5]}))
-        result = runner.invoke(main, [command, "--config", str(cfg)])
+        result = run(command, "--config", str(cfg))
         assert result.exit_code == 1
         assert json.loads(result.stdout)["error"] == {
             "kind": "invalid-input",
@@ -83,10 +88,10 @@ class TestExitCodes:
         }
 
     @pytest.mark.parametrize("command", ["dualize", "correspond"])
-    def test_non_invariant_flux_is_inadmissible(self, runner, command):
+    def test_non_invariant_flux_is_inadmissible(self, run, command):
         # a Lie algebra, but slot 4 moves H: its dual would fail the Jacobi identity
-        result = runner.invoke(
-            main, [command, "--rank", "3", "--ideal", "4,6", "--flux", "e^{126}+e^{145}"]
+        result = run(
+            command, "--rank", "3", "--ideal", "4,6", "--flux", "e^{126}+e^{145}"
         )
         assert result.exit_code == 1
         error = json.loads(result.stdout)["error"]
@@ -95,47 +100,53 @@ class TestExitCodes:
         assert error["admissibility"]["invariant"] is False
         assert error["admissibility"]["details"]["invariant"] == "L_{e_4} H = -e^{123}"
 
-    def test_invariant_flux_on_non_central_ideal_is_zero(self, runner):
-        result = invoke(
-            runner, "dualize", "--rank", "3", "--theta", "1", "--ideal", "1,4", "--flux", "e^{123}"
+    def test_flag_value_may_start_with_minus(self, run):
+        result = run("dualize", "--rank", "2", "--ideal", "3", "--flux", "-e^{123}")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["flux"] == "-e^{123}"
+
+    def test_invariant_flux_on_non_central_ideal_is_zero(self, run):
+        result = run(
+            "dualize", "--rank", "3", "--theta", "1", "--ideal", "1,4", "--flux", "e^{123}"
         )
         assert result.exit_code == 0
         admissibility = json.loads(result.stdout)["admissibility"]
         assert admissibility["ok"] and admissibility["invariant"]
         assert not admissibility["central"]
 
-    def test_malcev_syntax_error_is_two(self, runner, tmp_path):
+    def test_malcev_syntax_error_is_two(self, run, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"algebra": "(0,0,-e^{1", "ideal": [3]}))
-        result = runner.invoke(main, ["dualize", "--config", str(cfg)])
+        result = run("dualize", "--config", str(cfg))
         assert result.exit_code == 2
         assert "parse error" in result.stderr
 
-    def test_lone_rational_flux_is_two(self, runner):
+    def test_lone_rational_flux_is_two(self, run):
         # a 0-form's text is not a 3-form
-        result = runner.invoke(main, ["dualize", "--rank", "2", "--ideal", "3", "--flux", "3"])
+        result = run("dualize", "--rank", "2", "--ideal", "3", "--flux", "3")
         assert result.exit_code == 2
         assert "parse error" in result.stderr
 
-    def test_invalid_json_config_is_two(self, runner, tmp_path):
+    def test_invalid_json_config_is_two(self, run, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
-        result = runner.invoke(main, ["dualize", "--config", str(cfg)])
+        result = run("dualize", "--config", str(cfg))
         assert result.exit_code == 2
         assert "invalid JSON" in result.stderr
 
-    def test_missing_rank_is_two(self, runner):
-        result = runner.invoke(main, ["nilradical"])
+    def test_missing_rank_is_two(self, run):
+        result = run("nilradical")
         assert result.exit_code == 2
         assert "--rank" in result.stderr
 
-    def test_unknown_option_is_two(self, runner):
-        result = runner.invoke(main, ["dualize", "--no-such-flag"])
+    def test_unknown_option_is_two(self, run):
+        result = run("dualize", "--no-such-flag")
         assert result.exit_code == 2
+        assert "flagflux dualize: error: unrecognized arguments: --no-such-flag" in result.stderr
 
-    def test_bad_theta_list_is_two(self, runner):
-        result = runner.invoke(
-            main, ["root-system", "--rank", "2", "--theta", "1,x"]
+    def test_bad_theta_list_is_two(self, run):
+        result = run(
+            "root-system", "--rank", "2", "--theta", "1,x"
         )
         assert result.exit_code == 2
 
@@ -163,18 +174,17 @@ class TestExitCodes:
             ),
         ],
     )
-    def test_wrong_config_type_is_two(self, runner, tmp_path, command, config, key):
+    def test_wrong_config_type_is_two(self, run, tmp_path, command, config, key):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(config))
-        result = runner.invoke(main, [command, "--config", str(cfg)])
+        result = run(command, "--config", str(cfg))
         assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "Traceback" not in result.output
+        assert "Traceback" not in result.stdout + result.stderr
         assert key in result.stderr
 
-    def test_rank_bound_flag_is_gone(self, runner):
-        result = runner.invoke(
-            main, ["correspond", "--rank", "2", "--ideal", "3", "--rank-bound", "7"]
+    def test_rank_bound_flag_is_gone(self, run):
+        result = run(
+            "correspond", "--rank", "2", "--ideal", "3", "--rank-bound", "7"
         )
         assert result.exit_code == 2
         assert "--rank-bound" in result.stderr
@@ -188,12 +198,11 @@ class TestExitCodes:
             ("root-system", {"rank": 2, "dual": {}}, "'dual'"),
         ],
     )
-    def test_unknown_config_key_is_two(self, runner, tmp_path, command, config, message):
+    def test_unknown_config_key_is_two(self, run, tmp_path, command, config, message):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(config))
-        result = runner.invoke(main, [command, "--config", str(cfg)])
+        result = run(command, "--config", str(cfg))
         assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
         assert message in result.stderr
 
     @pytest.mark.parametrize(
@@ -205,65 +214,64 @@ class TestExitCodes:
             ("correspond", {"rank": 2, "dim": 7, "ideal": [3]}, "'dim'"),
         ],
     )
-    def test_mixed_config_keys_is_two(self, runner, tmp_path, command, config, message):
+    def test_mixed_config_keys_is_two(self, run, tmp_path, command, config, message):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(config))
-        result = runner.invoke(main, [command, "--config", str(cfg)])
+        result = run(command, "--config", str(cfg))
         assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
         assert message in result.stderr
 
-    def test_default_series_with_algebra_is_zero(self, runner, tmp_path):
+    def test_default_series_with_algebra_is_zero(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"algebra": "(0,0,-e^{12})", "series": "A", "ideal": [3]}))
-        result = runner.invoke(main, ["dualize", "--config", str(cfg)])
+        result = run("dualize", "--config", str(cfg))
         assert result.exit_code == 0
 
 
 class TestDeterminism:
-    def test_byte_identical_repeat(self, runner):
+    def test_byte_identical_repeat(self, run):
         args = ["correspond", "--rank", "2", "--ideal", "3"]
-        first = invoke(runner, *args)
-        second = invoke(runner, *args)
+        first = run(*args)
+        second = run(*args)
         assert first.stdout == second.stdout
         assert first.stdout.endswith("\n")
 
-    def test_json_is_sorted_and_indented(self, runner):
-        result = invoke(runner, "nilradical", "--rank", "2")
+    def test_json_is_sorted_and_indented(self, run):
+        result = run("nilradical", "--rank", "2")
         body = json.loads(result.stdout)
         assert result.stdout == json.dumps(body, sort_keys=True, indent=2) + "\n"
 
-    def test_no_timestamps(self, runner):
-        result = invoke(runner, "selfdual", "--rank", "2")
+    def test_no_timestamps(self, run):
+        result = run("selfdual", "--rank", "2")
         assert "time" not in result.stdout.lower()
         assert "date" not in result.stdout.lower()
 
 
 class TestConfigMerge:
-    def test_config_wins_with_warning(self, runner, tmp_path):
+    def test_config_wins_with_warning(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"rank": 2, "ideal": [3]}))
-        result = invoke(
-            runner, "dualize", "--rank", "3", "--config", str(cfg)
+        result = run(
+            "dualize", "--rank", "3", "--config", str(cfg)
         )
         assert result.exit_code == 0
         assert "warning: config file overrides --rank" in result.stderr
         assert json.loads(result.stdout)["algebra"] == "(0,0,-e^{12})"
 
-    def test_flag_fills_missing_key_silently(self, runner, tmp_path):
+    def test_flag_fills_missing_key_silently(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"rank": 2}))
-        result = invoke(runner, "dualize", "--ideal", "3", "--config", str(cfg))
+        result = run("dualize", "--ideal", "3", "--config", str(cfg))
         assert result.exit_code == 0
         assert result.stderr == ""
 
-    def test_default_value_never_warns(self, runner, tmp_path):
+    def test_default_value_never_warns(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"series": "A", "rank": 2, "ideal": [3]}))
-        result = invoke(runner, "dualize", "--config", str(cfg))
+        result = run("dualize", "--config", str(cfg))
         assert result.stderr == ""
 
-    def test_explicit_algebra_input(self, runner, tmp_path):
+    def test_explicit_algebra_input(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(
             json.dumps(
@@ -273,7 +281,7 @@ class TestConfigMerge:
                 }
             )
         )
-        result = invoke(runner, "dualize", "--config", str(cfg))
+        result = run("dualize", "--config", str(cfg))
         body = json.loads(result.stdout)
         assert body["dual"]["algebra"] == "(0,0,0,-e^{12},-e^{23},0)"
         assert body["H_dual"] == "-e^{146}+e^{356}"
@@ -281,8 +289,8 @@ class TestConfigMerge:
 
 
 class TestReports:
-    def test_dualize_json_shape(self, runner):
-        result = invoke(runner, "dualize", "--rank", "2", "--ideal", "3")
+    def test_dualize_json_shape(self, run):
+        result = run("dualize", "--rank", "2", "--ideal", "3")
         body = json.loads(result.stdout)
         assert body["H_dual"] == "-e^{123}"
         assert body["dual"]["flux"] == body["H_dual"]
@@ -291,8 +299,8 @@ class TestReports:
         assert body["slot_map"]["identity"] is True
         assert body["source"] == {"series": "A", "rank": 2, "theta": []}
 
-    def test_correspond_json_shape(self, runner):
-        result = invoke(runner, "correspond", "--rank", "2", "--ideal", "3")
+    def test_correspond_json_shape(self, run):
+        result = run("correspond", "--rank", "2", "--ideal", "3")
         body = json.loads(result.stdout)
         assert "rank_bound" not in body
         assert [t["pretty_name"] for t in body["targets"]] == [
@@ -300,7 +308,7 @@ class TestReports:
         ]
         assert "search_reason" not in body
 
-    def test_correspond_empty_targets_reason(self, runner, tmp_path):
+    def test_correspond_empty_targets_reason(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(
             json.dumps(
@@ -310,7 +318,7 @@ class TestReports:
                 }
             )
         )
-        result = invoke(runner, "correspond", "--config", str(cfg))
+        result = run("correspond", "--config", str(cfg))
         body = json.loads(result.stdout)
         assert body["targets"] == []
         assert body["search_reason"] == (
@@ -319,52 +327,52 @@ class TestReports:
             "fingerprint, 0 unconfirmed within search budget"
         )
 
-    def test_correspond_uncapped_reason(self, runner, tmp_path):
+    def test_correspond_uncapped_reason(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(
             json.dumps({"algebra": "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})", "ideal": [6]})
         )
-        result = invoke(runner, "correspond", "--config", str(cfg))
+        result = run("correspond", "--config", str(cfg))
         body = json.loads(result.stdout)
         assert body["targets"] == []
         assert body["search_reason"].startswith(
             "no parabolic nilradical, every rank searched,"
         )
 
-    def test_selfdual_undecided_report(self, runner):
-        result = invoke(runner, "selfdual", "--rank", "3")
+    def test_selfdual_undecided_report(self, run):
+        result = run("selfdual", "--rank", "3")
         body = json.loads(result.stdout)
         assert body["selfdual"] is None
         assert body["admissibility"]["closed"] is False
         assert body["admissibility"]["details"]["closed"] == "dH = 2e^{1345}"
         assert "dual" not in body
 
-    def test_selfdual_witness_report(self, runner):
-        result = invoke(runner, "selfdual", "--rank", "2")
+    def test_selfdual_witness_report(self, run):
+        result = run("selfdual", "--rank", "2")
         body = json.loads(result.stdout)
         assert body["selfdual"] is True
         assert body["flux_matches"] is True
         assert body["witness"]["signs"] == [-1, 1, 1]
 
-    def test_root_system_with_theta(self, runner):
-        result = invoke(
-            runner, "root-system", "--rank", "3", "--theta", "1,3"
+    def test_root_system_with_theta(self, run):
+        result = run(
+            "root-system", "--rank", "3", "--theta", "1,3"
         )
         body = json.loads(result.stdout)
         assert body["count"] == 6
         assert body["flag_dimension"] == 4
         assert [s["dim"] for s in body["summands"]] == [4]
 
-    def test_root_system_reports_normalized_theta(self, runner):
+    def test_root_system_reports_normalized_theta(self, run):
         args = ("--rank", "3", "--theta", "3,1,1")
-        roots = json.loads(invoke(runner, "root-system", *args).stdout)
-        nil = json.loads(invoke(runner, "nilradical", *args).stdout)
+        roots = json.loads(run("root-system", *args).stdout)
+        nil = json.loads(run("nilradical", *args).stdout)
         assert roots["theta"] == nil["theta"] == [1, 3]
-        text = invoke(runner, "root-system", *args, "--format", "text").stdout
+        text = run("root-system", *args, "--format", "text").stdout
         assert "theta: {1,3}\n" in text
 
-    def test_nilradical_legend(self, runner):
-        result = invoke(runner, "nilradical", "--rank", "2")
+    def test_nilradical_legend(self, run):
+        result = run("nilradical", "--rank", "2")
         body = json.loads(result.stdout)
         assert body["presentation"] == "(0,0,-e^{12})"
         assert body["jacobi_ok"] is True
@@ -376,30 +384,30 @@ class TestReports:
 
 
 class TestTextFormat:
-    def test_dualize_text(self, runner):
-        result = invoke(
-            runner, "dualize", "--rank", "2", "--ideal", "3", "--format", "text"
+    def test_dualize_text(self, run):
+        result = run(
+            "dualize", "--rank", "2", "--ideal", "3", "--format", "text"
         )
         lines = result.stdout.splitlines()
         assert "algebra: (0,0,-e^{12})" in lines
         assert "H_dual: -e^{123}" in lines
         assert "certificate: pass" in lines
 
-    def test_correspond_text_targets(self, runner):
-        result = invoke(
-            runner, "correspond", "--rank", "2", "--ideal", "3", "--format", "text"
+    def test_correspond_text_targets(self, run):
+        result = run(
+            "correspond", "--rank", "2", "--ideal", "3", "--format", "text"
         )
         assert "targets:" in result.stdout
         assert "SU(4)/S(U(3)×U(1)) ≅ CP^3" in result.stdout
 
-    def test_root_system_text(self, runner):
-        result = invoke(runner, "root-system", "--rank", "2", "--format", "text")
+    def test_root_system_text(self, run):
+        result = run("root-system", "--rank", "2", "--format", "text")
         lines = result.stdout.splitlines()
         assert lines[0] == "series: A"
         assert "positive roots (3):" in lines
 
-    def test_selfdual_text_undecided(self, runner):
-        result = invoke(runner, "selfdual", "--rank", "3", "--format", "text")
+    def test_selfdual_text_undecided(self, run):
+        result = run("selfdual", "--rank", "3", "--format", "text")
         assert "selfdual: undecided" in result.stdout
         assert "closed: dH = 2e^{1345}" in result.stdout
 
@@ -417,10 +425,10 @@ class TestGcsTransport:
         "dual": {"series": "A", "rank": 3, "theta": [1, 2]},
     }
 
-    def test_transport_report(self, runner, tmp_path):
+    def test_transport_report(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(self.CONFIG))
-        result = invoke(runner, "gcs-transport", "--config", str(cfg))
+        result = run("gcs-transport", "--config", str(cfg))
         body = json.loads(result.stdout)
         assert body["uniform_before"]["ok"] is True
         assert body["uniform_after"]["ok"] is False
@@ -428,23 +436,23 @@ class TestGcsTransport:
             "complex", "symplectic", "symplectic",
         ]
 
-    def test_missing_blocks_is_usage_error(self, runner, tmp_path):
+    def test_missing_blocks_is_usage_error(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"series": "A", "rank": 2, "theta": []}))
-        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        result = run("gcs-transport", "--config", str(cfg))
         assert result.exit_code == 2
 
-    def test_unknown_dual_key_is_usage_error(self, runner, tmp_path):
+    def test_unknown_dual_key_is_usage_error(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(dict(self.CONFIG, dual={"rank": 3, "ideal": [6]})))
-        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        result = run("gcs-transport", "--config", str(cfg))
         assert result.exit_code == 2
         assert "unknown key in dual: 'ideal'" in result.stderr
 
-    def test_non_object_dual_is_usage_error(self, runner, tmp_path):
+    def test_non_object_dual_is_usage_error(self, run, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(dict(self.CONFIG, dual=5)))
-        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        result = run("gcs-transport", "--config", str(cfg))
         assert result.exit_code == 2
         assert "dual must be a JSON object" in result.stderr
 
@@ -463,35 +471,34 @@ class TestGcsTransport:
             ({"kind": "complex", "sign": 1, "a": 3}, "['a']"),
         ],
     )
-    def test_malformed_block_is_usage_error(self, runner, tmp_path, block, message):
+    def test_malformed_block_is_usage_error(self, run, tmp_path, block, message):
         blocks = dict(self.CONFIG["blocks"], **{"1,0": block})
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(dict(self.CONFIG, blocks=blocks)))
-        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        result = run("gcs-transport", "--config", str(cfg))
         assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
         assert "block for signature (1,0)" in result.stderr
         assert message in result.stderr
 
-    def test_unassigned_signature_is_domain_error(self, runner, tmp_path):
+    def test_unassigned_signature_is_domain_error(self, run, tmp_path):
         broken = dict(self.CONFIG, blocks={"1,0": {"kind": "complex", "sign": 1}})
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(broken))
-        result = runner.invoke(main, ["gcs-transport", "--config", str(cfg)])
+        result = run("gcs-transport", "--config", str(cfg))
         assert result.exit_code == 1
         assert "no block assigned" in json.loads(result.stdout)["error"]["message"]
 
 
 class TestGolden:
-    def test_all_jobs_pass(self, runner):
-        result = invoke(runner, "golden")
+    def test_all_jobs_pass(self, run):
+        result = run("golden")
         assert result.exit_code == 0
         lines = result.stdout.splitlines()
         assert len(lines) == 14
         assert all(line.startswith("ok   ") for line in lines)
 
-    def test_list_names_jobs(self, runner):
-        result = invoke(runner, "golden", "--list")
+    def test_list_names_jobs(self, run):
+        result = run("golden", "--list")
         names = result.stdout.split()
         assert len(names) == 14
         assert names == sorted(names)
@@ -499,7 +506,8 @@ class TestGolden:
 
 
 class TestLocale:
-    """Configs are JSON, read as UTF-8 whatever the locale's encoding."""
+    """Configs are JSON, read as UTF-8 whatever the locale's encoding; a
+    text report the locale cannot encode is written as UTF-8."""
 
     def test_unicode_minus_config_in_c_locale(self, tmp_path):
         env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
@@ -523,17 +531,28 @@ class TestLocale:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["targets"][0]["rank"] == 3
 
+    def test_text_report_in_c_locale_is_utf8(self):
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flagflux.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "flagflux.cli", "correspond", "--rank", "2", "--ideal", "3",
+             "--format", "text"],
+            env=env, capture_output=True, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "  SU(4)/S(U(3)×U(1)) ≅ CP^3  [A_3, theta {1,2}]\n".encode("utf-8") in result.stdout
+
 
 class TestLibraryChecks:
     """The CLI reads admissibility off the library's dualization and leaves
     the triple's input rules to AdmissibleTriple."""
 
     @pytest.mark.parametrize("command", ["dualize", "correspond"])
-    def test_checks_admissibility_once(self, runner, monkeypatch, command):
+    def test_checks_admissibility_once(self, run, monkeypatch, command):
         calls = []
         real = tduality.check_admissible
         monkeypatch.setattr(tduality, "check_admissible", lambda t: calls.append(t) or real(t))
-        result = invoke(runner, command, "--rank", "3", "--theta", "2", "--ideal", "5")
+        result = run(command, "--rank", "3", "--theta", "2", "--ideal", "5")
         assert json.loads(result.stdout)["admissibility"]["ok"] is True
         assert len(calls) == 1
 
@@ -556,8 +575,105 @@ class TestCommandFlags:
         ],
     )
     def test_flags(self, command, flags):
-        params = main.commands[command].params
-        assert [opt for p in params for opt in p.opts] == flags + ["--format", "--config"]
+        assert _options(_command_parser(command)) == ["-h", "--help"] + flags + [
+            "--format", "--config"
+        ]
 
     def test_golden_flags(self):
-        assert [opt for p in main.commands["golden"].params for opt in p.opts] == ["--list"]
+        assert _options(_command_parser("golden")) == ["-h", "--help", "--list"]
+
+
+def _command_parser(name):
+    """The argparse parser of one command, read off the CLI's parser."""
+    (commands,) = [
+        action for action in cli._PARSER._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices[name]
+
+
+def _options(parser):
+    return [opt for action in parser._actions for opt in action.option_strings]
+
+
+class TestHelp:
+    def test_main_help_lists_every_command(self, run):
+        result = run("--help")
+        assert result.exit_code == 0
+        text = " ".join(result.stdout.split())
+        for name, spec in cli._COMMANDS.items():
+            assert "%s %s" % (name, spec.help) in text
+        assert "golden Run the bundled jobs" in text
+
+    @pytest.mark.parametrize("command", [*cli._COMMANDS, "golden"])
+    def test_command_help_lists_flags_in_order(self, run, command):
+        result = run(command, "--help")
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        if command == "golden":
+            flags = ["--list"]
+        else:
+            spec = cli._COMMANDS[command]
+            assert spec.help in " ".join(result.stdout.split())
+            flags = [*spec.flags, "--format", "--config"]
+        assert re.findall(r"^  (-[-\w]+)", result.stdout, re.M) == ["-h", *flags]
+
+
+class TestEmbedding:
+    """The call an embedding program makes: main returns the exit code."""
+
+    JOB = "08-correspond-heisenberg.json"
+
+    def test_golden_job_returns_zero_with_expected_bytes(self, capsys, tmp_path):
+        jobs = resources.files("flagflux").joinpath("jobs")
+        job = json.loads(jobs.joinpath(self.JOB).read_text(encoding="utf-8"))
+        config = tmp_path / self.JOB
+        config.write_text(json.dumps(job["config"]))
+        code = main(
+            args=["correspond", "--config", str(config)], standalone_mode=False,
+            prog_name="flagflux",
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out == jobs.joinpath("expected", self.JOB).read_text(encoding="utf-8")
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["correspond"], "flagflux correspond: error: missing --rank"),
+            (["correspond", "--rank", "x"], "argument --rank: invalid int value: 'x'"),
+            (["correspond", "--config", "no-such.json"], "'no-such.json' does not exist"),
+        ],
+    )
+    def test_usage_error_returns_two(self, capsys, args, message):
+        code = main(args=args, standalone_mode=False, prog_name="flagflux")
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_prog_name_names_the_program(self, capsys):
+        assert main(["nilradical"], prog_name="ff", standalone_mode=False) == 2
+        assert "ff nilradical: error: missing --rank" in capsys.readouterr().err
+
+    def test_standalone_mode_exits_with_the_code(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["golden", "--list"])
+        assert exit_info.value.code == 0
+        assert "08-correspond-heisenberg.json" in capsys.readouterr().out
+
+
+class TestImports:
+    def test_cli_imports_only_the_standard_library(self):
+        code = (
+            "import sys; before = set(sys.modules); import flagflux.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flagflux.__file__)))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert "flagflux.cli" in loaded
+        roots = {name.partition(".")[0] for name in loaded}
+        assert roots - set(sys.stdlib_module_names) == {"flagflux"}
