@@ -28,11 +28,13 @@ def echelon(rows):
     """{pivot column: row} of an echelon form of the span of ``rows``.
 
     Each pivot row has its leading (smallest) column at its pivot, with
-    coefficient 1; no two rows share a leading column.
+    coefficient 1; no two rows share a leading column.  Entries are ints and
+    non-integral Fractions: an incoming integral Fraction is stored as its
+    int.
     """
     pivots = {}
     for row in rows:
-        row = {k: v for k, v in row.items() if v}
+        row = {k: _norm(v) for k, v in row.items() if v}
         while row:
             col = min(row)
             pivot = pivots.get(col)

@@ -78,28 +78,17 @@ class CorrespondResult:
     legend: Optional[list] = None
 
 
-def _completes(cells, squares, feasible):
-    """Whether a composition of ``cells`` has block squares summing to ``squares``."""
-    if not cells <= squares <= cells * cells:
-        return False
-    key = (cells, squares)
-    if key not in feasible:
-        feasible[key] = cells == 0 or any(
-            _completes(cells - b, squares - b * b, feasible)
-            for b in range(1, cells + 1)
-        )
-    return feasible[key]
-
-
-def _blocks_of_dim(l, dim, feasible):
+def _blocks_of_dim(l, dim):
     """Levi block sizes of every rank-l flag of dimension dim, each flag
     once, in its larger orientation, by ascending bit mask of its theta.
 
     The dimension depends only on the block sizes b of theta,
     dim = ((l+1)**2 - sum b**2) / 2, so this walks the compositions of l+1
-    with that sum of squares and enters only states that can still be
-    completed.  ``feasible`` memoizes those (cells, squares) states; it does
-    not depend on l or dim, so one dict serves a whole search.
+    with that sum of squares.  A state of c cells and r squares left is
+    entered only when c <= r <= c*c and r - c is even.  No flag is lost:
+    every composition of c cells meets both tests, since b <= b*b <= c*b
+    and b*b - b is even for each of its blocks.  A state that passes them
+    and still cannot be completed ends without output.
 
     The walk picks the last block first, smallest first: theta's mask is
     2**l - 1 less that of the cuts, whose top is l+1 - b_k, so masks compare
@@ -116,8 +105,9 @@ def _blocks_of_dim(l, dim, feasible):
                 found.append(blocks)
             return
         for b in range(1, cells + 1):
-            if _completes(cells - b, squares - b * b, feasible):
-                walk(cells - b, squares - b * b, (b,) + blocks)
+            c, r = cells - b, squares - b * b
+            if c <= r <= c * c and (r - c) % 2 == 0:
+                walk(c, r, (b,) + blocks)
 
     walk(l + 1, (l + 1) ** 2 - 2 * dim, ())
     return found
@@ -133,68 +123,45 @@ def pretty_name(l, theta):
 
 
 def find_targets(dual_algebra):
-    """Parabolic nilradicals of matching dimension, confirmed by witness.
-
-    Every rank is searched.  A rank-l flag with two or more blocks has
-    dimension at least l (CP^l attains it), so no rank above the dual's
-    dimension holds a candidate, and a search that comes up empty proves
-    that no type-A parabolic target exists.  The one-block flags (points,
-    dimension 0) are never targets.  A flag and its diagram flip are one
-    manifold, so each flag is enumerated once, in its larger block
-    orientation (``_blocks_of_dim``), and is one candidate.
-
-    A candidate is decided from its Levi blocks b_1..b_k before it is built.
-    Its nilradical is sum_{p<q} Hom(V_q, V_p), and the product of the full
-    blocks n_pq and n_qr spans the whole block n_pr, so with
-    a(g) = sum_{q-p >= g} b_p b_q the fingerprint has dim = a(1),
-    abelian iff k <= 2, d1_rank = a(2), center_dim = b_1 b_k, lcs_dims =
-    (a(2), a(3), ...) and derived_dims = (a(2), a(4), a(8), ...), each down
-    to its first 0 (``parabolic_fields``).  A candidate whose block fields
-    differ from the dual's is rejected unbuilt and never bracketed.
-
-    A survivor with at most two blocks is abelian of the dual's dimension,
-    so the dual is abelian too and the two presentations are equal: its
-    witness is the identity BasisChange, which is what iso_small returns
-    for an equal pair, and it is decided with no build at all.  Only a
-    survivor with three or more blocks is built, from its blocks with no
-    legend (``nilradical._nilradical``), with its block fields already
-    known, and goes to iso_small, whose own fingerprint comparison computes
-    only d2_rank; a survivor it proves distinct counts as rejected by the
-    fingerprint.  Theta is formed only for a target.
-
-    The block fields are checked in that order, and each of the dual's
-    fields is computed when a candidate first reaches it and then kept on
-    the dual: its d1_rank and center_dim are sparse ranks read off its
-    structure constants, and its bracket series are computed only when some
-    candidate agrees with it on both.  The order cannot change the outcome,
-    since a candidate survives only when all of its fields agree.
+    """Parabolic nilradicals isomorphic to the dual, each with a witness.
 
     Returns (targets, reason); reason is None when targets exist, else a
     deterministic account of why the search came up empty.
+
+    Every rank l from 1 to the dual's dimension is searched, in order: a
+    flag with two or more blocks has dimension at least l (CP^l attains
+    it), so no higher rank holds a candidate, and an empty search proves
+    that no type-A parabolic target exists.  Within a rank the candidates
+    are the flags of the dual's dimension from ``_blocks_of_dim``, each
+    flag once, by ascending theta mask.
+
+    A candidate is decided from its Levi blocks before it is built: every
+    fingerprint field but d2_rank follows from them (``parabolic_fields``,
+    which yields the cheap fields first), and a candidate that differs from
+    the dual in one of them is rejected unbuilt.  A survivor with at most
+    two blocks is abelian of the dual's dimension, as the dual then is, so
+    the two are equal presentations and its witness is the identity.  A
+    survivor with three or more blocks is built (``nilradical._nilradical``)
+    with its block fields already known, and goes to iso_small; one that
+    iso_small proves distinct counts as rejected by the fingerprint.  Theta
+    is formed only for a target.
     """
     dim = dual_algebra.dim
-    feasible = {}
     targets = []
     candidates = 0
     rejected = 0
     unconfirmed = 0
     for l in range(1, dim + 1):
-        for blocks in _blocks_of_dim(l, dim, feasible):
+        for blocks in _blocks_of_dim(l, dim):
             candidates += 1
-            # the block fields are kept as they stream, for a survivor's memo
-            known = {}
-            fields = (
-                (name, known.setdefault(name, value))
-                for name, value in parabolic_fields(blocks)
-            )
-            if _first_difference(fields, dual_algebra) is not None:
+            if _first_difference(parabolic_fields(blocks), dual_algebra) is not None:
                 rejected += 1
                 continue
             if len(blocks) <= 2:
                 witness = BasisChange(tuple(range(1, dim + 1)), (1,) * dim)
             else:
                 cand, _units = _nilradical(blocks)
-                cand._invariants.update(known)
+                cand._invariants.update(parabolic_fields(blocks))
                 iso = iso_small(cand, dual_algebra)
                 if iso.witness is None:
                     if iso.proved_distinct:

@@ -71,19 +71,21 @@ class Form:
     """Sparse exterior form: degree plus {increasing index tuple: coeff}.
 
     ``Form(degree, terms)``, ``from_terms``, ``parse_form`` and
-    ``parse_malcev`` are where forms enter: they check every key (int
-    indices, not bools, strictly increasing from 1, as many as the degree)
-    and every coefficient (int or Fraction, not a bool or float), reduce an
-    integral Fraction to an int and drop zeros.  The results of form
-    arithmetic (+, -, scalar *, wedge, interior, ce_diff) are built by the
-    kernel from such terms, already sorted, normalized and nonzero, in a
-    fresh dict, so ``_adopt`` stores them as they are.  ``terms`` is never
-    written to after construction.
+    ``parse_malcev`` are where forms enter: they check the degree (an int,
+    not a bool), every key (int indices, not bools, strictly increasing
+    from 1, as many as the degree) and every coefficient (int or Fraction,
+    not a bool or float), reduce an integral Fraction to an int and drop
+    zeros.  The results of form arithmetic (+, -, scalar *, wedge,
+    interior, ce_diff) are built by the kernel from such terms, already
+    sorted, normalized and nonzero, in a fresh dict, so ``_adopt`` stores
+    them as they are.  ``terms`` is never written to after construction.
     """
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree, terms=None):
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise TypeError("degree must be an integer, got %r" % (degree,))
         if degree < 0:
             raise ValueError("degree must be non-negative")
         self.degree = degree

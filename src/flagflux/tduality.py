@@ -60,8 +60,9 @@ class AdmissibleTriple:
 
     Construction rejects what is not such a triple, first failure first: an
     algebra that fails the Jacobi identity (naming the first de^k with
-    d(de^k) != 0), a flux index beyond the dimension, an ideal slot outside
-    1..dim, a flux that is not a 3-form.  Whether the ideal is abelian, the
+    d(de^k) != 0), a flux index beyond the dimension, an ideal slot that is
+    not an int or is a bool (TypeError), an ideal slot outside 1..dim, a
+    flux that is not a 3-form.  Whether the ideal is abelian, the
     flux closed and so on is check_admissible's report, not a construction
     error.
     """
@@ -82,7 +83,10 @@ class AdmissibleTriple:
                 "flux references index %d beyond dimension %d"
                 % (self.flux.max_index(), self.algebra.dim)
             )
-        ideal = tuple(sorted(set(self.ideal)))
+        ideal = tuple(self.ideal)
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in ideal):
+            raise TypeError("ideal %r: slots must be integers" % (ideal,))
+        ideal = tuple(sorted(set(ideal)))
         if any(not 1 <= k <= self.algebra.dim for k in ideal):
             raise ValueError("ideal %r outside 1..%d" % (self.ideal, self.algebra.dim))
         if self.flux.degree != 3:
@@ -332,7 +336,8 @@ class BasisChange:
     This is the one relabelling of slots: iso_small's witnesses are signed
     changes, and dualization moves a non-trailing ideal to the trailing
     slots by the unit-sign change along its slot map's permutation.
-    Construction rejects a perm that is not a permutation of 1..n and signs
+    Construction rejects a perm entry that is not an int or is a bool
+    (TypeError), a perm that is not a permutation of 1..n and signs
     that are not n values of 1 or -1, so ``apply`` moves each nonzero
     constant to a distinct key with its sign and adopts the forms it
     builds; their filtration is still checked, since a permutation can
@@ -345,6 +350,8 @@ class BasisChange:
 
     def __post_init__(self):
         n = len(self.perm)
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in self.perm):
+            raise TypeError("perm %r: entries must be integers" % (self.perm,))
         if sorted(self.perm) != list(range(1, n + 1)):
             raise ValueError("perm %r is not a permutation of 1..%d" % (self.perm, n))
         if len(self.signs) != n or not all(type(s) is int and s in (1, -1) for s in self.signs):

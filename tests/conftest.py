@@ -333,6 +333,40 @@ def canonical_theta_oracle(l, theta):
     return flipped if blocks[::-1] > blocks else theta
 
 
+@functools.lru_cache(maxsize=None)
+def _completes_oracle(cells, squares):
+    """Whether a composition of ``cells`` has block squares summing to ``squares``."""
+    if not cells <= squares <= cells * cells:
+        return False
+    return cells == 0 or any(
+        _completes_oracle(cells - b, squares - b * b) for b in range(1, cells + 1)
+    )
+
+
+def blocks_of_dim_oracle(l, dim):
+    """Block sizes of the rank-l flags of dimension dim, as the target search
+    lists them, by a walk that enters only states known to complete.
+
+    Each (cells, squares) state is decided by recursion over every block
+    that could come next, memoized, so the walk never enters a dead state;
+    the output order is the search's (last block first, smallest first), and
+    a flag is kept in its larger orientation.
+    """
+    found = []
+
+    def walk(cells, squares, blocks):
+        if not cells:
+            if blocks >= blocks[::-1]:
+                found.append(blocks)
+            return
+        for b in range(1, cells + 1):
+            if _completes_oracle(cells - b, squares - b * b):
+                walk(cells - b, squares - b * b, (b,) + blocks)
+
+    walk(l + 1, (l + 1) ** 2 - 2 * dim, ())
+    return found
+
+
 def find_targets_oracle(dual):
     """(targets, reason) of the target search, by brute force: ``targets`` is
     a list of (FlagSpec, witness) pairs.

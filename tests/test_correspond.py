@@ -35,6 +35,7 @@ from flagflux import tduality
 from flagflux.rootsys import block_sizes, theta_of_blocks
 
 from conftest import (
+    blocks_of_dim_oracle,
     canonical_theta_oracle,
     find_targets_oracle,
     mask_dim_oracle,
@@ -65,24 +66,29 @@ class TestThetaDimTable:
                 assert 25 - sum(b * b for b in block_sizes(4, theta)) == 2 * dim
 
     def test_enumerator_matches_oracle(self):
-        # content and order, with one memo shared as in find_targets: the
-        # oracle's thetas with a flip of the same flag kept once, by the
-        # oracle's own rule; the walk yields block sizes, and each maps to
-        # its theta and back
-        feasible = {}
+        # content and order: the oracle's thetas with a flip of the same flag
+        # kept once, by the oracle's own rule; the walk yields block sizes,
+        # and each maps to its theta and back
         for l in range(1, 15):
             table = theta_dim_oracle(l)
             for dim in range(l * (l + 1) // 2 + 2):
                 want = [t for t in table.get(dim, []) if canonical_theta_oracle(l, t) == t]
-                found = C._blocks_of_dim(l, dim, feasible)
+                found = C._blocks_of_dim(l, dim)
                 assert [theta_of_blocks(blocks) for blocks in found] == want, (l, dim)
                 assert all(blocks == block_sizes(l, theta_of_blocks(blocks)) for blocks in found)
 
+    def test_enumerator_matches_memo_walk(self):
+        # content and order at every rank the search walks, past the reach of
+        # the 2**l theta table: a rank-l flag of dimension dim has l <= dim
+        # unless it is a point, and two ranks beyond that must come up empty
+        for dim in range(61):
+            for l in range(1, dim + 3):
+                assert C._blocks_of_dim(l, dim) == blocks_of_dim_oracle(l, dim), (l, dim)
+
     def test_no_theta_above_dim(self):
-        feasible = {}
         for dim in range(1, 30):
             for l in range(dim + 1, 2 * dim + 10):
-                assert C._blocks_of_dim(l, dim, feasible) == [], (l, dim)
+                assert C._blocks_of_dim(l, dim) == [], (l, dim)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
@@ -92,7 +98,7 @@ class TestThetaDimTable:
         blocks = tuple(blocks)
         larger, smaller = max(blocks, blocks[::-1]), min(blocks, blocks[::-1])
         l = sum(blocks) - 1
-        found = C._blocks_of_dim(l, mask_dim_oracle(l, theta_mask(theta_of_blocks(blocks))), {})
+        found = C._blocks_of_dim(l, mask_dim_oracle(l, theta_mask(theta_of_blocks(blocks))))
         assert larger in found
         if smaller != larger:
             assert smaller not in found

@@ -89,6 +89,15 @@ class TestForm:
         with pytest.raises(TypeError):
             Form.from_terms(degree, terms.items())
 
+    @pytest.mark.parametrize("degree", [2.0, True, False, "2"])
+    def test_rejects_non_int_degree(self, degree):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            Form(degree)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            Form(degree, {})
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            Form.from_terms(degree, [])
+
     def test_rejects_bool_scalar(self):
         with pytest.raises(TypeError):
             Form.basis(1, 2) * True

@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagflux import Form
 from flagflux._linalg import echelon, nullspace, rank
 
 from conftest import coefficients, nullspace_oracle, rref_oracle
@@ -84,16 +83,22 @@ class TestSparseElimination:
         assert nullspace([], 2) == [[1, 0], [0, 1]]
 
 
+integral_fractions = st.integers(min_value=-5, max_value=5).filter(bool).map(Fraction)
+
+
 @settings(max_examples=100)
 @given(
     st.lists(
-        st.dictionaries(st.integers(0, 5), coefficients, max_size=4), max_size=6
+        st.dictionaries(
+            st.integers(0, 5), st.one_of(coefficients, integral_fractions), max_size=4
+        ),
+        max_size=6,
     )
 )
+@example([{0: Fraction(1), 1: Fraction(2)}])
 def test_echelon_rows_hold_no_integral_fraction(rows):
-    # rows of reduced coefficients, as form terms hold, give pivot rows of
-    # ints and non-integral Fractions only
-    rows = [{k: Form(0, {(): c}).terms[()] for k, c in row.items()} for row in rows]
+    # rows that may hold integral Fractions, as dense bracket vectors do,
+    # give pivot rows of ints and non-integral Fractions only
     for row in echelon(rows).values():
         for c in row.values():
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1), row

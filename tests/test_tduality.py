@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -120,6 +121,14 @@ class TestAdmissibility:
             AdmissibleTriple(p, (0,), Form.zero(3))
         with pytest.raises(ValueError):
             AdmissibleTriple(p, (4,), Form.zero(3))
+
+    @pytest.mark.parametrize("ideal", [(3.0,), ("3",), (True,), (2, False), (Fraction(3),)])
+    def test_ideal_slots_must_be_ints(self, ideal):
+        # a float or bool slot would pass the range check and reach the
+        # slot map; a str one would fail in the sort with no message
+        p = parse_malcev(HEISENBERG)
+        with pytest.raises(TypeError, match="slots must be integers"):
+            AdmissibleTriple(p, ideal, Form.zero(3))
 
 
 @st.composite
@@ -751,6 +760,13 @@ class TestBasisChange:
         # not get that far
         with pytest.raises(ValueError):
             BasisChange(perm, signs)
+
+    @pytest.mark.parametrize("perm", [(True, 2, 3), (1, 2, 3.0), ("1", 2, 3), (Fraction(1), 2, 3)])
+    def test_rejects_non_int_perm_entries(self, perm):
+        # a bool, float or integral Fraction entry equals its int, so the
+        # permutation check alone would pass it; a str one fails the sort
+        with pytest.raises(TypeError, match="entries must be integers"):
+            BasisChange(perm, (1, 1, 1))
 
     @pytest.mark.parametrize(
         "rewrite, sizes",
