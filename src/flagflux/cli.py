@@ -344,6 +344,10 @@ def _run_correspond(cfg):
     report["targets"] = [t.to_json() for t in result.targets]
     if result.search_reason is not None:
         report["search_reason"] = result.search_reason
+    if result.unconfirmed:
+        report["unconfirmed"] = [
+            dict(spec.to_json(), reason=why) for spec, why in result.unconfirmed
+        ]
     return report
 
 
@@ -364,6 +368,15 @@ def _text_correspond(report):
     else:
         lines.append("targets: none")
         lines.append("reason: %s" % report.get("search_reason", ""))
+    if "unconfirmed" in report:
+        lines.append(
+            "unconfirmed: %s"
+            % "; ".join(
+                "%s_%d, theta {%s} (%s)"
+                % (u["series"], u["rank"], ",".join(str(v) for v in u["theta"]), u["reason"])
+                for u in report["unconfirmed"]
+            )
+        )
     return lines
 
 

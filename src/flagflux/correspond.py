@@ -10,12 +10,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exterior import Form, wedge
-from .nilradical import _nilradical, nilradical_presentation, parabolic_fields
+from .nilradical import _nilradical, nilradical_presentation
 from .rootsys import FlagSpec, block_sizes, theta_of_blocks, three_summand_dims
 from .tduality import (
     AdmissibleTriple,
     BasisChange,
     DualityError,
+    _ORDER,
     _first_difference,
     dualize,
     duality_certificate,
@@ -74,6 +75,7 @@ class CorrespondResult:
     certificate: object
     targets: list
     search_reason: Optional[str]
+    unconfirmed: list  # (FlagSpec, iso_small reason) of each undecided candidate
     source_spec: Optional[FlagSpec] = None
     legend: Optional[list] = None
 
@@ -122,11 +124,19 @@ def pretty_name(l, theta):
     return name
 
 
+# The fingerprint fields that a flag's Levi blocks give, cheapest first.
+_BLOCK_ORDER = tuple(row for row in _ORDER if row.blocks is not None)
+
+
 def find_targets(dual_algebra):
     """Parabolic nilradicals isomorphic to the dual, each with a witness.
 
-    Returns (targets, reason); reason is None when targets exist, else a
-    deterministic account of why the search came up empty.
+    Returns (targets, reason, unconfirmed); reason is None when targets
+    exist, else a deterministic account of why the search came up empty.
+    unconfirmed lists (spec, iso_small reason) for each candidate that
+    agrees with the dual on every fingerprint field but that iso_small
+    could neither map onto it nor prove distinct, whether or not targets
+    exist.
 
     Every rank l from 1 to the dual's dimension is searched, in order: a
     flag with two or more blocks has dimension at least l (CP^l attains
@@ -136,51 +146,54 @@ def find_targets(dual_algebra):
     flag once, by ascending theta mask.
 
     A candidate is decided from its Levi blocks before it is built: every
-    fingerprint field but d2_rank follows from them (``parabolic_fields``,
-    which yields the cheap fields first), and a candidate that differs from
-    the dual in one of them is rejected unbuilt.  A survivor with at most
-    two blocks is abelian of the dual's dimension, as the dual then is, so
-    the two are equal presentations and its witness is the identity.  A
-    survivor with three or more blocks is built (``nilradical._nilradical``)
-    with its block fields already known, and goes to iso_small; one that
-    iso_small proves distinct counts as rejected by the fingerprint.  Theta
-    is formed only for a target.
+    fingerprint field but d2_rank follows from them (the ``blocks`` column
+    of ``tduality._FIELDS``), and the comparison walks those fields
+    cheapest first, computing each block value only when it is reached, so
+    a candidate that differs from the dual in one of them is rejected
+    unbuilt.  A survivor with at most two blocks is abelian of the dual's
+    dimension, as the dual then is, so the two are equal presentations and
+    its witness is the identity.  A survivor with three or more blocks is
+    built (``nilradical._nilradical``) with its block fields already
+    known, and goes to iso_small; one that iso_small proves distinct counts
+    as rejected by the fingerprint.  Theta is formed only for a target or
+    an unconfirmed candidate.
     """
     dim = dual_algebra.dim
     targets = []
+    unconfirmed = []
     candidates = 0
     rejected = 0
-    unconfirmed = 0
     for l in range(1, dim + 1):
         for blocks in _blocks_of_dim(l, dim):
             candidates += 1
-            if _first_difference(parabolic_fields(blocks), dual_algebra) is not None:
+            differs = _first_difference(lambda row: row.blocks(blocks), dual_algebra, _BLOCK_ORDER)
+            if differs is not None:
                 rejected += 1
                 continue
             if len(blocks) <= 2:
                 witness = BasisChange(tuple(range(1, dim + 1)), (1,) * dim)
             else:
                 cand, _units = _nilradical(blocks)
-                cand._invariants.update(parabolic_fields(blocks))
+                cand._invariants.update((row.name, row.blocks(blocks)) for row in _BLOCK_ORDER)
                 iso = iso_small(cand, dual_algebra)
                 if iso.witness is None:
                     if iso.proved_distinct:
                         rejected += 1
                     else:
-                        unconfirmed += 1
+                        unconfirmed.append((FlagSpec("A", l, theta_of_blocks(blocks)), iso.reason))
                     continue
                 witness = iso.witness
             theta = theta_of_blocks(blocks)
             targets.append(TargetCandidate(FlagSpec("A", l, theta), witness, pretty_name(l, theta)))
     if targets:
-        return targets, None
+        return targets, None, unconfirmed
     reason = (
         "no parabolic nilradical, every rank searched, is isomorphic to the dual: "
         "%d candidates of dimension %d, %d rejected by invariant fingerprint, "
         "%d unconfirmed within search budget"
-        % (candidates, dim, rejected, unconfirmed)
+        % (candidates, dim, rejected, len(unconfirmed))
     )
-    return targets, reason
+    return targets, reason, unconfirmed
 
 
 def correspond_presentation(algebra, ideal, flux):
@@ -193,7 +206,7 @@ def correspond_presentation(algebra, ideal, flux):
     triple = AdmissibleTriple(algebra, tuple(ideal), flux)
     dualization = dualize(triple)
     certificate = duality_certificate(triple, dualization)
-    targets, reason = find_targets(dualization.dual.algebra)
+    targets, reason, unconfirmed = find_targets(dualization.dual.algebra)
     return CorrespondResult(
         algebra,
         triple.ideal,
@@ -203,6 +216,7 @@ def correspond_presentation(algebra, ideal, flux):
         certificate,
         targets,
         reason,
+        unconfirmed,
     )
 
 

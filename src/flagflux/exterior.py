@@ -382,7 +382,10 @@ def parse_form(text, degree=None):
     With degree=None the degree is taken from the terms, which must agree;
     a bare "0" then parses as the zero 3-form, the common flux case.  A
     0-form (degree=0) is a lone signed rational, as print_form writes it.
+    A degree that is not an int, or is a bool, raises TypeError.
     """
+    if degree is not None and (not isinstance(degree, int) or isinstance(degree, bool)):
+        raise TypeError("degree must be an integer, got %r" % (degree,))
     sc = _Scanner(text)
     items = [((), sc.sign() * sc.rational())] if degree == 0 else sc.entry()
     sc.skip_ws()

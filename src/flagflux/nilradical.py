@@ -18,10 +18,11 @@ constant, and the cost follows the size of the presentation, not the
 square of its dimension.
 
 Most of the fingerprint of n = sum_{p<q} Hom(V_q, V_p) follows from the
-block sizes b_1..b_k alone (``parabolic_fields``).  The product of the full
-blocks n_pq and n_qr spans the whole block n_pr, so the bracket of the
-blocks of gap >= g with those of gap >= h is the sum of the blocks of gap
->= g + h.  With a(g) = sum_{q-p >= g} b_p b_q:
+block sizes b_1..b_k alone; the ``blocks`` column of ``tduality._FIELDS``
+reads it off with these formulas.  The product of the full blocks n_pq and
+n_qr spans the whole block n_pr, so the bracket of the blocks of gap >= g
+with those of gap >= h is the sum of the blocks of gap >= g + h.  With
+a(g) = sum_{q-p >= g} b_p b_q:
 
     dim = a(1), abelian iff k <= 2,
     d1_rank = dim [n, n] = a(2), center_dim = b_1 b_k,
@@ -32,12 +33,6 @@ The center is spanned by root vectors, and a unit of n_pq brackets a unit
 of n_(p-1)p or of n_q(q+1) to a nonzero one unless p = 1 and q = k, so the
 center is the corner block n_1k.  The rank of d on 1-forms is the rank of
 the structure constants, which is dim [n, n].
-
-``parabolic_fields`` yields the fields in the order above, not in
-fingerprint order: d1_rank and center_dim cost the other side of a
-comparison one sparse rank each, while the two series cost it a round of
-brackets per entry, so a candidate that differs from the dual in a cheap
-field never makes the dual compute a series.
 """
 
 from collections import namedtuple
@@ -97,43 +92,6 @@ def _nilradical(blocks):
     # each key (a, b) has a < b and a +-1 value, and each bracket lands in a
     # later slot, so the forms and their filtration hold by construction
     return MalcevPresentation._adopt([Form._adopt(2, d) for d in diffs]), units
-
-
-def parabolic_fields(blocks):
-    """(name, value) fingerprint fields of the nilradical with these Levi
-    block sizes, read off the blocks alone (see the module docstring).
-
-    Yields dim, abelian, d1_rank, center_dim, lcs_dims and derived_dims, in
-    that order, cheapest first for the other side of a comparison.  Never
-    yields d2_rank, and stops after "abelian" when there are at most two
-    blocks: two abelian algebras of one dimension are equal presentations,
-    so no further field can tell them apart.
-
-    Examples::
-
-        >>> dict(parabolic_fields((1, 1, 1)))["lcs_dims"]
-        (1, 0)
-    """
-    k = len(blocks)
-
-    def a(gap):
-        return sum(blocks[p] * blocks[q] for p in range(k) for q in range(p + gap, k))
-
-    def series(step):
-        dims, gap = [], 2
-        while not dims or dims[-1]:
-            dims.append(a(gap))
-            gap = step(gap)
-        return tuple(dims)
-
-    yield "dim", a(1)
-    yield "abelian", k <= 2
-    if k <= 2:
-        return
-    yield "d1_rank", a(2)
-    yield "center_dim", blocks[0] * blocks[-1]
-    yield "lcs_dims", series(lambda gap: gap + 1)
-    yield "derived_dims", series(lambda gap: 2 * gap)
 
 
 def jacobi_check(p):

@@ -113,6 +113,8 @@ def build_root_system(series, rank):
     """
     if series != "A":
         raise UnsupportedSeriesError("only series A is supported, got %r" % series)
+    if type(rank) is not int:
+        raise TypeError("rank %r must be an integer" % (rank,))
     if rank < 1:
         raise ValueError("rank must be >= 1")
     roots = tuple(
@@ -205,6 +207,8 @@ def isotropy_summands(rs, theta):
 
 def three_summand_dims(l, m, n):
     """Summand dimensions for Theta = Sigma minus {alpha_l, alpha_{l+m}}."""
+    if not all(type(b) is int for b in (l, m, n)):
+        raise TypeError("block sizes %r must be integers" % ((l, m, n),))
     if min(l, m, n) < 1:
         raise ValueError("block sizes must be >= 1")
     return l * m, m * n, l * n

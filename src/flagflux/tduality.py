@@ -20,6 +20,7 @@ dual's algebra and flux rather than recomputing them.
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -589,24 +590,51 @@ def _diff_rank(p, degree):
     return rank([ce_diff(p, Form(degree, {key: 1})).terms for key in keys])
 
 
-# The fingerprint's fields, in the order compare_fingerprints tests them.
+def _gap_dim(b, gap):
+    """a(gap) of the flag nilradical with Levi block sizes b (``nilradical`` docstring)."""
+    return sum(b[p] * b[q] for p in range(len(b)) for q in range(p + gap, len(b)))
+
+
+def _block_series(b, lower):
+    """``_bracket_series`` read off the Levi block sizes b."""
+    dims, gap = [], 2
+    while not dims or dims[-1]:
+        dims.append(_gap_dim(b, gap))
+        gap = gap + 1 if lower else 2 * gap
+    return tuple(dims)
+
+
+_Field = namedtuple("_Field", "name built blocks cost")
+
+# One row per fingerprint field, in fingerprint order: its value on a built
+# presentation, on a flag nilradical's Levi block sizes (None when they do
+# not give it) and its cost: 0 is read off, 1 and 2 one sparse rank (of the
+# differentials, of the ad rows), 3 a bracket round per entry, 4 the rank
+# of d on every 2-form.
 _FIELDS = (
-    ("dim", lambda p: p.dim),
-    ("abelian", MalcevPresentation.is_abelian),
-    ("lcs_dims", lambda p: _bracket_series(p, lower=True)),
-    ("derived_dims", lambda p: _bracket_series(p, lower=False)),
-    ("center_dim", _center_dim),
-    ("d1_rank", lambda p: rank(f.terms for f in p.differentials)),
-    ("d2_rank", lambda p: _diff_rank(p, 2)),
+    _Field("dim", lambda p: p.dim, lambda b: _gap_dim(b, 1), 0),
+    _Field("abelian", MalcevPresentation.is_abelian, lambda b: len(b) <= 2, 0),
+    _Field("lcs_dims", lambda p: _bracket_series(p, True), lambda b: _block_series(b, True), 3),
+    _Field(
+        "derived_dims", lambda p: _bracket_series(p, False), lambda b: _block_series(b, False), 3
+    ),
+    _Field("center_dim", _center_dim, lambda b: b[0] * b[-1], 2),
+    _Field(
+        "d1_rank", lambda p: rank(f.terms for f in p.differentials), lambda b: _gap_dim(b, 2), 1
+    ),
+    _Field("d2_rank", lambda p: _diff_rank(p, 2), None, 4),
 )
 
+# Every comparison walks the fields cheapest first; ties keep fingerprint order.
+_ORDER = tuple(sorted(_FIELDS, key=lambda row: row.cost))
 
-def _field(p, name, compute):
+
+def _field(p, row):
     """One field of p's fingerprint, computed on first use and kept on p."""
     memo = p._invariants
-    if name not in memo:
-        memo[name] = compute(p)
-    return memo[name]
+    if row.name not in memo:
+        memo[row.name] = row.built(p)
+    return memo[row.name]
 
 
 def fingerprint(p):
@@ -617,37 +645,37 @@ def fingerprint(p):
     most once per presentation and freed with it; nothing is kept
     process-wide.
     """
-    return tuple(_field(p, name, compute) for name, compute in _FIELDS)
+    return tuple(_field(p, row) for row in _FIELDS)
 
 
-def _first_difference(fields, q):
-    """Name of the first of ``fields``, (name, value) pairs in whatever
-    order they come, whose value differs from q's; None when all agree.
+def _first_difference(value, q, rows=_ORDER):
+    """Name of the first of ``rows`` on which value(row), the other side's
+    field, differs from q's field; None when they agree on all of them.
 
-    q's field is computed (or reused) only when the pair is reached, so a
-    lazy ``fields`` that stops early spares q the fields after it, and a
-    stream that puts cheap fields first (``parabolic_fields``) spares q its
-    costly ones whenever a cheap one differs.
+    Both values are asked for only when the walk reaches the row, so a cheap
+    field that differs spares both sides the costly ones.  The walk stops
+    once both sides are abelian: two abelian algebras of one dimension are
+    equal presentations, so no further field can tell them apart.
     """
-    computes = dict(_FIELDS)
-    for name, value in fields:
-        if value != _field(q, name, computes[name]):
-            return name
+    for row in rows:
+        mine = value(row)
+        if mine != _field(q, row):
+            return row.name
+        if row.name == "abelian" and mine:
+            break
     return None
 
 
 def compare_fingerprints(p, q):
-    """(equal, first differing field name); a field of the two fingerprints
-    is computed only when every field before it agreed.
+    """(equal, cheapest differing field name); a field of the two
+    fingerprints is computed only when every cheaper field agreed.
 
     Equal presentations compare equal without computing any field; any other
     pair computes (or reuses) the fields memoized on each presentation.
     """
     if p == q:
         return True, None
-    differs = _first_difference(
-        ((name, _field(p, name, compute)) for name, compute in _FIELDS), q
-    )
+    differs = _first_difference(lambda row: _field(p, row), q)
     return differs is None, differs
 
 

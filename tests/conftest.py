@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from flagflux import FlagSpec, Form, MalcevPresentation, Root
-from flagflux import ce_diff, fingerprint, iso_small, nilradical_presentation, print_form
+from flagflux import AdmissibleTriple, FlagSpec, Form, MalcevPresentation, Root
+from flagflux import ce_diff, dualize, fingerprint, iso_small, nilradical_presentation, print_form
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -368,8 +368,9 @@ def blocks_of_dim_oracle(l, dim):
 
 
 def find_targets_oracle(dual):
-    """(targets, reason) of the target search, by brute force: ``targets`` is
-    a list of (FlagSpec, witness) pairs.
+    """(targets, reason, unconfirmed) of the target search, by brute force:
+    ``targets`` is a list of (FlagSpec, witness) pairs and ``unconfirmed``
+    one of (FlagSpec, iso_small reason) pairs.
 
     Every theta of every rank 1..dim is tried, from the 2**l masks of
     ``theta_dim_oracle``; a flag and its diagram flip count once, as the
@@ -380,8 +381,8 @@ def find_targets_oracle(dual):
     """
     dim = dual.dim
     dual_fp = fingerprint(MalcevPresentation(dual.differentials))
-    seen, targets = set(), []
-    rejected = unconfirmed = 0
+    seen, targets, unconfirmed = set(), [], []
+    rejected = 0
     for l in range(1, dim + 1):
         for theta in _theta_table(l).get(dim, ()):
             canon = canonical_theta_oracle(l, theta)
@@ -395,16 +396,27 @@ def find_targets_oracle(dual):
                 continue
             iso = iso_small(cand, dual)
             if iso.witness is None:
-                unconfirmed += 1
+                unconfirmed.append((spec, iso.reason))
             else:
                 targets.append((spec, iso.witness))
     if targets:
-        return targets, None
+        return targets, None, unconfirmed
     return targets, (
         "no parabolic nilradical, every rank searched, is isomorphic to the dual: "
         "%d candidates of dimension %d, %d rejected by invariant fingerprint, "
-        "%d unconfirmed within search budget" % (len(seen), dim, rejected, unconfirmed)
-    )
+        "%d unconfirmed within search budget" % (len(seen), dim, rejected, len(unconfirmed))
+    ), unconfirmed
+
+
+def fingerprint_tie_dual():
+    """The dual triple of n(2,5,2) along its corner block, with H = 0.
+
+    Correspond on it dualizes back to n(2,5,2), whose fingerprint ties with
+    that of n(4,4,1), a different algebra (dim Der 112 against 152) that
+    iso_small cannot decide within its budget.
+    """
+    p, _legend = nilradical_presentation(FlagSpec("A", 8, (1, 3, 4, 5, 6, 8)))
+    return dualize(AdmissibleTriple(p, (21, 22, 23, 24), Form.zero(3))).dual
 
 
 def rref_oracle(rows, ncols):

@@ -10,10 +10,29 @@ from importlib import resources
 import pytest
 
 import flagflux
-from flagflux import cli, tduality
+from flagflux import cli, print_form, print_malcev, tduality
 from flagflux.cli import main
 
+from conftest import fingerprint_tie_dual
+
 Result = namedtuple("Result", "exit_code stdout stderr")
+
+
+@pytest.fixture()
+def tie_config(tmp_path):
+    """Config of ``fingerprint_tie_dual``."""
+    dual = fingerprint_tie_dual()
+    cfg = tmp_path / "tie.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "algebra": print_malcev(dual.algebra),
+                "ideal": list(dual.ideal),
+                "flux": print_form(dual.flux),
+            }
+        )
+    )
+    return str(cfg)
 
 
 @pytest.fixture()
@@ -307,6 +326,20 @@ class TestReports:
             "SU(4)/S(U(3)×U(1)) ≅ CP^3"
         ]
         assert "search_reason" not in body
+        assert "unconfirmed" not in body
+
+    def test_correspond_reports_unconfirmed_beside_targets(self, run, tie_config):
+        body = json.loads(run("correspond", "--config", tie_config).stdout)
+        assert [t["theta"] for t in body["targets"]] == [[1, 3, 4, 5, 6, 8]]
+        assert "search_reason" not in body
+        assert body["unconfirmed"] == [
+            {
+                "series": "A",
+                "rank": 8,
+                "theta": [1, 2, 3, 5, 6, 7],
+                "reason": "budget exhausted after 20000 candidates",
+            }
+        ]
 
     def test_correspond_empty_targets_reason(self, run, tmp_path):
         cfg = tmp_path / "job.json"
@@ -399,6 +432,13 @@ class TestTextFormat:
         )
         assert "targets:" in result.stdout
         assert "SU(4)/S(U(3)×U(1)) ≅ CP^3" in result.stdout
+        assert "unconfirmed" not in result.stdout
+
+    def test_correspond_text_unconfirmed(self, run, tie_config):
+        lines = run("correspond", "--config", tie_config, "--format", "text").stdout.splitlines()
+        assert lines[-1] == (
+            "unconfirmed: A_8, theta {1,2,3,5,6,7} (budget exhausted after 20000 candidates)"
+        )
 
     def test_root_system_text(self, run):
         result = run("root-system", "--rank", "2", "--format", "text")

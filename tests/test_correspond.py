@@ -38,6 +38,7 @@ from conftest import (
     blocks_of_dim_oracle,
     canonical_theta_oracle,
     find_targets_oracle,
+    fingerprint_tie_dual,
     mask_dim_oracle,
     theta_dim_oracle,
 )
@@ -183,6 +184,14 @@ class TestTargets:
             candidate, _ = nilradical_presentation(t.spec)
             assert t.witness.apply(dual) == candidate
 
+    def test_undecided_candidate_is_reported_beside_a_target(self):
+        dual = fingerprint_tie_dual()
+        result = correspond_presentation(dual.algebra, dual.ideal, dual.flux)
+        assert [t.spec for t in result.targets] == [FlagSpec("A", 8, (1, 3, 4, 5, 6, 8))]
+        assert result.search_reason is None
+        tied = FlagSpec("A", 8, theta_of_blocks((4, 4, 1)))
+        assert result.unconfirmed == [(tied, "budget exhausted after 20000 candidates")]
+
     def test_deterministic(self):
         a = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
         b = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
@@ -281,10 +290,11 @@ def last_summand_flag(rank, theta):
 
 
 def assert_matches_oracle(dual):
-    targets, reason = find_targets(dual)
-    want_targets, want_reason = find_targets_oracle(dual)
+    targets, reason, unconfirmed = find_targets(dual)
+    want_targets, want_reason, want_unconfirmed = find_targets_oracle(dual)
     assert [(t.spec, t.witness) for t in targets] == want_targets
     assert reason == want_reason
+    assert unconfirmed == want_unconfirmed
 
 
 class TestFindTargetsOracle:
@@ -417,6 +427,11 @@ class TestThreeSummand:
         report = three_summand_correspond(size, size, size)
         assert report.ok, report.notes
         assert report.cp_target.spec == FlagSpec("A", total, tuple(range(1, total)))
+
+    @pytest.mark.parametrize("sizes", [(True, 1, 1), (1, 1.0, 1), (1, 1, "2")])
+    def test_non_int_block_sizes_rejected(self, sizes):
+        with pytest.raises(TypeError):
+            three_summand_correspond(*sizes)
 
     def test_dual_is_abelian_with_flux(self):
         report = three_summand_correspond(2, 2, 2)

@@ -400,6 +400,13 @@ class TestParser:
         with pytest.raises(MalcevSyntaxError):
             parse_form("0garbage", 2)
 
+    @pytest.mark.parametrize(
+        "text,degree", [("e^{12}", 2.0), ("e^{1}", True), ("3", 0.0), ("0", 2.0), ("e^{12}", "2")]
+    )
+    def test_non_int_degree_rejected(self, text, degree):
+        with pytest.raises(TypeError):
+            parse_form(text, degree)
+
 
 class TestPrinter:
     def test_unit_coefficients(self):

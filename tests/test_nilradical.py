@@ -19,7 +19,6 @@ from flagflux import (
     print_malcev,
 )
 from flagflux import tduality
-from flagflux.nilradical import parabolic_fields
 from flagflux.rootsys import block_sizes
 from flagflux.tduality import BasisChange
 
@@ -197,32 +196,30 @@ def flags(max_rank):
             yield rank, tuple(k + 1 for k in range(rank) if mask >> k & 1)
 
 
-class TestParabolicFields:
-    """The fingerprint fields read off the Levi blocks, which decide the
-    target search's candidates before any is built."""
+BLOCK_ROWS = [row for row in tduality._FIELDS if row.blocks is not None]
 
-    def test_every_flag_up_to_rank_five_against_the_fingerprint(self):
-        # the cheap fields first, then the two bracket series
-        names = ["dim", "abelian", "d1_rank", "center_dim", "lcs_dims", "derived_dims"]
-        computes = dict(tduality._FIELDS)
-        assert set(names) == set(computes) - {"d2_rank"}
-        for rank, theta in flags(5):
+
+class TestParabolicFields:
+    """The fingerprint fields read off the Levi blocks (the ``blocks``
+    column of ``tduality._FIELDS``), which decide the target search's
+    candidates before any is built."""
+
+    @pytest.mark.parametrize("row", BLOCK_ROWS, ids=lambda row: row.name)
+    def test_block_value_matches_built_value(self, row):
+        for rank, theta in flags(6):
             blocks = block_sizes(rank, theta)
             p, _legend = nilradical_presentation(FlagSpec("A", rank, theta))
-            fields = list(parabolic_fields(blocks))
-            assert [name for name, _ in fields] == names[: 2 if len(blocks) == 2 else 6]
-            for name, value in fields:
-                assert computes[name](p) == value, (rank, theta, name)
-            if len(blocks) == 2:
-                # the early stop relies on this: one zero presentation per dim
+            assert row.blocks(blocks) == row.built(p), (rank, theta)
+            if row.name == "abelian" and len(blocks) == 2:
+                # the abelian stop relies on this: one zero presentation per dim
                 assert p == MalcevPresentation([Form(2)] * p.dim)
 
     def test_every_flag_up_to_rank_nine_against_unit_closure(self):
         for rank, theta in flags(9):
             want = parabolic_fields_oracle(FlagSpec("A", rank, theta))
-            fields = dict(parabolic_fields(block_sizes(rank, theta)))
-            assert fields == {name: want[name] for name in fields}, (rank, theta)
-            assert len(fields) == (2 if want["abelian"] else 6), (rank, theta)
+            blocks = block_sizes(rank, theta)
+            fields = {row.name: row.blocks(blocks) for row in BLOCK_ROWS}
+            assert fields == want, (rank, theta)
 
 
 class TestWeylBracketOracle:

@@ -41,6 +41,11 @@ def unit_vector(root, rank):
 
 
 class TestBuildRootSystem:
+    @pytest.mark.parametrize("rank", [True, 2.0, "2"])
+    def test_rejects_non_int_rank(self, rank):
+        with pytest.raises(TypeError):
+            build_root_system("A", rank)
+
     def test_a2_order(self):
         rs = build_root_system("A", 2)
         assert [r.coeffs for r in rs.positive_roots] == [(1, 0), (0, 1), (1, 1)]
@@ -231,6 +236,11 @@ class TestThreeSummandDims:
     def test_rejects_zero_block(self):
         with pytest.raises(ValueError):
             three_summand_dims(0, 1, 1)
+
+    @pytest.mark.parametrize("sizes", [(2.0, 1, 1), (1, True, 1), (1, 1, None)])
+    def test_rejects_non_int_block(self, sizes):
+        with pytest.raises(TypeError):
+            three_summand_dims(*sizes)
 
 
 class TestFlagDimension:

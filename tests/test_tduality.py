@@ -530,7 +530,7 @@ class TestFingerprint:
         A_rank with two or more blocks, against kostant_oracle.  The two rank
         fields come from the fingerprint's own field table; the bracket
         fields, not under test here, would take about 50 times as long."""
-        fields = dict(tduality._FIELDS)
+        fields = {row.name: row.built for row in tduality._FIELDS}
         for mask in range((1 << rank) - 1):
             theta = tuple(i + 1 for i in range(rank) if mask >> i & 1)
             cuts = [0] + [k for k in range(1, rank + 1) if k not in theta] + [rank + 1]
@@ -545,11 +545,21 @@ class TestFingerprint:
         """de^k = -sum c^k_ij e^ij, so the rank of d on 1-forms is the rank
         of the structure constants, dim [g, g]; Jacobi is not needed.  The
         target search reads d1_rank off the Levi blocks this way."""
-        fields = dict(tduality._FIELDS)
+        fields = {row.name: row.built for row in tduality._FIELDS}
         assert fields["d1_rank"](p) == fields["lcs_dims"](p)[0]
+
+    def test_index_contract(self):
+        """fingerprint() indices 0-6 keep their meaning: perfbench's Kostant
+        check reads fp[5] as d1_rank and fp[6] as d2_rank."""
+        assert tuple(row.name for row in tduality._FIELDS) == NAMES
+
+    def test_comparison_order_is_cheapest_first(self):
+        assert tuple(row.name for row in tduality._ORDER) == COST_ORDER
 
 
 NAMES = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim", "d1_rank", "d2_rank")
+# The order every comparison walks: the cost column, ties in fingerprint order.
+COST_ORDER = ("dim", "abelian", "d1_rank", "center_dim", "lcs_dims", "derived_dims", "d2_rank")
 
 
 def fresh(p):
@@ -597,9 +607,12 @@ class TestStagedComparison:
     @given(filtered_presentations(max_dim=5), filtered_presentations(max_dim=5))
     @settings(max_examples=150, deadline=None)
     def test_first_differing_field_of_full_tuples(self, p, q):
+        """The staged walk names the cheapest field on which the full
+        fingerprints differ."""
         staged = compare_fingerprints(fresh(p), fresh(q))
-        full = zip(NAMES, fingerprint(fresh(p)), fingerprint(fresh(q)))
-        first = next((name for name, a, b in full if a != b), None)
+        full_p = dict(zip(NAMES, fingerprint(fresh(p))))
+        full_q = dict(zip(NAMES, fingerprint(fresh(q))))
+        first = next((name for name in COST_ORDER if full_p[name] != full_q[name]), None)
         assert staged == (first is None, first)
         assert compare_fingerprints(p, p) == (True, None)
 
@@ -608,10 +621,30 @@ class TestStagedComparison:
             raise AssertionError("_diff_rank called for a rejected candidate")
 
         monkeypatch.setattr(tduality, "_diff_rank", refuse)
+        # filiform(4) + line and a free 2-step algebra on three generators
+        # (one bracket dropped) agree on dim, [g, g] and the center
+        filiform_plus_line = parse_malcev("(0,0,-e^{12},-e^{13},0)")
+        two_step = parse_malcev("(0,0,0,-e^{12},-e^{13})")
+        assert compare_fingerprints(filiform_plus_line, two_step) == (False, "lcs_dims")
+        assert list(two_step._invariants) == list(COST_ORDER[:5])
+
+    def test_d1_rank_rejection_spares_the_series(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a costlier field computed for a rejected pair")
+
+        monkeypatch.setattr(tduality, "_bracket_series", refuse)
+        monkeypatch.setattr(tduality, "_diff_rank", refuse)
         heisenberg_plus_line = parse_malcev("(0,0,-e^{12},0)")
         filiform = parse_malcev("(0,0,-e^{12},-e^{13})")
-        assert compare_fingerprints(heisenberg_plus_line, filiform) == (False, "lcs_dims")
-        assert list(filiform._invariants) == ["dim", "abelian", "lcs_dims"]
+        assert compare_fingerprints(heisenberg_plus_line, filiform) == (False, "d1_rank")
+        assert list(filiform._invariants) == ["dim", "abelian", "d1_rank"]
+
+    def test_abelian_pair_stops_after_abelian(self):
+        # two abelian presentations of one dimension are equal: compare a
+        # distinct object with the walk itself
+        p, q = parse_malcev("(0,0,0)"), parse_malcev("(0,0,0)")
+        assert tduality._first_difference(lambda row: tduality._field(p, row), q) is None
+        assert list(q._invariants) == ["dim", "abelian"]
 
     def test_equal_presentations_compute_nothing(self):
         p, q = parse_malcev(DIM6), parse_malcev(DIM6)
@@ -626,24 +659,15 @@ class TestStagedComparison:
         dual = dualize(AdmissibleTriple(p, (8, 9), Form.zero(3))).dual.algebra
         requested, computed = [], []
 
-        def counted(name, compute):
-            def field(q):
-                if q is dual:
-                    computed.append(name)
-                return compute(q)
-
-            return field
-
-        def field(q, name, compute):
+        def field(q, row):
             if q is dual:
-                requested.append(name)
-            return real_field(q, name, compute)
+                requested.append(row.name)
+                if row.name not in q._invariants:
+                    computed.append(row.name)
+            return real_field(q, row)
 
         real_field = tduality._field
         monkeypatch.setattr(tduality, "_field", field)
-        monkeypatch.setattr(
-            tduality, "_FIELDS", tuple((name, counted(name, f)) for name, f in tduality._FIELDS)
-        )
         assert find_targets(dual)[0] == []
         # four candidates reach the first field past "abelian"; every one
         # differs there, so the dual never computes a bracket series
