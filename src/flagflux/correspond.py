@@ -203,14 +203,17 @@ def correspond_presentation(algebra, ideal, flux):
     its dimension) and an admissible one; otherwise this raises
     MalcevValueError or DualityError before any search.
     """
-    triple = AdmissibleTriple(algebra, tuple(ideal), flux)
+    return _correspond(AdmissibleTriple(algebra, tuple(ideal), flux))
+
+
+def _correspond(triple):
     dualization = dualize(triple)
     certificate = duality_certificate(triple, dualization)
     targets, reason, unconfirmed = find_targets(dualization.dual.algebra)
     return CorrespondResult(
-        algebra,
+        triple.algebra,
         triple.ideal,
-        flux,
+        triple.flux,
         dualization.admissibility,
         dualization,
         certificate,
@@ -223,7 +226,8 @@ def correspond_presentation(algebra, ideal, flux):
 def correspond(flag, ideal_choice):
     """Pipeline entry for a flag manifold: nilradical, dual, targets."""
     presentation, legend = nilradical_presentation(flag.spec)
-    result = correspond_presentation(presentation, ideal_choice, flag.flux)
+    # a flag nilradical is a Lie algebra by construction
+    result = _correspond(AdmissibleTriple._adopt(presentation, tuple(ideal_choice), flag.flux))
     result.source_spec = flag.spec
     result.legend = legend
     return result
@@ -253,7 +257,7 @@ def selfdual_flux(spec):
     n = presentation.dim
     flux = -wedge(presentation.differentials[n - 1], Form.basis(n))
     try:
-        dualization = dualize(AdmissibleTriple(presentation, (n,), flux))
+        dualization = dualize(AdmissibleTriple._adopt(presentation, (n,), flux))
     except DualityError as exc:
         return SelfDualReport(flux, exc.report, None)
     report = dualization.admissibility

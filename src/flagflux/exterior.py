@@ -209,12 +209,13 @@ class MalcevPresentation:
     presentations enter, and check it.  A presentation whose filtration
     holds by construction is stored by ``_adopt`` without the check: the
     nilradical of a flag, whose summand-then-root order puts every bracket
-    in a strictly later slot, and the correspondence algebra of the duality
-    certificate, whose slots are two checked presentations joined by an
-    order-keeping map.  Jacobi (d after d = 0) is not enforced here, so a
-    presentation can be any filtered tuple; jacobi_check reports it, and
-    AdmissibleTriple, the input of dualization and the target search,
-    rejects a failure.
+    in a strictly later slot, the dual of an admissible triple, whose new
+    differentials name quotient slots only, and the correspondence algebra
+    of the duality certificate, whose slots are two checked presentations
+    joined by an order-keeping map.  Jacobi (d after d = 0) is not enforced
+    here, so a presentation can be any filtered tuple; jacobi_check reports
+    it, and AdmissibleTriple, the input of dualization and the target
+    search, rejects a failure.
     A presentation is treated as immutable: it keeps the term maps of its
     differentials and, in ``_invariants``, the basis-independent invariants
     computed for it so far (see tduality.fingerprint), both freed with it.

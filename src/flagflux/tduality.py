@@ -65,7 +65,8 @@ class AdmissibleTriple:
     not an int or is a bool (TypeError), an ideal slot outside 1..dim, a
     flux that is not a 3-form.  Whether the ideal is abelian, the
     flux closed and so on is check_admissible's report, not a construction
-    error.
+    error.  ``_adopt`` skips the Jacobi check alone, for an algebra the
+    library built as a Lie algebra: a flag nilradical, a dual.
     """
 
     algebra: MalcevPresentation
@@ -79,6 +80,18 @@ class AdmissibleTriple:
                 "algebra fails the Jacobi identity: d(de^%d) = %s"
                 % (jacobi.failing_index, print_form(jacobi.residual))
             )
+        self._check_ideal_and_flux()
+
+    @classmethod
+    def _adopt(cls, algebra, ideal, flux):
+        t = object.__new__(cls)
+        object.__setattr__(t, "algebra", algebra)
+        object.__setattr__(t, "ideal", ideal)
+        object.__setattr__(t, "flux", flux)
+        t._check_ideal_and_flux()
+        return t
+
+    def _check_ideal_and_flux(self):
         if self.flux.max_index() > self.algebra.dim:
             raise MalcevValueError(
                 "flux references index %d beyond dimension %d"
@@ -259,7 +272,7 @@ def dualize(t):
     The quotient differentials survive; each ideal slot k trades its
     differential for a flux leg, so H_dual = delta + sum_k e^k ^ de^k
     in the reordered basis.  Only an ok triple is dualized, so the dual is
-    a Lie algebra; building it as an AdmissibleTriple checks that again.
+    a Lie algebra, and its triple is adopted without the Jacobi check.
     The admissibility report is kept on the result, so a caller that
     reports it need not check again.
     """
@@ -288,7 +301,9 @@ def dualize(t):
     delta = Form._adopt(3, delta_terms)
     h_dual = Form._adopt(3, h_terms)
 
-    dual = AdmissibleTriple(MalcevPresentation(diffs), slot_map.z_slots, h_dual)
+    # an admissible H has one ideal leg per term at most, so each dz^k = i_x H
+    # names quotient slots only, below k: the filtration holds too
+    dual = AdmissibleTriple._adopt(MalcevPresentation._adopt(diffs), slot_map.z_slots, h_dual)
     return DualizationResult(dual, slot_map, delta, report)
 
 
@@ -467,19 +482,53 @@ def _weight_layers(p):
     return weights
 
 
-def _arrangements(layers):
-    """One ordering of each layer at a time, in itertools.product order.
+def _slot_edges(p, q):
+    """Per slot of p, then of q, its (role, |c|, a, b) entries, where slot k
+    of p is index k - 1 and slot k of q is index dim + k - 1.
 
-    Lazy, unlike itertools.product, which stores every permutation of each
-    layer before it yields: a layer of 12 slots has 12! orderings, and the
-    search budget stops long before that.
+    A constant (i, j, k) -> c gives input i the entry (0, |c|, j, k), input j
+    the entry (0, |c|, i, k) and output k the entry (1, |c|, i, j).  A signed
+    relabelling keeps |c| and these roles; it may swap i and j, which the
+    entries do not tell apart.
     """
-    if not layers:
-        yield ()
-        return
-    for first in itertools.permutations(layers[0]):
-        for rest in _arrangements(layers[1:]):
-            yield (first,) + rest
+    edges = [[] for _ in range(2 * p.dim)]
+    for offset, r in ((-1, p), (p.dim - 1, q)):
+        for (i, j, k), c in r.structure_constants().items():
+            a = abs(c)
+            i, j, k = i + offset, j + offset, k + offset
+            edges[i].append((0, a, j, k))
+            edges[j].append((0, a, i, k))
+            edges[k].append((1, a, i, j))
+    return edges
+
+
+def _refine(colours, edges, n):
+    """Colour refinement of p's slots (the first n) and q's together.
+
+    Each round recolours a slot by its colour and the sorted colours its
+    entries see, through one table shared by both sides, so a colour names
+    the same class on either side.  Returns the stable colouring, or None
+    once the two sides' colour counts differ: a witness carries each slot
+    to one of its colour, so then none exists.
+    """
+    count = len(set(colours))
+    while True:
+        table = {}
+        refined = []
+        for col, entries in zip(colours, edges):
+            seen = []
+            for role, a, x, y in entries:
+                cx, cy = colours[x], colours[y]
+                if role and cx > cy:
+                    cx, cy = cy, cx
+                seen.append((role, a, cx, cy))
+            seen.sort()
+            refined.append(table.setdefault((col, tuple(seen)), len(table)))
+        if sorted(refined[:n]) != sorted(refined[n:]):
+            return None
+        if len(table) == count:
+            return refined
+        colours, count = refined, len(table)
 
 
 ISO_BUDGET = 20000
@@ -488,8 +537,21 @@ ISO_BUDGET = 20000
 def iso_small(p, q):
     """Search for a signed, filtration-friendly basis change taking p to q.
 
-    Exhausting ISO_BUDGET arrangements is inconclusive; only a fingerprint
-    mismatch proves the two presentations non-isomorphic.
+    A witness maps each slot of q to a slot of p of the same weight layer
+    (``_weight_layers``) and fixes the signs by ``_solve_signs``.  The
+    search walks q's slots by weight, then by slot, and tries p's unused
+    slots in ascending order, so a relabelling of each layer is visited in
+    itertools.product order of its permutations.  It prunes by colour
+    refinement with individualisation: both sides start coloured by weight
+    and are refined together (``_refine``); a q slot is tried only against
+    p slots of its colour, and when that cell has more than one slot each
+    choice gives the pair a fresh colour and refines again.  A witness keeps
+    every colour, so a pruned branch holds none, and the first witness found
+    is the first of the full walk.
+
+    Exhausting ISO_BUDGET individualisations is inconclusive, as is a
+    search that ends without a witness: only a fingerprint mismatch proves
+    the two presentations non-isomorphic.
     """
     if p.dim != q.dim:
         return IsoResult(None, True, "dimension mismatch")
@@ -500,37 +562,53 @@ def iso_small(p, q):
 
     wp = _weight_layers(p)
     wq = _weight_layers(q)
-    layers_p = {}
-    layers_q = {}
-    for k in range(1, n + 1):
-        layers_p.setdefault(wp[k], []).append(k)
-        layers_q.setdefault(wq[k], []).append(k)
-    if {w: len(v) for w, v in layers_p.items()} != {
-        w: len(v) for w, v in layers_q.items()
-    }:
+    if sorted(wp.values()) != sorted(wq.values()):
         # signed monomial maps preserve the layer profile, so the search
         # cannot succeed; this is inconclusive for general isomorphism
         return IsoResult(None, False, "no signed monomial witness: layer profiles differ")
 
-    # each layer's slots first pair up in order: the identity when p and q
-    # share their layers, so a signed diagonal witness is found first
-    weights = sorted(layers_p)
+    edges = _slot_edges(p, q)
+    colours = _refine(list(wp.values()) + list(wq.values()), edges, n)
+    order = sorted(range(1, n + 1), key=lambda k: (wq[k], k))
     source = p.structure_constants()
     target = q.structure_constants()
-    tried = 0
-    for combo in _arrangements([layers_p[w] for w in weights]):
-        tried += 1
-        if tried > ISO_BUDGET:
-            return IsoResult(None, False, "budget exhausted after %d candidates" % ISO_BUDGET)
-        perm = [0] * n
-        for w, arrangement in zip(weights, combo):
-            for slot_q, slot_p in zip(layers_q[w], arrangement):
+    perm = [0] * n
+    budget = ISO_BUDGET
+
+    def walk(depth, colours):
+        nonlocal budget
+        if depth == n:
+            moved = _transported_constants(source, perm, (1,) * n)
+            signs = _solve_signs(n, moved, target)
+            return None if signs is None else BasisChange(tuple(perm), signs)
+        slot_q = order[depth]
+        colour = colours[n + slot_q - 1]
+        # assigned slots keep colours of their own, so a cell holds only
+        # unused slots
+        cell = [k for k in range(1, n + 1) if colours[k - 1] == colour]
+        if len(cell) == 1:
+            perm[slot_q - 1] = cell[0]
+            return walk(depth + 1, colours)
+        for slot_p in cell:
+            budget -= 1
+            if budget < 0:
+                return None
+            # refined colours count from 0, so -1 is the pair's own
+            trial = list(colours)
+            trial[slot_p - 1] = trial[n + slot_q - 1] = -1
+            refined = _refine(trial, edges, n)
+            if refined is not None:
                 perm[slot_q - 1] = slot_p
-        perm = tuple(perm)
-        moved = _transported_constants(source, perm, (1,) * n)
-        signs = _solve_signs(n, moved, target)
-        if signs is not None:
-            return IsoResult(BasisChange(perm, signs), False, "signed monomial")
+                found = walk(depth + 1, refined)
+                if found is not None:
+                    return found
+        return None
+
+    witness = None if colours is None else walk(0, colours)
+    if witness is not None:
+        return IsoResult(witness, False, "signed monomial")
+    if budget < 0:
+        return IsoResult(None, False, "budget exhausted after %d candidates" % ISO_BUDGET)
     return IsoResult(None, False, "search space exhausted without witness")
 
 

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from flagflux import AdmissibleTriple, FlagSpec, Form, MalcevPresentation, Root
-from flagflux import ce_diff, dualize, fingerprint, iso_small, nilradical_presentation, print_form
+from flagflux import AdmissibleTriple, BasisChange, FlagSpec, Form, IsoResult, MalcevPresentation
+from flagflux import Root, ce_diff, compare_fingerprints, dualize, fingerprint, iso_small
+from flagflux import nilradical_presentation, print_form, tduality
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -408,12 +409,81 @@ def find_targets_oracle(dual):
     ), unconfirmed
 
 
+def _arrangements(layers):
+    """One ordering of each layer at a time, in itertools.product order.
+
+    Lazy, unlike itertools.product, which stores every permutation of each
+    layer before it yields.
+    """
+    if not layers:
+        yield ()
+        return
+    for first in itertools.permutations(layers[0]):
+        for rest in _arrangements(layers[1:]):
+            yield (first,) + rest
+
+
+def iso_oracle(p, q, budget=tduality.ISO_BUDGET):
+    """iso_small's answer by walking every arrangement of each weight layer.
+
+    The same tests before the search as iso_small, then each relabelling of
+    q's layers onto p's, in ``_arrangements`` order, until one transports
+    p's constants onto q's up to the signs ``_solve_signs`` finds; more than
+    ``budget`` arrangements is inconclusive.
+    """
+    if p.dim != q.dim:
+        return IsoResult(None, True, "dimension mismatch")
+    n = p.dim
+    equal, field = compare_fingerprints(p, q)
+    if not equal:
+        return IsoResult(None, True, "fingerprint differs: %s" % field)
+    wp = tduality._weight_layers(p)
+    wq = tduality._weight_layers(q)
+    layers_p, layers_q = {}, {}
+    for k in range(1, n + 1):
+        layers_p.setdefault(wp[k], []).append(k)
+        layers_q.setdefault(wq[k], []).append(k)
+    if {w: len(v) for w, v in layers_p.items()} != {w: len(v) for w, v in layers_q.items()}:
+        return IsoResult(None, False, "no signed monomial witness: layer profiles differ")
+    weights = sorted(layers_p)
+    source = p.structure_constants()
+    target = q.structure_constants()
+    for tried, combo in enumerate(_arrangements([layers_p[w] for w in weights]), start=1):
+        if tried > budget:
+            return IsoResult(None, False, "budget exhausted after %d candidates" % budget)
+        perm = [0] * n
+        for w, arrangement in zip(weights, combo):
+            for slot_q, slot_p in zip(layers_q[w], arrangement):
+                perm[slot_q - 1] = slot_p
+        moved = tduality._transported_constants(source, perm, (1,) * n)
+        signs = tduality._solve_signs(n, moved, target)
+        if signs is not None:
+            return IsoResult(BasisChange(tuple(perm), signs), False, "signed monomial")
+    return IsoResult(None, False, "search space exhausted without witness")
+
+
+@st.composite
+def signed_relabellings(draw, p):
+    """A signed relabelling of p's slots that keeps the Malcev filtration:
+    the new order places each slot after every slot its differential names."""
+    needs = {k: {i for key in f.terms for i in key} for k, f in enumerate(p.differentials, 1)}
+    perm = []
+    while len(perm) < p.dim:
+        ready = [k for k in sorted(needs) if needs[k] <= set(perm)]
+        k = draw(st.sampled_from(ready))
+        perm.append(k)
+        del needs[k]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=p.dim, max_size=p.dim))
+    return BasisChange(tuple(perm), tuple(signs))
+
+
 def fingerprint_tie_dual():
     """The dual triple of n(2,5,2) along its corner block, with H = 0.
 
     Correspond on it dualizes back to n(2,5,2), whose fingerprint ties with
     that of n(4,4,1), a different algebra (dim Der 112 against 152) that
-    iso_small cannot decide within its budget.
+    iso_small cannot decide: no signed monomial map joins them, and that
+    proves nothing about other isomorphisms.
     """
     p, _legend = nilradical_presentation(FlagSpec("A", 8, (1, 3, 4, 5, 6, 8)))
     return dualize(AdmissibleTriple(p, (21, 22, 23, 24), Form.zero(3))).dual

@@ -337,7 +337,7 @@ class TestReports:
                 "series": "A",
                 "rank": 8,
                 "theta": [1, 2, 3, 5, 6, 7],
-                "reason": "budget exhausted after 20000 candidates",
+                "reason": "search space exhausted without witness",
             }
         ]
 
@@ -437,7 +437,7 @@ class TestTextFormat:
     def test_correspond_text_unconfirmed(self, run, tie_config):
         lines = run("correspond", "--config", tie_config, "--format", "text").stdout.splitlines()
         assert lines[-1] == (
-            "unconfirmed: A_8, theta {1,2,3,5,6,7} (budget exhausted after 20000 candidates)"
+            "unconfirmed: A_8, theta {1,2,3,5,6,7} (search space exhausted without witness)"
         )
 
     def test_root_system_text(self, run):

@@ -12,6 +12,7 @@ from flagflux import (
     FlagSpec,
     FlowingFlag,
     Form,
+    MalcevPresentation,
     MalcevValueError,
     build_root_system,
     complementary_positive_roots,
@@ -39,6 +40,7 @@ from conftest import (
     canonical_theta_oracle,
     find_targets_oracle,
     fingerprint_tie_dual,
+    jacobi_oracle,
     mask_dim_oracle,
     theta_dim_oracle,
 )
@@ -190,7 +192,15 @@ class TestTargets:
         assert [t.spec for t in result.targets] == [FlagSpec("A", 8, (1, 3, 4, 5, 6, 8))]
         assert result.search_reason is None
         tied = FlagSpec("A", 8, theta_of_blocks((4, 4, 1)))
-        assert result.unconfirmed == [(tied, "budget exhausted after 20000 candidates")]
+        assert result.unconfirmed == [(tied, "search space exhausted without witness")]
+
+    def test_tied_candidate_stays_unconfirmed_from_the_nilradical(self):
+        p, _legend = nilradical_presentation(FlagSpec("A", 8, theta_of_blocks((2, 5, 2))))
+        targets, reason, unconfirmed = find_targets(p)
+        assert [t.spec for t in targets] == [FlagSpec("A", 8, theta_of_blocks((2, 5, 2)))]
+        assert reason is None
+        tied = FlagSpec("A", 8, theta_of_blocks((4, 4, 1)))
+        assert unconfirmed == [(tied, "search space exhausted without witness")]
 
     def test_deterministic(self):
         a = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
@@ -295,6 +305,18 @@ def assert_matches_oracle(dual):
     assert [(t.spec, t.witness) for t in targets] == want_targets
     assert reason == want_reason
     assert unconfirmed == want_unconfirmed
+
+
+class TestAdoptedAlgebras:
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_dual_of_every_flag_is_a_lie_algebra(self, rank):
+        # correspond adopts the nilradical and dualize the dual, neither
+        # through jacobi_check; rebuild the dual checked and check it densely
+        for theta in flags_with_blocks(rank):
+            flag, ideal = last_summand_flag(rank, theta)
+            dual = correspond(flag, ideal).dualization.dual.algebra
+            assert MalcevPresentation(dual.differentials) == dual
+            assert jacobi_oracle(dual)
 
 
 class TestFindTargetsOracle:

@@ -35,9 +35,11 @@ from flagflux import (
     wedge,
 )
 from flagflux import tduality
-from flagflux.tduality import BasisChange, _arrangements
+from flagflux.nilradical import _nilradical
+from flagflux.tduality import BasisChange
 
 from conftest import (
+    _arrangements,
     admissibility_oracle,
     assert_well_formed,
     bracket_series_oracle,
@@ -45,9 +47,12 @@ from conftest import (
     filtered_presentations,
     forms,
     interior_oracle,
+    iso_oracle,
+    jacobi_oracle,
     kostant_oracle,
     mahonian_oracle,
     permutation_sign,
+    signed_relabellings,
     wedge_oracle,
 )
 
@@ -346,7 +351,16 @@ class TestDualize:
         result = dualize(t)
         assert not result.slot_map.identity
         duality_certificate(t, result)
-        assert checked == [t.algebra, result.dual.algebra]
+        assert checked == [t.algebra]
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_adopted_dual_is_a_lie_algebra(self, seed):
+        # dualize adopts the dual unchecked; rebuild it through the checking
+        # constructor and check Jacobi densely
+        dual = dualize(random_admissible_triple(random.Random(seed))).dual.algebra
+        assert MalcevPresentation(dual.differentials) == dual
+        assert jacobi_oracle(dual)
 
     def test_decomposition_identity(self):
         # H = delta + sum over ideal slots of e^k wedge (interior of x_k in H)
@@ -733,8 +747,10 @@ class TestIsoSmall:
         assert "abelian" in result.reason
 
     def test_exhausted_budget_is_inconclusive(self, monkeypatch):
-        p, _ = nilradical_presentation(FlagSpec("A", 3))
-        q = BasisChange((2, 1, 3, 5, 4, 6), (1,) * 6).apply(p)
+        # two Heisenberg blocks: the blocks, then the pair inside the second,
+        # are each one individualisation
+        p = parse_malcev("(0,0,0,0,e^{12},e^{34})")
+        q = BasisChange((3, 4, 1, 2, 6, 5), (1, 1, -1, 1, 1, 1)).apply(p)
         with monkeypatch.context() as m:
             m.setattr(tduality, "ISO_BUDGET", 1)
             result = iso_small(p, q)
@@ -742,6 +758,23 @@ class TestIsoSmall:
         assert not result.proved_distinct
         assert result.reason == "budget exhausted after 1 candidates"
         assert iso_small(p, q).witness.apply(p) == q
+
+    @pytest.mark.parametrize("rank", [5, 6, 7])
+    def test_maximal_flag_against_a_signed_relabelling(self, rank):
+        # relabel inside each root height, with random signs; A5 and A6 used
+        # to exhaust the budget of the arrangement walk
+        p, units = _nilradical((1,) * (rank + 1))
+        heights = [j - i for i, j in units]
+        rng = random.Random(5)
+        perm = []
+        for h in sorted(set(heights)):
+            run = [k for k, g in enumerate(heights, start=1) if g == h]
+            rng.shuffle(run)
+            perm += run
+        q = BasisChange(tuple(perm), tuple(rng.choice((1, -1)) for _ in perm)).apply(p)
+        result = iso_small(p, q)
+        assert result.reason == "signed monomial"
+        assert result.witness.apply(p) == q
 
     def test_arrangements_in_product_order(self):
         layers = [[1, 2, 3], [4], [5, 6]]
@@ -754,6 +787,69 @@ class TestIsoSmall:
         result = iso_small(ours, parse_malcev(DIM6))
         assert result.witness is None
         assert not result.proved_distinct
+
+
+def _relabelled_copy(data, p, perturb):
+    """A signed relabelling of p; with perturb, one of its constants is
+    doubled, so that most such copies are no relabelling of p."""
+    q = data.draw(signed_relabellings(p)).apply(p)
+    if perturb:
+        keys = [(k, key) for k, f in enumerate(q.differentials) for key in f.terms]
+        assume(keys)
+        k, key = data.draw(st.sampled_from(keys))
+        diffs = list(q.differentials)
+        diffs[k] = diffs[k] + Form(2, {key: diffs[k].terms[key]})
+        q = MalcevPresentation(diffs)
+    return q
+
+
+def _presentations_up_to_dim_8():
+    return st.one_of(
+        filtered_presentations(max_dim=8),
+        st.integers(0, 10**6).map(lambda s: random_admissible_triple(random.Random(s)).algebra),
+    )
+
+
+class TestIsoSearchOracle:
+    """iso_small against the walk over every arrangement of each layer."""
+
+    def test_every_relabelling_of_two_heisenberg_blocks(self):
+        # the search individualises twice here, and most first witnesses
+        # are not the identity
+        p = parse_malcev("(0,0,0,0,e^{12},e^{34})")
+        rng = random.Random(0)
+        for perm in itertools.permutations(range(1, 5)):
+            for top in ((5, 6), (6, 5)):
+                signs = tuple(rng.choice((1, -1)) for _ in range(6))
+                q = BasisChange(perm + top, signs).apply(p)
+                got = iso_small(p, q)
+                assert got == iso_oracle(p, q)
+                assert got.witness.apply(p) == q
+
+    @given(_presentations_up_to_dim_8(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_witness_and_reason(self, p, perturb, data):
+        q = _relabelled_copy(data, p, perturb)
+        want = iso_oracle(p, q, budget=2000)
+        assume(not want.reason.startswith("budget"))
+        got = iso_small(p, q)
+        assert got == want
+        if got.witness is not None:
+            assert got.witness.apply(p) == q
+
+    @given(_presentations_up_to_dim_8(), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_term_order_does_not_matter(self, p, perturb, data):
+        q = _relabelled_copy(data, p, perturb)
+
+        def shuffled(r):
+            diffs = []
+            for f in r.differentials:
+                items = data.draw(st.permutations(list(f.terms.items())))
+                diffs.append(Form(2, dict(items)))
+            return MalcevPresentation(diffs)
+
+        assert iso_small(shuffled(p), shuffled(q)) == iso_small(p, q)
 
 
 class TestBasisChange:
