@@ -150,7 +150,8 @@ def _spec_from_cfg(cfg):
 
 
 def _algebra_from_cfg(cfg):
-    """Explicit Malcev string, or a flag spec whose nilradical we build.
+    """(presentation, source spec) of an explicit Malcev string (spec None)
+    or of a flag spec whose nilradical we build.
 
     A key of the other branch is a usage error, not silently dropped; the
     series counts only when it is not the default "A" that --series supplies.
@@ -168,12 +169,11 @@ def _algebra_from_cfg(cfg):
             _as_str(cfg["algebra"], "algebra"),
             None if dim is None else _as_int(dim, "dim"),
         )
-        return presentation, None, None
+        return presentation, None
     if cfg.get("dim") is not None:
         raise UsageError("'dim' is read only together with 'algebra'")
     spec = _spec_from_cfg(cfg)
-    presentation, legend = nilradical_presentation(spec)
-    return presentation, legend, spec
+    return nilradical_presentation(spec)[0], spec
 
 
 # ---------------------------------------------------------------- reports
@@ -283,7 +283,7 @@ def _text_nilradical(report):
 
 def _dualize_core(cfg):
     """(algebra, ideal, flux, source spec) as read; AdmissibleTriple checks them."""
-    presentation, _legend, source = _algebra_from_cfg(cfg)
+    presentation, source = _algebra_from_cfg(cfg)
     if "ideal" not in cfg:
         raise UsageError("missing --ideal (or config key \"ideal\")")
     ideal = _as_int_tuple(cfg["ideal"], "ideal")

@@ -226,8 +226,7 @@ def _correspond(triple):
 def correspond(flag, ideal_choice):
     """Pipeline entry for a flag manifold: nilradical, dual, targets."""
     presentation, legend = nilradical_presentation(flag.spec)
-    # a flag nilradical is a Lie algebra by construction
-    result = _correspond(AdmissibleTriple._adopt(presentation, tuple(ideal_choice), flag.flux))
+    result = _correspond(AdmissibleTriple(presentation, tuple(ideal_choice), flag.flux))
     result.source_spec = flag.spec
     result.legend = legend
     return result
@@ -257,7 +256,7 @@ def selfdual_flux(spec):
     n = presentation.dim
     flux = -wedge(presentation.differentials[n - 1], Form.basis(n))
     try:
-        dualization = dualize(AdmissibleTriple._adopt(presentation, (n,), flux))
+        dualization = dualize(AdmissibleTriple(presentation, (n,), flux))
     except DualityError as exc:
         return SelfDualReport(flux, exc.report, None)
     report = dualization.admissibility
@@ -319,6 +318,8 @@ def dimension_obstruction_scan(bound):
     The e6 comparison is the fixed pair of complex dimensions 24 and 16,
     which differ, closing the exceptional case the same way.
     """
+    if type(bound) is not int:
+        raise TypeError("bound %r must be an integer" % (bound,))
     if bound < 4:
         raise ValueError("bound must be >= 4")
     solutions = []

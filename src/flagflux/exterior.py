@@ -212,13 +212,17 @@ class MalcevPresentation:
     in a strictly later slot, the dual of an admissible triple, whose new
     differentials name quotient slots only, and the correspondence algebra
     of the duality certificate, whose slots are two checked presentations
-    joined by an order-keeping map.  Jacobi (d after d = 0) is not enforced
-    here, so a presentation can be any filtered tuple; jacobi_check reports
-    it, and AdmissibleTriple, the input of dualization and the target
-    search, rejects a failure.
+    joined by an order-keeping map.  ``_adopt`` vouches for the filtration
+    alone.  Jacobi (d after d = 0) is not enforced here, so a presentation
+    can be any filtered tuple; jacobi_check reports it, and AdmissibleTriple,
+    the input of dualization and the target search, rejects a failure.
     A presentation is treated as immutable: it keeps the term maps of its
     differentials and, in ``_invariants``, the basis-independent invariants
     computed for it so far (see tduality.fingerprint), both freed with it.
+    There, ``"lie": True`` marks a Lie algebra where the library builds one
+    (a flag nilradical, a dual), and AdmissibleTriple skips the Jacobi check
+    for it; the certificate's correspondence algebra is never marked, since
+    it is built from the dual that the certificate checks.
     """
 
     __slots__ = ("dim", "differentials", "_dterms", "_invariants")

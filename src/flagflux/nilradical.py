@@ -71,7 +71,8 @@ def nilradical_presentation(spec):
 def _nilradical(blocks):
     """(presentation, units) of the nilradical with these Levi blocks, where
     units[k-1] is the matrix unit (row, col) of slot k, in summand-then-root
-    order (``rootsys._summand_units``)."""
+    order (``rootsys._summand_units``).  The presentation is marked Lie
+    (``_invariants["lie"]``), so AdmissibleTriple does not recheck it."""
     units = [u for _p, _q, summand in _summand_units(blocks) for u in summand]
     slot_of = {u: k for k, u in enumerate(units, start=1)}
     starting_at, ending_at = {}, {}
@@ -90,8 +91,11 @@ def _nilradical(blocks):
             if b > a:  # [E_ij, E_ki] = -E_kj
                 diffs[slot_of[k, j] - 1][(a, b)] = 1
     # each key (a, b) has a < b and a +-1 value, and each bracket lands in a
-    # later slot, so the forms and their filtration hold by construction
-    return MalcevPresentation._adopt([Form._adopt(2, d) for d in diffs]), units
+    # later slot, so the forms and their filtration hold by construction; the
+    # brackets are matrix commutators, so Jacobi holds too
+    p = MalcevPresentation._adopt([Form._adopt(2, d) for d in diffs])
+    p._invariants["lie"] = True
+    return p, units
 
 
 def jacobi_check(p):

@@ -111,12 +111,7 @@ def build_root_system(series, rank):
         >>> [r.coeffs for r in build_root_system("A", 2).positive_roots]
         [(1, 0), (0, 1), (1, 1)]
     """
-    if series != "A":
-        raise UnsupportedSeriesError("only series A is supported, got %r" % series)
-    if type(rank) is not int:
-        raise TypeError("rank %r must be an integer" % (rank,))
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    FlagSpec(series, rank)  # the series and rank rules, in FlagSpec's order
     roots = tuple(
         Root(row, row + height, rank)
         for height in range(1, rank + 1)
@@ -163,22 +158,12 @@ def _summand_units(blocks):
             yield p, p + gap, units
 
 
-def _summands(rank, theta):
-    """The isotropy summands of A_rank and theta, one per pair of blocks p < q."""
-    sizes = block_sizes(rank, theta)
-    return [
-        IsotropySummand(
-            tuple(int(p <= t < q) for t in range(len(sizes) - 1)),
-            [Root(i, j, rank) for i, j in units],
-        )
-        for p, q, units in _summand_units(sizes)
-    ]
-
-
 def complementary_positive_roots(rs, theta):
-    """Positive roots with some coefficient outside theta, in root order."""
-    roots = [r for s in _summands(rs.rank, theta) for r in s.roots]
-    return sorted(roots, key=lambda r: (r.height, r.row))
+    """Positive roots with some coefficient outside theta, in root order:
+    those whose unit E_ij crosses a cut, some alpha_k with i <= k < j not
+    in theta."""
+    theta = set(theta)
+    return [r for r in rs.positive_roots if not theta.issuperset(range(r.row, r.col))]
 
 
 def isotropy_summands(rs, theta):
@@ -187,7 +172,8 @@ def isotropy_summands(rs, theta):
     A complementary root is a matrix unit E_ij with row i in Levi block p
     and column j in a later block q, and its signature is 1 on the cuts
     between them; each summand is built from its two blocks, so the cost
-    is its roots times the rank, and no other positive root is visited.
+    is its roots times the rank, and no other positive root is visited
+    (``rs`` supplies the rank alone).
 
     Summands are ordered by (signature height, lexicographically largest
     first), matching the root order convention, so for two free simple
@@ -202,7 +188,14 @@ def isotropy_summands(rs, theta):
         >>> [[r.coeffs for r in s.roots] for s in summands]
         [[(1, 0, 0), (1, 1, 0)], [(0, 0, 1), (0, 1, 1)], [(1, 1, 1)]]
     """
-    return _summands(rs.rank, theta)
+    sizes = block_sizes(rs.rank, theta)
+    return [
+        IsotropySummand(
+            tuple(int(p <= t < q) for t in range(len(sizes) - 1)),
+            [Root(i, j, rs.rank) for i, j in units],
+        )
+        for p, q, units in _summand_units(sizes)
+    ]
 
 
 def three_summand_dims(l, m, n):

@@ -65,8 +65,10 @@ class AdmissibleTriple:
     not an int or is a bool (TypeError), an ideal slot outside 1..dim, a
     flux that is not a 3-form.  Whether the ideal is abelian, the
     flux closed and so on is check_admissible's report, not a construction
-    error.  ``_adopt`` skips the Jacobi check alone, for an algebra the
-    library built as a Lie algebra: a flag nilradical, a dual.
+    error.  The Jacobi check is skipped only for an algebra marked Lie
+    (``_invariants["lie"]``) where the library built it: a flag nilradical
+    and a dual.  An equal presentation made by a public constructor carries
+    no mark and is checked.
     """
 
     algebra: MalcevPresentation
@@ -74,24 +76,13 @@ class AdmissibleTriple:
     flux: Form
 
     def __post_init__(self):
-        jacobi = jacobi_check(self.algebra)
-        if not jacobi.ok:
-            raise MalcevValueError(
-                "algebra fails the Jacobi identity: d(de^%d) = %s"
-                % (jacobi.failing_index, print_form(jacobi.residual))
-            )
-        self._check_ideal_and_flux()
-
-    @classmethod
-    def _adopt(cls, algebra, ideal, flux):
-        t = object.__new__(cls)
-        object.__setattr__(t, "algebra", algebra)
-        object.__setattr__(t, "ideal", ideal)
-        object.__setattr__(t, "flux", flux)
-        t._check_ideal_and_flux()
-        return t
-
-    def _check_ideal_and_flux(self):
+        if not self.algebra._invariants.get("lie"):
+            jacobi = jacobi_check(self.algebra)
+            if not jacobi.ok:
+                raise MalcevValueError(
+                    "algebra fails the Jacobi identity: d(de^%d) = %s"
+                    % (jacobi.failing_index, print_form(jacobi.residual))
+                )
         if self.flux.max_index() > self.algebra.dim:
             raise MalcevValueError(
                 "flux references index %d beyond dimension %d"
@@ -272,7 +263,7 @@ def dualize(t):
     The quotient differentials survive; each ideal slot k trades its
     differential for a flux leg, so H_dual = delta + sum_k e^k ^ de^k
     in the reordered basis.  Only an ok triple is dualized, so the dual is
-    a Lie algebra, and its triple is adopted without the Jacobi check.
+    a Lie algebra: it is marked so, and its triple skips the Jacobi check.
     The admissibility report is kept on the result, so a caller that
     reports it need not check again.
     """
@@ -303,7 +294,9 @@ def dualize(t):
 
     # an admissible H has one ideal leg per term at most, so each dz^k = i_x H
     # names quotient slots only, below k: the filtration holds too
-    dual = AdmissibleTriple._adopt(MalcevPresentation._adopt(diffs), slot_map.z_slots, h_dual)
+    dual_algebra = MalcevPresentation._adopt(diffs)
+    dual_algebra._invariants["lie"] = True
+    dual = AdmissibleTriple(dual_algebra, slot_map.z_slots, h_dual)
     return DualizationResult(dual, slot_map, delta, report)
 
 
@@ -663,9 +656,14 @@ def _center_dim(p):
     return p.dim - rank(rows.values())
 
 
+def _d_columns(p, keys):
+    """The matrix of d on the basis forms e^key, one term map per increasing
+    key."""
+    return (ce_diff(p, Form._adopt(len(key), {key: 1})).terms for key in keys)
+
+
 def _diff_rank(p, degree):
-    keys = itertools.combinations(range(1, p.dim + 1), degree)
-    return rank([ce_diff(p, Form(degree, {key: 1})).terms for key in keys])
+    return rank(_d_columns(p, itertools.combinations(range(1, p.dim + 1), degree)))
 
 
 def _gap_dim(b, gap):
@@ -697,9 +695,7 @@ _FIELDS = (
         "derived_dims", lambda p: _bracket_series(p, False), lambda b: _block_series(b, False), 3
     ),
     _Field("center_dim", _center_dim, lambda b: b[0] * b[-1], 2),
-    _Field(
-        "d1_rank", lambda p: rank(f.terms for f in p.differentials), lambda b: _gap_dim(b, 2), 1
-    ),
+    _Field("d1_rank", lambda p: _diff_rank(p, 1), lambda b: _gap_dim(b, 2), 1),
     _Field("d2_rank", lambda p: _diff_rank(p, 2), None, 4),
 )
 
@@ -763,9 +759,8 @@ def compare_fingerprints(p, q):
 def _closed_forms(p, keys):
     """Basis of the closed forms spanned by the basis forms ``keys``."""
     rows_by_target = {}
-    for col, key in enumerate(keys):
-        img = ce_diff(p, Form(len(key), {key: 1}))
-        for tkey, c in img.terms.items():
+    for col, img in enumerate(_d_columns(p, keys)):
+        for tkey, c in img.items():
             rows_by_target.setdefault(tkey, {})[col] = c
     return nullspace(list(rows_by_target.values()), len(keys))
 

@@ -145,20 +145,23 @@ def bracket_oracle(p, i, j):
 
 
 def jacobi_oracle(p):
-    """Triple-bracket Jacobi sums over all basis index triples."""
+    """Triple-bracket Jacobi sums over all basis index triples, from a table
+    of the nonzero entries of every [e_a, e_b] (``bracket_oracle``)."""
     n = p.dim
+    table = {
+        (a, b): {t: v for t, v in enumerate(bracket_oracle(p, a, b)) if v}
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+    }
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                total = [Fraction(0)] * (n + 1)
+                total = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = bracket_oracle(p, a, b)
-                    for m in range(1, n + 1):
-                        if inner[m]:
-                            outer = bracket_oracle(p, m, c)
-                            for t in range(1, n + 1):
-                                total[t] += inner[m] * outer[t]
-                if any(total):
+                    for m, x in table[a, b].items():
+                        for t, y in table[m, c].items():
+                            total[t] = total.get(t, 0) + x * y
+                if any(total.values()):
                     return False
     return True
 

@@ -596,6 +596,21 @@ class TestLibraryChecks:
         assert json.loads(result.stdout)["admissibility"]["ok"] is True
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["dualize", "correspond"])
+    def test_jacobi_checked_on_explicit_algebras_only(self, run, monkeypatch, tmp_path, command):
+        # a flag's nilradical and its dual are marked Lie where they are built
+        calls = []
+        real = tduality.jacobi_check
+        monkeypatch.setattr(tduality, "jacobi_check", lambda p: calls.append(p) or real(p))
+        flag = tmp_path / "flag.json"
+        flag.write_text(json.dumps({"rank": 5, "theta": [1, 3, 5], "ideal": [10, 11, 12]}))
+        assert run(command, "--config", str(flag)).exit_code == 0
+        assert calls == []
+        explicit = tmp_path / "explicit.json"
+        explicit.write_text(json.dumps({"algebra": "(0,0,-e^{12})", "ideal": [3]}))
+        assert run(command, "--config", str(explicit)).exit_code == 0
+        assert [print_malcev(p) for p in calls] == ["(0,0,-e^{12})"]
+
 
 class TestCommandFlags:
     """Each report command takes exactly the flags it always took."""

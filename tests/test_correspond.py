@@ -33,6 +33,7 @@ from flagflux import (
 )
 
 from flagflux import tduality
+from flagflux.nilradical import _nilradical
 from flagflux.rootsys import block_sizes, theta_of_blocks
 
 from conftest import (
@@ -318,6 +319,17 @@ class TestAdoptedAlgebras:
             assert MalcevPresentation(dual.differentials) == dual
             assert jacobi_oracle(dual)
 
+    @pytest.mark.parametrize("rank", range(1, 8))
+    def test_every_flag_nilradical_is_a_marked_lie_algebra(self, rank):
+        # the Levi blocks of every theta of A_rank are every composition of
+        # rank + 1: each nilradical carries the Lie mark, and the Jacobi
+        # oracle agrees that it is one
+        for mask in range(1 << rank):
+            blocks = block_sizes(rank, [k for k in range(1, rank + 1) if mask >> (k - 1) & 1])
+            p, _units = _nilradical(blocks)
+            assert p._invariants["lie"] is True, blocks
+            assert jacobi_oracle(p), blocks
+
 
 class TestFindTargetsOracle:
     """The block check against building every candidate of the dual's
@@ -485,3 +497,8 @@ class TestObstructionScan:
     def test_bound_validated(self):
         with pytest.raises(ValueError):
             dimension_obstruction_scan(3)
+
+    @pytest.mark.parametrize("bound", [True, 10.0, "10"])
+    def test_non_int_bound_rejected(self, bound):
+        with pytest.raises(TypeError, match=r"bound .* must be an integer"):
+            dimension_obstruction_scan(bound)

@@ -284,6 +284,20 @@ class TestTripleInput:
             triple(HEISENBERG, (9,), "e^{145}")
         assert str(err.value) == FLUX_MESSAGE
 
+    def test_public_copy_of_a_marked_algebra_is_checked(self, monkeypatch):
+        # a flag nilradical is marked Lie where it is built; an equal copy
+        # made by the public constructor is not, so its triple checks it
+        checked = []
+        real = tduality.jacobi_check
+        monkeypatch.setattr(tduality, "jacobi_check", lambda p: checked.append(p) or real(p))
+        p, _legend = nilradical_presentation(FlagSpec("A", 3, (2,)))
+        AdmissibleTriple(p, (5,), Form.zero(3))
+        assert checked == []
+        copy = MalcevPresentation(p.differentials)
+        assert copy == p
+        AdmissibleTriple(copy, (5,), Form.zero(3))
+        assert len(checked) == 1 and checked[0] is copy
+
 
 class TestDualize:
     def test_keeps_the_admissibility_report(self):
@@ -576,6 +590,19 @@ NAMES = ("dim", "abelian", "lcs_dims", "derived_dims", "center_dim", "d1_rank", 
 COST_ORDER = ("dim", "abelian", "d1_rank", "center_dim", "lcs_dims", "derived_dims", "d2_rank")
 
 
+def refuse_d2_rank(monkeypatch):
+    """Let ``_diff_rank`` rank d on 1-forms, the d1_rank field, and fail the
+    test if it is asked for d on 2-forms, the costliest field."""
+    real = tduality._diff_rank
+
+    def diff_rank(p, degree):
+        if degree != 1:
+            raise AssertionError("d2_rank computed for a rejected pair")
+        return real(p, degree)
+
+    monkeypatch.setattr(tduality, "_diff_rank", diff_rank)
+
+
 def fresh(p):
     """A copy of p with none of its invariants computed yet."""
     return MalcevPresentation(p.differentials)
@@ -631,10 +658,7 @@ class TestStagedComparison:
         assert compare_fingerprints(p, p) == (True, None)
 
     def test_lcs_rejection_never_ranks_d(self, monkeypatch):
-        def refuse(p, degree):
-            raise AssertionError("_diff_rank called for a rejected candidate")
-
-        monkeypatch.setattr(tduality, "_diff_rank", refuse)
+        refuse_d2_rank(monkeypatch)
         # filiform(4) + line and a free 2-step algebra on three generators
         # (one bracket dropped) agree on dim, [g, g] and the center
         filiform_plus_line = parse_malcev("(0,0,-e^{12},-e^{13},0)")
@@ -647,7 +671,7 @@ class TestStagedComparison:
             raise AssertionError("a costlier field computed for a rejected pair")
 
         monkeypatch.setattr(tduality, "_bracket_series", refuse)
-        monkeypatch.setattr(tduality, "_diff_rank", refuse)
+        refuse_d2_rank(monkeypatch)
         heisenberg_plus_line = parse_malcev("(0,0,-e^{12},0)")
         filiform = parse_malcev("(0,0,-e^{12},-e^{13})")
         assert compare_fingerprints(heisenberg_plus_line, filiform) == (False, "d1_rank")
