@@ -122,13 +122,6 @@ def _check_keys(cfg, keys, where):
         )
 
 
-def _rank_from_cfg(cfg):
-    rank = cfg.get("rank")
-    if rank is None:
-        raise UsageError("missing --rank (or config key \"rank\")")
-    return _as_int(rank, "rank")
-
-
 def _merge(config_path, flags):
     """Typed flags plus config file; the file wins per key, conflicts warned."""
     cfg = {}
@@ -145,7 +138,9 @@ def _merge(config_path, flags):
 
 def _spec_from_cfg(cfg):
     series = _as_str(cfg.get("series", "A"), "series")
-    rank = _rank_from_cfg(cfg)
+    if cfg.get("rank") is None:
+        raise UsageError("missing --rank (or config key \"rank\")")
+    rank = _as_int(cfg["rank"], "rank")
     return FlagSpec(series, rank, _as_int_tuple(cfg.get("theta"), "theta"))
 
 
@@ -180,12 +175,11 @@ def _algebra_from_cfg(cfg):
 
 
 def _run_root_system(cfg):
-    series = _as_str(cfg.get("series", "A"), "series")
-    rank = _rank_from_cfg(cfg)
-    rs = build_root_system(series, rank)
+    spec = _spec_from_cfg(cfg)
+    rs = build_root_system(spec.series, spec.rank)
     report = {
-        "series": series,
-        "rank": rank,
+        "series": spec.series,
+        "rank": spec.rank,
         "count": len(rs.positive_roots),
         "positive_roots": [
             {
@@ -197,7 +191,6 @@ def _run_root_system(cfg):
         ],
     }
     if "theta" in cfg:
-        spec = FlagSpec(series, rank, _as_int_tuple(cfg["theta"], "theta"))
         summands = isotropy_summands(rs, spec.theta)
         report["theta"] = list(spec.theta)
         report["complement"] = [

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .exterior import Form, wedge
 from .nilradical import _nilradical, nilradical_presentation
-from .rootsys import FlagSpec, block_sizes, theta_of_blocks, three_summand_dims
+from .rootsys import FlagSpec, theta_of_blocks, three_summand_dims
 from .tduality import (
     AdmissibleTriple,
     BasisChange,
@@ -117,7 +117,7 @@ def _blocks_of_dim(l, dim):
 
 def pretty_name(l, theta):
     """Quotient notation, with the projective-space alias when it applies."""
-    blocks = block_sizes(l, theta)
+    blocks = FlagSpec("A", l, theta).blocks
     name = "SU(%d)/S(%s)" % (l + 1, "×".join("U(%d)" % b for b in blocks))
     if len(blocks) == 2 and min(blocks) == 1:
         name += " ≅ CP^%d" % l

@@ -19,10 +19,10 @@ square of its dimension.
 
 Most of the fingerprint of n = sum_{p<q} Hom(V_q, V_p) follows from the
 block sizes b_1..b_k alone; the ``blocks`` column of ``tduality._FIELDS``
-reads it off with these formulas.  The product of the full blocks n_pq and
-n_qr spans the whole block n_pr, so the bracket of the blocks of gap >= g
-with those of gap >= h is the sum of the blocks of gap >= g + h.  With
-a(g) = sum_{q-p >= g} b_p b_q:
+reads it off with these formulas (``rootsys._gap_dim``, ``_block_series``).
+The product of the full blocks n_pq and n_qr spans the whole block n_pr,
+so the bracket of the blocks of gap >= g with those of gap >= h is the sum
+of the blocks of gap >= g + h.  With a(g) = sum_{q-p >= g} b_p b_q:
 
     dim = a(1), abelian iff k <= 2,
     d1_rank = dim [n, n] = a(2), center_dim = b_1 b_k,
@@ -38,7 +38,7 @@ the structure constants, which is dim [n, n].
 from collections import namedtuple
 
 from .exterior import Form, MalcevPresentation, ce_diff
-from .rootsys import Root, _summand_units, block_sizes
+from .rootsys import Root, _summand_units
 
 __all__ = [
     "JacobiReport",
@@ -64,7 +64,7 @@ def nilradical_presentation(spec):
         >>> print_malcev(p)
         '(0,0,-e^{12})'
     """
-    p, units = _nilradical(block_sizes(spec.rank, spec.theta))
+    p, units = _nilradical(spec.blocks)
     return p, [Root(i, j, spec.rank) for i, j in units]
 
 

@@ -5,9 +5,13 @@ and it is stored as the matrix unit E_ij spanning its root space.  The
 fixed enumeration orders roots by (height, row of the unit), which makes
 alpha_1 come before alpha_2 and is what every Malcev presentation
 downstream relies on.
+
+``FlagSpec.blocks`` is the one source of Levi blocks, so every reader of a
+theta rejects what ``FlagSpec`` rejects.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 __all__ = [
@@ -37,6 +41,10 @@ class Root:
     rank: int
 
     def __post_init__(self):
+        if not type(self.row) is type(self.col) is type(self.rank) is int:
+            raise TypeError(
+                "row %r, col %r and rank %r must be integers" % (self.row, self.col, self.rank)
+            )
         if not 1 <= self.row < self.col <= self.rank + 1:
             raise ValueError(
                 "E(%d,%d) is not a positive root of A_%d" % (self.row, self.col, self.rank)
@@ -58,9 +66,21 @@ class Root:
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A checked series and rank; the positive roots are built on first read."""
+
     series: str
     rank: int
-    positive_roots: tuple
+
+    def __post_init__(self):
+        FlagSpec(self.series, self.rank)  # the series and rank rules, in FlagSpec's order
+
+    @cached_property
+    def positive_roots(self):
+        return tuple(
+            Root(row, row + height, self.rank)
+            for height in range(1, self.rank + 1)
+            for row in range(1, self.rank + 2 - height)
+        )
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,13 @@ class FlagSpec:
             raise ValueError("theta %r outside 1..%d" % (self.theta, self.rank))
         object.__setattr__(self, "theta", theta)
 
+    @property
+    def blocks(self):
+        """Sizes of the Levi blocks of theta, top to bottom: each alpha_k
+        outside theta cuts the rows 1..rank+1 after row k."""
+        cuts = [0, *(k for k in range(1, self.rank + 1) if k not in self.theta), self.rank + 1]
+        return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
     @classmethod
     def from_json(cls, obj):
         return cls(obj["series"], obj["rank"], tuple(obj.get("theta", ())))
@@ -104,35 +131,19 @@ class IsotropySummand:
 
 
 def build_root_system(series, rank):
-    """All positive roots of A_rank in the fixed order: by height, then by row.
+    """The root system of A_rank, its positive roots by height, then by row.
 
     Examples::
 
         >>> [r.coeffs for r in build_root_system("A", 2).positive_roots]
         [(1, 0), (0, 1), (1, 1)]
     """
-    FlagSpec(series, rank)  # the series and rank rules, in FlagSpec's order
-    roots = tuple(
-        Root(row, row + height, rank)
-        for height in range(1, rank + 1)
-        for row in range(1, rank + 2 - height)
-    )
-    return RootSystem(series, rank, roots)
-
-
-def block_sizes(rank, theta):
-    """Sizes of the Levi blocks of theta, top to bottom.
-
-    Each alpha_k outside theta cuts the rows 1..rank+1 after row k.
-    """
-    theta = set(theta)
-    cuts = [0] + [k for k in range(1, rank + 1) if k not in theta] + [rank + 1]
-    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+    return RootSystem(series, rank)
 
 
 def theta_of_blocks(blocks):
     """The theta of rank sum(blocks) - 1 with these Levi blocks: (2, 1, 3)
-    gives (1, 4, 5).  The inverse of block_sizes."""
+    gives (1, 4, 5).  The inverse of FlagSpec.blocks."""
     cuts = set(accumulate(blocks[:-1]))
     return tuple(k for k in range(1, sum(blocks)) if k not in cuts)
 
@@ -158,11 +169,25 @@ def _summand_units(blocks):
             yield p, p + gap, units
 
 
+def _gap_dim(b, gap):
+    """a(gap) of the flag nilradical with Levi block sizes b (``nilradical`` docstring)."""
+    return sum(b[p] * b[q] for p in range(len(b)) for q in range(p + gap, len(b)))
+
+
+def _block_series(b, lower):
+    """``tduality._bracket_series`` read off the Levi block sizes b."""
+    dims, gap = [], 2
+    while not dims or dims[-1]:
+        dims.append(_gap_dim(b, gap))
+        gap = gap + 1 if lower else 2 * gap
+    return tuple(dims)
+
+
 def complementary_positive_roots(rs, theta):
     """Positive roots with some coefficient outside theta, in root order:
     those whose unit E_ij crosses a cut, some alpha_k with i <= k < j not
     in theta."""
-    theta = set(theta)
+    theta = set(FlagSpec(rs.series, rs.rank, theta).theta)
     return [r for r in rs.positive_roots if not theta.issuperset(range(r.row, r.col))]
 
 
@@ -172,8 +197,7 @@ def isotropy_summands(rs, theta):
     A complementary root is a matrix unit E_ij with row i in Levi block p
     and column j in a later block q, and its signature is 1 on the cuts
     between them; each summand is built from its two blocks, so the cost
-    is its roots times the rank, and no other positive root is visited
-    (``rs`` supplies the rank alone).
+    is its roots times the rank, and no other positive root is visited.
 
     Summands are ordered by (signature height, lexicographically largest
     first), matching the root order convention, so for two free simple
@@ -188,7 +212,7 @@ def isotropy_summands(rs, theta):
         >>> [[r.coeffs for r in s.roots] for s in summands]
         [[(1, 0, 0), (1, 1, 0)], [(0, 0, 1), (0, 1, 1)], [(1, 1, 1)]]
     """
-    sizes = block_sizes(rs.rank, theta)
+    sizes = FlagSpec(rs.series, rs.rank, theta).blocks
     return [
         IsotropySummand(
             tuple(int(p <= t < q) for t in range(len(sizes) - 1)),
@@ -208,10 +232,5 @@ def three_summand_dims(l, m, n):
 
 
 def flag_dimension(spec):
-    """Complex dimension of G/P, i.e. the number of complementary roots.
-
-    With Levi blocks of sizes b this is ((rank+1)**2 - sum b**2) / 2, the
-    entries above the block diagonal.
-    """
-    sizes = block_sizes(spec.rank, spec.theta)
-    return ((spec.rank + 1) ** 2 - sum(b * b for b in sizes)) // 2
+    """Complex dimension of G/P, i.e. the number of complementary roots."""
+    return _gap_dim(spec.blocks, 1)

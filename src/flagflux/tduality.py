@@ -35,6 +35,7 @@ from .exterior import (
     print_form,
 )
 from .nilradical import jacobi_check
+from .rootsys import _block_series, _gap_dim
 
 __all__ = [
     "AdmissibleTriple",
@@ -664,20 +665,6 @@ def _d_columns(p, keys):
 
 def _diff_rank(p, degree):
     return rank(_d_columns(p, itertools.combinations(range(1, p.dim + 1), degree)))
-
-
-def _gap_dim(b, gap):
-    """a(gap) of the flag nilradical with Levi block sizes b (``nilradical`` docstring)."""
-    return sum(b[p] * b[q] for p in range(len(b)) for q in range(p + gap, len(b)))
-
-
-def _block_series(b, lower):
-    """``_bracket_series`` read off the Levi block sizes b."""
-    dims, gap = [], 2
-    while not dims or dims[-1]:
-        dims.append(_gap_dim(b, gap))
-        gap = gap + 1 if lower else 2 * gap
-    return tuple(dims)
 
 
 _Field = namedtuple("_Field", "name built blocks cost")

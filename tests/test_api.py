@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import warnings
 
 import pytest
@@ -43,3 +45,42 @@ def test_warnings_from_flagflux_fail_the_suite():
     # into an error, in the tests and the doctests alike
     with pytest.raises(UserWarning, match="probe"):
         warnings.warn_explicit("probe", UserWarning, "exterior.py", 1, module="flagflux.exterior")
+
+
+def _unused_imports(source):
+    """(line, name) of each name that ``source`` imports and never reads;
+    a name listed in its ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [
+                (node.lineno, (alias.asname or alias.name).partition(".")[0])
+                for alias in node.names
+                if alias.name != "*"
+            ]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(
+                e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)
+            )
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_unused_import_is_found():
+    source = "from .rootsys import FlagSpec, build_root_system\nFlagSpec('A', 1)\n"
+    assert _unused_imports(source) == [(1, "build_root_system")]
+    assert _unused_imports("import os.path\nos.sep\n__all__ = ['x']\nfrom m import x\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = pathlib.Path(flagflux.__file__).parent
+    unused = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in sorted(package.glob("*.py"))
+        for line, name in _unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []

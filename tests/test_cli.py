@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 import flagflux
-from flagflux import cli, print_form, print_malcev, tduality
+from flagflux import cli, print_form, print_malcev, rootsys, tduality
 from flagflux.cli import main
 
 from conftest import fingerprint_tie_dual
@@ -86,6 +86,15 @@ class TestExitCodes:
         assert result.exit_code == 1
         body = json.loads(result.stdout)
         assert body["error"] == {"kind": "invalid-input", "message": "rank must be >= 1"}
+
+    @pytest.mark.parametrize("command", ["root-system", "nilradical"])
+    def test_spec_is_read_before_it_is_checked(self, run, tmp_path, command):
+        # an unreadable theta is a usage error even on an unsupported series
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"series": "B", "rank": 2, "theta": "x"}))
+        result = run(command, "--config", str(cfg))
+        assert result.exit_code == 2
+        assert "expected a comma-separated integer list, got 'x'" in result.stderr
 
     def test_flux_out_of_range_is_one(self, run):
         result = run("dualize", "--rank", "2", "--ideal", "3", "--flux", "e^{145}")
@@ -519,6 +528,18 @@ class TestGcsTransport:
         assert result.exit_code == 2
         assert "block for signature (1,0)" in result.stderr
         assert message in result.stderr
+
+    def test_builds_only_the_summand_roots(self, run, monkeypatch, tmp_path):
+        # golden job 14: three roots of A_2 and the three of A_3 theta {1,2}
+        # that cross its cut; no whole root system is built
+        job = resources.files("flagflux").joinpath("jobs", "14-gcs-sl3-to-cp3.json")
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(json.loads(job.read_text(encoding="utf-8"))["config"]))
+        built = []
+        real = rootsys.Root.__post_init__
+        monkeypatch.setattr(rootsys.Root, "__post_init__", lambda r: built.append(r) or real(r))
+        assert run("gcs-transport", "--config", str(cfg)).exit_code == 0
+        assert len(built) == 6
 
     def test_unassigned_signature_is_domain_error(self, run, tmp_path):
         broken = dict(self.CONFIG, blocks={"1,0": {"kind": "complex", "sign": 1}})

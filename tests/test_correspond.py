@@ -34,7 +34,7 @@ from flagflux import (
 
 from flagflux import tduality
 from flagflux.nilradical import _nilradical
-from flagflux.rootsys import block_sizes, theta_of_blocks
+from flagflux.rootsys import theta_of_blocks
 
 from conftest import (
     blocks_of_dim_oracle,
@@ -67,7 +67,7 @@ class TestThetaDimTable:
         assert sum(len(v) for v in table.values()) == 16
         for dim, thetas in table.items():
             for theta in thetas:
-                assert 25 - sum(b * b for b in block_sizes(4, theta)) == 2 * dim
+                assert 25 - sum(b * b for b in FlagSpec("A", 4, theta).blocks) == 2 * dim
 
     def test_enumerator_matches_oracle(self):
         # content and order: the oracle's thetas with a flip of the same flag
@@ -79,7 +79,9 @@ class TestThetaDimTable:
                 want = [t for t in table.get(dim, []) if canonical_theta_oracle(l, t) == t]
                 found = C._blocks_of_dim(l, dim)
                 assert [theta_of_blocks(blocks) for blocks in found] == want, (l, dim)
-                assert all(blocks == block_sizes(l, theta_of_blocks(blocks)) for blocks in found)
+                assert all(
+                    blocks == FlagSpec("A", l, theta_of_blocks(blocks)).blocks for blocks in found
+                )
 
     def test_enumerator_matches_memo_walk(self):
         # content and order at every rank the search walks, past the reach of
@@ -325,7 +327,8 @@ class TestAdoptedAlgebras:
         # rank + 1: each nilradical carries the Lie mark, and the Jacobi
         # oracle agrees that it is one
         for mask in range(1 << rank):
-            blocks = block_sizes(rank, [k for k in range(1, rank + 1) if mask >> (k - 1) & 1])
+            theta = [k for k in range(1, rank + 1) if mask >> (k - 1) & 1]
+            blocks = FlagSpec("A", rank, theta).blocks
             p, _units = _nilradical(blocks)
             assert p._invariants["lie"] is True, blocks
             assert jacobi_oracle(p), blocks
@@ -386,7 +389,7 @@ class TestFindTargetsOracle:
             dual = result.dualization.dual.algebra
             assert result.targets, split
             for t in result.targets:
-                assert len(block_sizes(t.spec.rank, t.spec.theta)) == 2
+                assert len(t.spec.blocks) == 2
                 assert t.witness == tduality.BasisChange(
                     tuple(range(1, dual.dim + 1)), (1,) * dual.dim
                 )

@@ -19,7 +19,6 @@ from flagflux import (
     print_malcev,
 )
 from flagflux import tduality
-from flagflux.rootsys import block_sizes
 from flagflux.tduality import BasisChange
 
 from conftest import (
@@ -207,8 +206,9 @@ class TestParabolicFields:
     @pytest.mark.parametrize("row", BLOCK_ROWS, ids=lambda row: row.name)
     def test_block_value_matches_built_value(self, row):
         for rank, theta in flags(6):
-            blocks = block_sizes(rank, theta)
-            p, _legend = nilradical_presentation(FlagSpec("A", rank, theta))
+            spec = FlagSpec("A", rank, theta)
+            blocks = spec.blocks
+            p, _legend = nilradical_presentation(spec)
             assert row.blocks(blocks) == row.built(p), (rank, theta)
             if row.name == "abelian" and len(blocks) == 2:
                 # the abelian stop relies on this: one zero presentation per dim
@@ -216,8 +216,9 @@ class TestParabolicFields:
 
     def test_every_flag_up_to_rank_nine_against_unit_closure(self):
         for rank, theta in flags(9):
-            want = parabolic_fields_oracle(FlagSpec("A", rank, theta))
-            blocks = block_sizes(rank, theta)
+            spec = FlagSpec("A", rank, theta)
+            want = parabolic_fields_oracle(spec)
+            blocks = spec.blocks
             fields = {row.name: row.blocks(blocks) for row in BLOCK_ROWS}
             assert fields == want, (rank, theta)
 

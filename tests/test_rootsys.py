@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -7,15 +8,17 @@ from hypothesis import strategies as st
 from flagflux import (
     FlagSpec,
     Root,
+    RootSystem,
     UnsupportedSeriesError,
     build_root_system,
     complementary_positive_roots,
     flag_dimension,
     isotropy_summands,
+    pretty_name,
     three_summand_dims,
 )
 
-from flagflux.rootsys import block_sizes, theta_of_blocks
+from flagflux.rootsys import theta_of_blocks
 
 from conftest import mask_dim_oracle, nilradical_oracle, positive_root_vectors_oracle
 
@@ -91,6 +94,23 @@ class TestBuildRootSystem:
         with pytest.raises(ValueError):
             build_root_system("A", 0)
 
+    def test_root_system_checks_its_series_and_rank(self):
+        assert build_root_system("A", 2) == RootSystem("A", 2)
+        with pytest.raises(UnsupportedSeriesError):
+            RootSystem("B", 0.5)
+        with pytest.raises(TypeError, match="must be integers"):
+            RootSystem("A", True)
+
+    def test_summands_build_no_positive_roots(self, monkeypatch):
+        # the summands of A_5 theta {1,3,5} hold 12 of the 15 positive roots,
+        # and only those 12 are built
+        built = []
+        real = Root.__post_init__
+        monkeypatch.setattr(Root, "__post_init__", lambda r: built.append(r) or real(r))
+        summands = isotropy_summands(build_root_system("A", 5), (1, 3, 5))
+        assert built == [r for s in summands for r in s.roots]
+        assert len(built) == 12
+
 
 class TestRoot:
     def test_matrix_unit(self):
@@ -120,6 +140,13 @@ class TestRoot:
     )
     def test_invalid_unit_rejected(self, row, col, rank):
         with pytest.raises(ValueError, match="not a positive root"):
+            Root(row, col, rank)
+
+    @pytest.mark.parametrize(
+        "row,col,rank", [(True, 2, 3), (1, 2, 3.5), (1, "2", 3), (1, 2, False), (1.0, 2, 3)]
+    )
+    def test_non_int_row_col_or_rank_rejected(self, row, col, rank):
+        with pytest.raises(TypeError, match="must be integers"):
             Root(row, col, rank)
 
 
@@ -162,14 +189,38 @@ class TestFlagSpec:
             FlagSpec("B", 2.5)
 
 
+class TestThetaReaders:
+    """Every public reader of a theta checks it through FlagSpec, so each
+    raises what FlagSpec raises, with its message."""
+
+    READERS = {
+        "isotropy_summands": lambda theta: isotropy_summands(build_root_system("A", 3), theta),
+        "complementary_positive_roots": lambda theta: complementary_positive_roots(
+            build_root_system("A", 3), theta
+        ),
+        "pretty_name": lambda theta: pretty_name(3, theta),
+    }
+
+    @pytest.mark.parametrize(
+        "theta,error",
+        [((True, 9), TypeError), ((2.0,), TypeError), ((9,), ValueError), ((0,), ValueError)],
+    )
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_rejects_what_flagspec_rejects(self, reader, theta, error):
+        with pytest.raises(error) as want:
+            FlagSpec("A", 3, theta)
+        with pytest.raises(error, match="^%s$" % re.escape(str(want.value))):
+            self.READERS[reader](theta)
+
+
 class TestThetaOfBlocks:
     def test_inverts_block_sizes(self):
         for rank in range(1, 11):
             for mask in range(1 << rank):
                 theta = tuple(k + 1 for k in range(rank) if mask >> k & 1)
-                blocks = block_sizes(rank, theta)
+                blocks = FlagSpec("A", rank, theta).blocks
                 assert theta_of_blocks(blocks) == theta
-                assert block_sizes(rank, theta_of_blocks(blocks)) == blocks
+                assert FlagSpec("A", rank, theta_of_blocks(blocks)).blocks == blocks
 
 
 class TestSummands:
