@@ -1,9 +1,13 @@
-"""Kernel for sparse exterior-form arithmetic.
+"""Kernel for sparse exterior-form arithmetic, and the one number rule.
 
 Term maps are plain dicts: strictly increasing tuples of 1-based basis
-indices mapping to nonzero exact coefficients (int or Fraction).
+indices mapping to nonzero exact coefficients (int or Fraction).  Every
+number from outside enters through ``exact`` or ``integers`` (``integer``
+for one value): an int or Fraction subclass is stored as the plain value it
+equals, and a bool, a float or any other type raises TypeError.
 """
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 
@@ -13,13 +17,50 @@ def _norm(c):
     Exact type tests: isinstance against Fraction, an ABC, costs an int
     several times the type test.  Kernel arithmetic yields only ints and
     plain Fractions (arithmetic on a Fraction subclass returns a plain
-    Fraction), and an integral subclass value never enters a form.
+    Fraction), and ``exact`` lets no subclass value into a form.
     """
     if type(c) is int:
         return c
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def exact(c):
+    """c as a plain int when integral, else as a plain Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise TypeError("expected an int or Fraction, got %r (%s)" % (c, type(c).__name__))
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def is_int(value):
+    """Whether value is an int that is not a bool; subclasses count."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def integer(value, what):
+    if not is_int(value):
+        raise TypeError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
+def integers(values, what):
+    """A tuple of plain ints from an iterable that is not a mapping."""
+    if type(values) is tuple:
+        for v in values:
+            if type(v) is not int:
+                break
+        else:
+            return values
+    if isinstance(values, Iterable) and not isinstance(values, Mapping):
+        out = tuple(values)
+        if all(map(is_int, out)):
+            return tuple(map(int, out))
+    raise TypeError("%s must be integers, got %r" % (what, values))
 
 
 def merge_indices(left, right):

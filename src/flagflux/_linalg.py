@@ -52,9 +52,10 @@ def rank(rows):
     return len(echelon(rows))
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel of rows over columns 0..ncols-1, one dense
-    vector per free column: the basis read off the reduced row echelon form."""
+def nullspace(rows, columns):
+    """Basis of the right kernel of ``rows`` over the column keys ``columns``:
+    one sparse row per free column, read off the reduced row echelon form,
+    keyed in increasing order (pivots before the free column, then it)."""
     pivots = echelon(rows)
     reduced = {}
     for col in sorted(pivots, reverse=True):
@@ -62,13 +63,12 @@ def nullspace(rows, ncols):
         for c in [c for c in row if c != col and c in reduced]:
             _subtract(row, row[c], reduced[c])
         reduced[col] = row
+    increasing = sorted(reduced)
     basis = []
-    for free in range(ncols):
-        if free in pivots:
+    for free in columns:
+        if free in reduced:
             continue
-        vec = [0] * ncols
+        vec = {col: -reduced[col][free] for col in increasing if free in reduced[col]}
         vec[free] = 1
-        for col, row in reduced.items():
-            vec[col] = -row.get(free, 0)
         basis.append(vec)
     return basis

@@ -19,6 +19,7 @@ from collections import namedtuple
 from functools import partial
 from importlib import resources
 
+from ._kernel import is_int
 from .correspond import correspond_presentation, selfdual_flux
 from .exterior import (
     MalcevSyntaxError,
@@ -94,17 +95,15 @@ def _as_int_tuple(value, label):
         return ()
     if isinstance(value, str):
         return _parse_int_list(value)
-    if isinstance(value, (list, tuple)):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise UsageError("%s must be a list of integers" % label)
-        return tuple(value)
+    if isinstance(value, (list, tuple)) and all(map(is_int, value)):
+        return tuple(map(int, value))
     raise UsageError("%s must be a list of integers" % label)
 
 
 def _as_int(value, label):
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise UsageError("%s must be an integer, got %r" % (label, value))
-    return value
+    return int(value)
 
 
 def _as_str(value, label):

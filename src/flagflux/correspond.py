@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ._kernel import integer
 from .exterior import Form, wedge
 from .nilradical import _nilradical, nilradical_presentation
 from .rootsys import FlagSpec, theta_of_blocks, three_summand_dims
@@ -117,10 +118,13 @@ def _blocks_of_dim(l, dim):
 
 def pretty_name(l, theta):
     """Quotient notation, with the projective-space alias when it applies."""
-    blocks = FlagSpec("A", l, theta).blocks
-    name = "SU(%d)/S(%s)" % (l + 1, "×".join("U(%d)" % b for b in blocks))
+    return _name_of_blocks(FlagSpec("A", l, theta).blocks)
+
+
+def _name_of_blocks(blocks):
+    name = "SU(%d)/S(%s)" % (sum(blocks), "×".join("U(%d)" % b for b in blocks))
     if len(blocks) == 2 and min(blocks) == 1:
-        name += " ≅ CP^%d" % l
+        name += " ≅ CP^%d" % (sum(blocks) - 1)
     return name
 
 
@@ -183,8 +187,8 @@ def find_targets(dual_algebra):
                         unconfirmed.append((FlagSpec("A", l, theta_of_blocks(blocks)), iso.reason))
                     continue
                 witness = iso.witness
-            theta = theta_of_blocks(blocks)
-            targets.append(TargetCandidate(FlagSpec("A", l, theta), witness, pretty_name(l, theta)))
+            spec = FlagSpec("A", l, theta_of_blocks(blocks))
+            targets.append(TargetCandidate(spec, witness, _name_of_blocks(blocks)))
     if targets:
         return targets, None, unconfirmed
     reason = (
@@ -318,8 +322,7 @@ def dimension_obstruction_scan(bound):
     The e6 comparison is the fixed pair of complex dimensions 24 and 16,
     which differ, closing the exceptional case the same way.
     """
-    if type(bound) is not int:
-        raise TypeError("bound %r must be an integer" % (bound,))
+    bound = integer(bound, "bound")
     if bound < 4:
         raise ValueError("bound must be >= 4")
     solutions = []

@@ -17,6 +17,7 @@ Examples::
 from fractions import Fraction
 
 from . import _kernel
+from ._kernel import exact, integer, integers
 
 __all__ = [
     "Form",
@@ -45,60 +46,35 @@ class MalcevValueError(ValueError):
     """Raised when well-formed input violates a range or filtration rule."""
 
 
-def _norm_coeff(c):
-    """c checked as an exact coefficient, an integral Fraction as its int.
-
-    An int or a plain Fraction, nearly every coefficient, is settled by an
-    exact type test; anything else takes the isinstance tests, which accept
-    subclasses (an IntEnum, a Fraction subclass) and reject bools and floats.
-    """
-    if type(c) is int:
-        return c
-    if type(c) is Fraction:
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, bool):
-        raise TypeError("coefficients must be exact (int or Fraction), got a bool")
-    if isinstance(c, float):
-        raise TypeError("coefficients must be exact (int or Fraction)")
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError("coefficients must be exact (int or Fraction)")
-    return c
-
-
 class Form:
     """Sparse exterior form: degree plus {increasing index tuple: coeff}.
 
     ``Form(degree, terms)``, ``from_terms``, ``parse_form`` and
-    ``parse_malcev`` are where forms enter: they check the degree (an int,
-    not a bool), every key (int indices, not bools, strictly increasing
-    from 1, as many as the degree) and every coefficient (int or Fraction,
-    not a bool or float), reduce an integral Fraction to an int and drop
-    zeros.  The results of form arithmetic (+, -, scalar *, wedge,
-    interior, ce_diff) are built by the kernel from such terms, already
-    sorted, normalized and nonzero, in a fresh dict, so ``_adopt`` stores
-    them as they are.  ``terms`` is never written to after construction.
+    ``parse_malcev`` are where forms enter: they check the degree and the
+    key indices (``_kernel.integer`` and ``integers``), that each key is
+    strictly increasing from 1 with as many indices as the degree, and
+    every coefficient (``_kernel.exact``), and drop zeros.  The results of
+    form arithmetic (+, -, scalar *, wedge, interior, ce_diff) are built by
+    the kernel from such terms, already sorted, normalized and nonzero, in
+    a fresh dict, so ``_adopt`` stores them as they are.  ``terms`` is
+    never written to after construction.
     """
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree, terms=None):
-        if not isinstance(degree, int) or isinstance(degree, bool):
-            raise TypeError("degree must be an integer, got %r" % (degree,))
+        degree = integer(degree, "degree")
         if degree < 0:
             raise ValueError("degree must be non-negative")
         self.degree = degree
         clean = {}
         for key, c in (terms or {}).items():
-            key = tuple(key)
+            key = integers(key, "key indices")
             if len(key) != degree:
                 raise ValueError("key %r does not match degree %d" % (key, degree))
-            if not all(isinstance(i, int) and not isinstance(i, bool) for i in key):
-                raise TypeError("key %r: indices must be integers" % (key,))
             if any(b <= a for a, b in zip(key, key[1:])) or (key and key[0] < 1):
                 raise ValueError("key %r is not strictly increasing from 1" % (key,))
-            c = _norm_coeff(c)
+            c = exact(c)
             if c:
                 clean[key] = c
         self.terms = clean
@@ -117,17 +93,18 @@ class Form:
         """Build from (indices, coeff) pairs, normalizing order with signs.
 
         Each index is merged into the sorted key in turn, so the sign is
-        that of the sorting permutation, and 0 on a repeated index.
+        that of the sorting permutation, and 0 on a repeated index; they
+        are checked first, so a bool is not merged as a repeat of 1.
         """
         acc = {}
         for indices, c in items:
             key, sign = (), 1
-            for i in indices:
+            for i in integers(indices, "key indices"):
                 key, step = _kernel.merge_indices(key, (i,))
                 sign *= step
             if sign == 0:
                 continue
-            s = acc.get(key, 0) + sign * _norm_coeff(c)
+            s = acc.get(key, 0) + sign * exact(c)
             if s:
                 acc[key] = s
             elif key in acc:
@@ -165,7 +142,7 @@ class Form:
         return Form._adopt(self.degree, _kernel.scale_terms(self.terms, -1))
 
     def __mul__(self, scalar):
-        return Form._adopt(self.degree, _kernel.scale_terms(self.terms, _norm_coeff(scalar)))
+        return Form._adopt(self.degree, _kernel.scale_terms(self.terms, exact(scalar)))
 
     __rmul__ = __mul__
 
@@ -387,10 +364,8 @@ def parse_form(text, degree=None):
     With degree=None the degree is taken from the terms, which must agree;
     a bare "0" then parses as the zero 3-form, the common flux case.  A
     0-form (degree=0) is a lone signed rational, as print_form writes it.
-    A degree that is not an int, or is a bool, raises TypeError.
     """
-    if degree is not None and (not isinstance(degree, int) or isinstance(degree, bool)):
-        raise TypeError("degree must be an integer, got %r" % (degree,))
+    degree = None if degree is None else integer(degree, "degree")
     sc = _Scanner(text)
     items = [((), sc.sign() * sc.rational())] if degree == 0 else sc.entry()
     sc.skip_ws()

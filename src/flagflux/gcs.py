@@ -11,7 +11,7 @@ a non-integral one a Fraction, as in the form kernel.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernel import _norm
+from ._kernel import _norm, exact, integer, integers, is_int
 
 __all__ = [
     "GcsBlock",
@@ -29,19 +29,13 @@ __all__ = [
 
 
 def _rat(value):
-    """value as an exact rational: an int when integral, else a Fraction."""
-    if isinstance(value, bool):
-        raise TypeError("expected an exact rational, got a bool")
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, Fraction):
-        return _norm(Fraction(value))
+    """``_kernel.exact`` of value, text such as "-1/2" read as a Fraction first."""
     if isinstance(value, str):
         try:
-            return _norm(Fraction(value))
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            pass
-    raise TypeError("expected an exact rational, got %r" % (value,))
+            raise TypeError("expected an exact rational, got %r" % (value,)) from None
+    return exact(value)
 
 
 def identity_matrix(n):
@@ -70,9 +64,9 @@ def mat_eq(a, b):
 
 def complex_matrix(sign):
     """The two complex-type blocks; sign picks the orientation."""
-    if sign not in (1, -1):
+    s = integer(sign, "sign")
+    if s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    s = int(sign)
     z = 0
     return [
         [z, -s, z, z],
@@ -104,6 +98,7 @@ def phi_matrix(t, m):
     the identity; the two minus signs cancel in the split pairing, so
     phi is orthogonal for it.
     """
+    t, m = integers((t, m), "t and m")
     if t < 0 or m < 0 or t + m == 0:
         raise ValueError("need t, m >= 0 with t + m > 0")
     n = 2 * (t + m)
@@ -119,6 +114,7 @@ def phi_matrix(t, m):
 
 def split_pairing(n):
     """The natural pairing of T with T* in the (vectors, covectors) split."""
+    n = integer(n, "n")
     half = Fraction(1, 2)
     g = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -164,10 +160,9 @@ def make_block(kind, **params):
         sign = params.pop("sign", 1)
         if params:
             raise TypeError("unexpected parameters: %s" % sorted(params))
-        if not isinstance(sign, int) or isinstance(sign, bool):
+        if not is_int(sign):
             raise TypeError("sign must be the integer 1 or -1, got %r" % (sign,))
-        m = complex_matrix(sign)
-        return GcsBlock("complex", _freeze(m), (sign,))
+        return GcsBlock("complex", _freeze(complex_matrix(sign)), (int(sign),))
     if kind == "noncomplex":
         a = _rat(params.pop("a"))
         x = _rat(params.pop("x"))

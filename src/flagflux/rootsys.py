@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
+from ._kernel import integer, integers
+
 __all__ = [
     "Root",
     "RootSystem",
@@ -41,10 +43,8 @@ class Root:
     rank: int
 
     def __post_init__(self):
-        if not type(self.row) is type(self.col) is type(self.rank) is int:
-            raise TypeError(
-                "row %r, col %r and rank %r must be integers" % (self.row, self.col, self.rank)
-            )
+        row, col, rank = integers((self.row, self.col, self.rank), "row, col and rank")
+        vars(self).update(row=row, col=col, rank=rank)
         if not 1 <= self.row < self.col <= self.rank + 1:
             raise ValueError(
                 "E(%d,%d) is not a positive root of A_%d" % (self.row, self.col, self.rank)
@@ -72,7 +72,8 @@ class RootSystem:
     rank: int
 
     def __post_init__(self):
-        FlagSpec(self.series, self.rank)  # the series and rank rules, in FlagSpec's order
+        # the series and rank rules, in FlagSpec's order, and its plain rank
+        object.__setattr__(self, "rank", FlagSpec(self.series, self.rank).rank)
 
     @cached_property
     def positive_roots(self):
@@ -94,14 +95,13 @@ class FlagSpec:
     def __post_init__(self):
         if self.series != "A":
             raise UnsupportedSeriesError("only series A is supported, got %r" % self.series)
-        if not all(type(k) is int for k in (self.rank, *self.theta)):
-            raise TypeError("rank %r and theta %r must be integers" % (self.rank, self.theta))
-        if self.rank < 1:
+        rank = integer(self.rank, "rank")
+        theta = integers(self.theta, "theta")
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        theta = tuple(sorted(set(self.theta)))
-        if any(not 1 <= t <= self.rank for t in theta):
-            raise ValueError("theta %r outside 1..%d" % (self.theta, self.rank))
-        object.__setattr__(self, "theta", theta)
+        if any(not 1 <= t <= rank for t in theta):
+            raise ValueError("theta %r outside 1..%d" % (theta, rank))
+        vars(self).update(rank=rank, theta=tuple(sorted(set(theta))))
 
     @property
     def blocks(self):
@@ -112,7 +112,7 @@ class FlagSpec:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["series"], obj["rank"], tuple(obj.get("theta", ())))
+        return cls(obj["series"], obj["rank"], obj.get("theta", ()))
 
     def to_json(self):
         return {"series": self.series, "rank": self.rank, "theta": list(self.theta)}
@@ -224,8 +224,7 @@ def isotropy_summands(rs, theta):
 
 def three_summand_dims(l, m, n):
     """Summand dimensions for Theta = Sigma minus {alpha_l, alpha_{l+m}}."""
-    if not all(type(b) is int for b in (l, m, n)):
-        raise TypeError("block sizes %r must be integers" % ((l, m, n),))
+    l, m, n = integers((l, m, n), "block sizes")
     if min(l, m, n) < 1:
         raise ValueError("block sizes must be >= 1")
     return l * m, m * n, l * n

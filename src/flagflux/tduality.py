@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._kernel import integers, is_int
 from ._linalg import echelon, nullspace, rank
 from .exterior import (
     Form,
@@ -62,8 +63,8 @@ class AdmissibleTriple:
 
     Construction rejects what is not such a triple, first failure first: an
     algebra that fails the Jacobi identity (naming the first de^k with
-    d(de^k) != 0), a flux index beyond the dimension, an ideal slot that is
-    not an int or is a bool (TypeError), an ideal slot outside 1..dim, a
+    d(de^k) != 0), a flux index beyond the dimension, ideal slots that
+    ``_kernel.integers`` rejects (TypeError), an ideal slot outside 1..dim, a
     flux that is not a 3-form.  Whether the ideal is abelian, the
     flux closed and so on is check_admissible's report, not a construction
     error.  The Jacobi check is skipped only for an algebra marked Lie
@@ -89,10 +90,7 @@ class AdmissibleTriple:
                 "flux references index %d beyond dimension %d"
                 % (self.flux.max_index(), self.algebra.dim)
             )
-        ideal = tuple(self.ideal)
-        if not all(isinstance(k, int) and not isinstance(k, bool) for k in ideal):
-            raise TypeError("ideal %r: slots must be integers" % (ideal,))
-        ideal = tuple(sorted(set(ideal)))
+        ideal = tuple(sorted(set(integers(self.ideal, "ideal slots"))))
         if any(not 1 <= k <= self.algebra.dim for k in ideal):
             raise ValueError("ideal %r outside 1..%d" % (self.ideal, self.algebra.dim))
         if self.flux.degree != 3:
@@ -346,10 +344,10 @@ class BasisChange:
     This is the one relabelling of slots: iso_small's witnesses are signed
     changes, and dualization moves a non-trailing ideal to the trailing
     slots by the unit-sign change along its slot map's permutation.
-    Construction rejects a perm entry that is not an int or is a bool
-    (TypeError), a perm that is not a permutation of 1..n and signs
-    that are not n values of 1 or -1, so ``apply`` moves each nonzero
-    constant to a distinct key with its sign and adopts the forms it
+    Construction rejects perm entries that are not ints (TypeError), a perm
+    that is not a permutation of 1..n and signs that are not n ints of 1 or
+    -1 (ValueError), and stores both as plain ints, so ``apply`` moves each
+    nonzero constant to a distinct key with its sign and adopts the forms it
     builds; their filtration is still checked, since a permutation can
     break it.  A change of size n rewrites a presentation of dimension n
     and forms with indices up to n, and raises ValueError on any other.
@@ -359,13 +357,13 @@ class BasisChange:
     signs: tuple
 
     def __post_init__(self):
-        n = len(self.perm)
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in self.perm):
-            raise TypeError("perm %r: entries must be integers" % (self.perm,))
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError("perm %r is not a permutation of 1..%d" % (self.perm, n))
-        if len(self.signs) != n or not all(type(s) is int and s in (1, -1) for s in self.signs):
+        perm = integers(self.perm, "perm entries")
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
+            raise ValueError("perm %r is not a permutation of 1..%d" % (perm, n))
+        if len(self.signs) != n or not all(is_int(s) and s in (1, -1) for s in self.signs):
             raise ValueError("signs %r must be %d values of 1 or -1" % (self.signs, n))
+        vars(self).update(perm=perm, signs=integers(self.signs, "signs"))
 
     def apply(self, p):
         if p.dim != len(self.perm):
@@ -744,12 +742,23 @@ def compare_fingerprints(p, q):
 
 
 def _closed_forms(p, keys):
-    """Basis of the closed forms spanned by the basis forms ``keys``."""
-    rows_by_target = {}
-    for col, img in enumerate(_d_columns(p, keys)):
+    """Basis of the closed forms spanned by the basis forms e^key, ``keys``
+    a list of increasing keys of one degree."""
+    rows = {}
+    for key, img in zip(keys, _d_columns(p, keys)):
         for tkey, c in img.items():
-            rows_by_target.setdefault(tkey, {})[col] = c
-    return nullspace(list(rows_by_target.values()), len(keys))
+            rows.setdefault(tkey, {})[key] = c
+    return [Form._adopt(len(keys[0]), terms) for terms in nullspace(rows.values(), keys)]
+
+
+def _random_sum(rng, forms, degree, draws, coeffs):
+    """Sum of c * f over rng.randint(*draws) draws of f in ``forms``, c in ``coeffs``."""
+    total = Form.zero(degree)
+    if forms:
+        for _ in range(rng.randint(*draws)):
+            f = forms[rng.randrange(len(forms))]
+            total = total + rng.choice(coeffs) * f
+    return total
 
 
 def random_admissible_triple(rng, max_dim=8):
@@ -775,27 +784,13 @@ def random_admissible_triple(rng, max_dim=8):
     diffs = [Form(2) for _ in range(sizes[0])]
     pairs1 = list(itertools.combinations(range(1, sizes[0] + 1), 2))
     for _ in range(sizes[1]):
-        terms = {}
-        for key in pairs1:
-            if rng.random() < 0.6:
-                c = rng.choice([-2, -1, -1, 1, 1, 2])
-                terms[key] = c
+        terms = {key: rng.choice([-2, -1, -1, 1, 1, 2]) for key in pairs1 if rng.random() < 0.6}
         diffs.append(Form(2, terms))
 
     if layers == 3:
         keys = list(itertools.combinations(range(1, sizes[0] + sizes[1] + 1), 2))
         closed = _closed_forms(MalcevPresentation(list(diffs)), keys)
-        for _ in range(sizes[2]):
-            terms = {}
-            if closed:
-                for _ in range(rng.randint(1, 2)):
-                    vec = closed[rng.randrange(len(closed))]
-                    c = rng.choice([-1, 1, 2])
-                    for key, v in zip(keys, vec):
-                        if v:
-                            terms[key] = terms.get(key, 0) + c * v
-            f = Form(2, {k: v for k, v in terms.items() if v})
-            diffs.append(f)
+        diffs += [_random_sum(rng, closed, 2, (1, 2), [-1, 1, 2]) for _ in range(sizes[2])]
 
     algebra = MalcevPresentation(diffs)
     ideal = tuple(range(n - sizes[-1] + 1, n + 1))
@@ -806,14 +801,5 @@ def random_admissible_triple(rng, max_dim=8):
         for key in itertools.combinations(range(1, n + 1), 3)
         if sum(1 for i in key if i in ideal_set) <= 1
     ]
-    closed3 = _closed_forms(algebra, keys3)
-    terms = {}
-    if closed3:
-        for _ in range(rng.randint(0, 3)):
-            vec = closed3[rng.randrange(len(closed3))]
-            c = rng.choice([-2, -1, 1, 2])
-            for key, v in zip(keys3, vec):
-                if v:
-                    terms[key] = terms.get(key, 0) + c * v
-    flux = Form(3, {k: v for k, v in terms.items() if v})
+    flux = _random_sum(rng, _closed_forms(algebra, keys3), 3, (0, 3), [-2, -1, 1, 2])
     return AdmissibleTriple(algebra, ideal, flux)

@@ -1,10 +1,29 @@
 import ast
+import enum
 import pathlib
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import flagflux
+from flagflux import (
+    AdmissibleTriple,
+    BasisChange,
+    FlagSpec,
+    Form,
+    Root,
+    build_root_system,
+    complex_matrix,
+    dimension_obstruction_scan,
+    make_block,
+    parse_form,
+    parse_malcev,
+    phi_matrix,
+    split_pairing,
+    three_summand_dims,
+)
+from flagflux.cli import UsageError, _as_int, _as_int_tuple
 
 # The package's public names, one entry per name.
 PUBLIC = {
@@ -84,3 +103,121 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def _number_rule_spellings(source):
+    """Line of each spelling of the number rule in ``source``: an
+    ``isinstance`` test against ``bool``, or ``type(...) is int`` and
+    ``type(...) is not int``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = node.args[1:]
+            if classes and isinstance(classes[0], ast.Tuple):
+                classes = classes[0].elts
+            if any(getattr(c, "id", None) == "bool" for c in classes):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            typed = any(
+                isinstance(o, ast.Call) and getattr(o.func, "id", None) == "type" for o in operands
+            )
+            if typed and any(getattr(o, "id", None) == "int" for o in operands):
+                found.append(node.lineno)
+    return found
+
+
+def test_number_rule_spelling_is_found():
+    source = (
+        "isinstance(x, bool)\nisinstance(x, (int, bool))\ntype(x) is int\n"
+        "type(x) is not int\ntype(a) is type(b) is int\n"
+        "isinstance(x, int)\ntype(x) is Fraction\nx is None\n"
+    )
+    assert _number_rule_spellings(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_the_kernel_spells_the_number_rule():
+    # every outside int or rational goes through _kernel's checkers, so the
+    # rule for what counts as one has a single home
+    package = pathlib.Path(flagflux.__file__).parent
+    spelled = [
+        "%s:%d" % (path.name, line)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_kernel.py"
+        for line in _number_rule_spellings(path.read_text(encoding="utf-8"))
+    ]
+    assert spelled == []
+
+
+class Half(Fraction):
+    pass
+
+
+def _heisenberg_ideal(v):
+    return AdmissibleTriple(parse_malcev("(0,0,-e^{12})"), (v,), Form.zero(3)).ideal[0]
+
+
+# (boundary, call on one number returning what it stores or returns, a value
+# it accepts, the error of a rejected value)
+INTEGER_BOUNDARIES = [
+    ("Form degree", lambda v: Form(v).degree, 2, TypeError),
+    ("Form key index", lambda v: min(Form(2, {(1, v): 1}).terms)[1], 2, TypeError),
+    ("Form.from_terms index", lambda v: min(Form.from_terms(2, [((1, v), 1)]).terms)[1], 2,
+     TypeError),
+    ("parse_form degree", lambda v: parse_form("e^{12}", v).degree, 2, TypeError),
+    ("Root", lambda v: Root(1, v, 3).col, 2, TypeError),
+    ("FlagSpec rank", lambda v: FlagSpec("A", v).rank, 2, TypeError),
+    ("FlagSpec theta", lambda v: FlagSpec("A", 3, (v,)).theta[0], 2, TypeError),
+    ("build_root_system rank", lambda v: build_root_system("A", v).rank, 2, TypeError),
+    ("three_summand_dims", lambda v: three_summand_dims(v, 1, 1)[0], 2, TypeError),
+    ("AdmissibleTriple ideal", _heisenberg_ideal, 2, TypeError),
+    ("BasisChange perm", lambda v: BasisChange((1, v), (1, 1)).perm[1], 2, TypeError),
+    ("dimension_obstruction_scan", lambda v: dimension_obstruction_scan(v).scanned_to, 5,
+     TypeError),
+    ("make_block sign", lambda v: make_block("complex", sign=v).params[0], 1, TypeError),
+    ("complex_matrix", lambda v: complex_matrix(v)[1][0], 1, TypeError),
+    ("phi_matrix", lambda v: phi_matrix(v, 1)[0][0], 1, TypeError),
+    ("split_pairing", lambda v: len(split_pairing(v)), 2, TypeError),
+    ("cli _as_int", lambda v: _as_int(v, "rank"), 2, UsageError),
+    ("cli _as_int_tuple", lambda v: _as_int_tuple([v], "ideal")[0], 2, UsageError),
+]
+
+RATIONAL_BOUNDARIES = [
+    ("Form coefficient", lambda v: Form(1, {(1,): v}).terms[(1,)]),
+    ("Form.from_terms coefficient", lambda v: Form.from_terms(1, [((1,), v)]).terms[(1,)]),
+    ("Form scalar", lambda v: (Form.basis(1) * v).terms[(1,)]),
+]
+
+
+class TestBoundaryTable:
+    """Every boundary takes an int or rational subclass and keeps it plain,
+    and rejects a bool, a float and text, through the one kernel rule."""
+
+    @pytest.mark.parametrize(
+        "call, good, error",
+        [row[1:] for row in INTEGER_BOUNDARIES],
+        ids=[row[0] for row in INTEGER_BOUNDARIES],
+    )
+    def test_integer_boundary(self, call, good, error):
+        value = enum.IntEnum("Value", {"V": good}).V
+        got = call(value)
+        assert type(got) is int and got == call(good)
+        for bad in (True, float(good), str(good)):
+            with pytest.raises(error):
+                call(bad)
+
+    @pytest.mark.parametrize(
+        "call", [row[1] for row in RATIONAL_BOUNDARIES], ids=[row[0] for row in RATIONAL_BOUNDARIES]
+    )
+    def test_rational_boundary(self, call):
+        got = call(enum.IntEnum("Value", {"V": 2}).V)
+        assert type(got) is int and got == 2
+        got = call(Half(1, 2))
+        assert type(got) is Fraction and got == Fraction(1, 2)
+        got = call(Half(4, 2))
+        assert type(got) is int and got == 2
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(TypeError):
+                call(bad)

@@ -503,5 +503,5 @@ class TestObstructionScan:
 
     @pytest.mark.parametrize("bound", [True, 10.0, "10"])
     def test_non_int_bound_rejected(self, bound):
-        with pytest.raises(TypeError, match=r"bound .* must be an integer"):
+        with pytest.raises(TypeError, match="bound must be an integer"):
             dimension_obstruction_scan(bound)

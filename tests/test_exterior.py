@@ -20,7 +20,6 @@ from flagflux import (
 )
 
 from flagflux import _kernel
-from flagflux.exterior import _norm_coeff
 
 from conftest import (
     assert_well_formed,
@@ -116,30 +115,31 @@ class Half(Fraction):
 
 
 class Level(enum.IntEnum):
+    ONE = 1
     TWO = 2
 
 
 def norm_coeff_oracle(c):
-    """The coefficient check by isinstance alone, without exact-type paths."""
+    """The coefficient check by isinstance alone, without exact-type paths:
+    a plain int when integral, else a plain Fraction."""
     if isinstance(c, bool):
         raise TypeError("bool")
     if isinstance(c, float):
         raise TypeError("float")
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
     if not isinstance(c, (int, Fraction)):
         raise TypeError("inexact")
-    return c
+    c = Fraction(c)
+    return int(c) if c.denominator == 1 else c
 
 
 class TestExactTypes:
-    """The normalizers test exact types first; what they accept, reject and
-    return is what the isinstance tests alone give."""
+    """The normalizers test exact types first; what they accept and reject
+    is what the isinstance tests alone give, and they return plain values."""
 
     @pytest.mark.parametrize("c", [Fraction(4, 2), Fraction(-3, 1), Half(6, 3)])
     def test_integral_fraction_becomes_int(self, c):
-        assert type(_norm_coeff(c)) is int
-        assert _norm_coeff(c) == c
+        assert type(_kernel.exact(c)) is int
+        assert _kernel.exact(c) == c
         if type(c) is Fraction:
             assert type(_kernel._norm(c)) is int
             assert _kernel._norm(c) == c
@@ -148,7 +148,7 @@ class TestExactTypes:
         "c", [3, -1, Fraction(1, 2), Fraction(-5, 3), Half(1, 2), Half(4, 2), Level.TWO]
     )
     def test_accepts_as_the_isinstance_check_does(self, c):
-        got, want = _norm_coeff(c), norm_coeff_oracle(c)
+        got, want = _kernel.exact(c), norm_coeff_oracle(c)
         assert got == want and type(got) is type(want)
         assert Form(1, {(1,): c}).terms == {(1,): want}
         assert (Form.basis(1) * c).terms == {(1,): want}
@@ -158,11 +158,18 @@ class TestExactTypes:
         with pytest.raises(TypeError):
             norm_coeff_oracle(c)
         with pytest.raises(TypeError):
-            _norm_coeff(c)
+            _kernel.exact(c)
         with pytest.raises(TypeError):
             Form(1, {(1,): c})
         with pytest.raises(TypeError):
             Form.basis(1) * c
+
+    def test_int_subclass_indices_and_coefficient_print_plain(self):
+        # a stored IntEnum would print by its name under Python 3.10
+        f = Form(2, {(Level.ONE, 2): Level.TWO})
+        assert print_form(f) == "2e^{12}"
+        assert parse_form(print_form(f)) == f
+        assert print_form(Form.from_terms(2, [((2, Level.ONE), Level.TWO)])) == "-2e^{12}"
 
     def test_kernel_results_hold_no_integral_fraction(self):
         # each result's coefficients are integral, reached through Fractions

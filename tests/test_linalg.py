@@ -59,11 +59,13 @@ class TestSparseElimination:
         sparse = [dict(enumerate(row)) for row in rows]  # zero entries included
         _mat, pivots = rref_oracle(rows, ncols)
         assert rank(sparse) == len(pivots)
-        basis = nullspace(sparse, ncols)
+        basis = nullspace(sparse, range(ncols))
         for vec in basis:
+            assert list(vec) == sorted(vec) and all(vec.values())
             for row in rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
-        assert basis == nullspace_oracle(rows, ncols)
+                assert sum(row[c] * v for c, v in vec.items()) == 0
+        dense = [[vec.get(c, 0) for c in range(ncols)] for vec in basis]
+        assert dense == nullspace_oracle(rows, ncols)
 
     @given(block_matrices())
     @settings(max_examples=50, deadline=None)
@@ -80,7 +82,8 @@ class TestSparseElimination:
     def test_empty(self):
         assert rank([]) == 0
         assert rank([{}, {3: 0}]) == 0
-        assert nullspace([], 2) == [[1, 0], [0, 1]]
+        assert nullspace([], range(2)) == [{0: 1}, {1: 1}]
+        assert nullspace([{(1, 2): 1, (1, 3): 2}], [(1, 2), (1, 3)]) == [{(1, 2): -2, (1, 3): 1}]
 
 
 integral_fractions = st.integers(min_value=-5, max_value=5).filter(bool).map(Fraction)

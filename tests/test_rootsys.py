@@ -98,7 +98,7 @@ class TestBuildRootSystem:
         assert build_root_system("A", 2) == RootSystem("A", 2)
         with pytest.raises(UnsupportedSeriesError):
             RootSystem("B", 0.5)
-        with pytest.raises(TypeError, match="must be integers"):
+        with pytest.raises(TypeError, match="rank must be an integer"):
             RootSystem("A", True)
 
     def test_summands_build_no_positive_roots(self, monkeypatch):
@@ -183,6 +183,13 @@ class TestFlagSpec:
     def test_rank_and_theta_must_be_integers(self, make):
         with pytest.raises(TypeError):
             make()
+
+    @pytest.mark.parametrize("theta", [5, {2: 0}, "2"])
+    def test_theta_must_be_an_iterable_of_integers(self, theta):
+        # a bare int once failed in tuple unpacking, and a mapping was read
+        # as its keys
+        with pytest.raises(TypeError, match="^theta must be integers"):
+            FlagSpec("A", 3, theta)
 
     def test_unsupported_series_wins_over_bad_rank(self):
         with pytest.raises(UnsupportedSeriesError):

@@ -227,8 +227,7 @@ class TestAdmissibilityOracle:
                             for key in itertools.combinations(range(1, p.dim + 1), 3)
                             if sum(i in ideal for i in key) <= 1
                         ]
-                        for vec in tduality._closed_forms(p, keys):
-                            flux = Form(3, {k: v for k, v in zip(keys, vec) if v})
+                        for flux in tduality._closed_forms(p, keys):
                             t = AdmissibleTriple(p, ideal, flux)
                             invariant = jacobi_check(dual_by_hand(p, ideal, flux)).ok
                             assert check_admissible(t).ok == invariant
