@@ -4,14 +4,20 @@ Each complementary root contributes a rank-4 slice of T + T* spanned by
 the two real root directions and their duals.  A block is an endomorphism
 squaring to -1 and compatible with the split pairing; transport across
 the correspondence conjugates by the involution that swaps x with x*.
-All entries stay exact rationals: an integral entry is an int, and only
-a non-integral one a Fraction, as in the form kernel.
+A block is named by its type (Gualtieri, "Generalized complex geometry",
+Ann. of Math. 174 (2011)): written [[A, P], [Q, D]] on (V, V*), it is
+orthogonal for the pairing when P and Q are skew and D = -A^T, and then
+has type (dim V - rank P) / 2; full type is complex, and type 0 is
+symplectic up to the B-field -P^{-1} A.  All entries stay exact
+rationals: an integral entry is an int, and only a non-integral one a
+Fraction, as in the form kernel.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import _norm, exact, integer, integers, is_int
+from ._linalg import rank
 
 __all__ = [
     "GcsBlock",
@@ -223,55 +229,45 @@ def phi_conjugate(block):
     return TransportedBlock(_freeze(moved), classify_block(moved))
 
 
-def _is_zero_block(m, rows, cols):
-    return all(m[i][j] == 0 for i in rows for j in cols)
+def _minus_transpose(b):
+    return [[-v for v in col] for col in zip(*b)]
 
 
 def classify_block(matrix):
-    """Name the type of a 4x4 block squaring to -1.
+    """Name Gualtieri's type of a 4x4 block squaring to -1.
 
-    complex:      [[A, 0], [0, -A^T]] in the 2+2 split
-    symplectic:   block-antidiagonal [[0, B], [C, 0]]
-    B-symplectic: symplectic twisted by a B-field, the a*I diagonal family
-    other:        anything else
+    Write J = [[A, P], [Q, D]] on (V, V*) = ((y, x), (y*, x*)).  J is
+    orthogonal for the split pairing exactly when P and Q are skew and
+    D = -A^T.  The type of an orthogonal J is k = (dim V - rank P) / 2
+    (Gualtieri, "Generalized complex geometry", Ann. of Math. 174 (2011)):
+
+    complex:      full type, k = dim V / 2
+    symplectic:   type 0 with A = 0
+    B-symplectic: type 0 with A != 0, a symplectic block twisted by a B-field
+    other:        not orthogonal, so not a generalized complex structure
+
+    A matrix that is not 4x4 or does not square to -1 is a ValueError.
     """
     m = [list(row) for row in matrix]
     if len(m) != 4 or any(len(row) != 4 for row in m):
         raise ValueError("expected a 4x4 matrix")
     if not mat_eq(mat_mul(m, m), mat_neg(identity_matrix(4))):
         raise ValueError("block does not square to -1")
-    top = range(2)
-    bot = range(2, 4)
-    b_zero = _is_zero_block(m, top, bot)
-    c_zero = _is_zero_block(m, bot, top)
-    if b_zero and c_zero:
-        a = [[m[i][j] for j in range(2)] for i in range(2)]
-        d = [[m[i][j] for j in range(2, 4)] for i in range(2, 4)]
-        neg_at = [[-a[j][i] for j in range(2)] for i in range(2)]
-        if mat_eq(d, neg_at):
-            return "complex"
+    n = 2
+    a = [row[:n] for row in m[:n]]
+    p = [row[n:] for row in m[:n]]
+    q = [row[:n] for row in m[n:]]
+    d = [row[n:] for row in m[n:]]
+    if p != _minus_transpose(p) or q != _minus_transpose(q) or d != _minus_transpose(a):
         return "other"
-    a_zero = _is_zero_block(m, top, top)
-    d_zero = _is_zero_block(m, bot, bot)
-    if a_zero and d_zero:
+    k = (n - rank(dict(enumerate(row)) for row in p)) // 2
+    if k == n // 2:
+        return "complex"
+    # dim V = 2 leaves only type 0, where P is invertible, so the B-field
+    # B = -P^{-1} A of J = e^B J_omega e^{-B} vanishes exactly when A does
+    if all(v == 0 for row in a for v in row):
         return "symplectic"
-    a00 = m[0][0]
-    diag_a = (
-        m[0][1] == 0
-        and m[1][0] == 0
-        and m[1][1] == a00
-        and m[2][2] == -a00
-        and m[2][3] == 0
-        and m[3][2] == 0
-        and m[3][3] == -a00
-        and a00 != 0
-    )
-    if diag_a:
-        anti_b = m[0][2] == 0 and m[1][3] == 0 and m[0][3] == -m[1][2]
-        anti_c = m[2][0] == 0 and m[3][1] == 0 and m[2][1] == -m[3][0]
-        if anti_b and anti_c:
-            return "B-symplectic"
-    return "other"
+    return "B-symplectic"
 
 
 @dataclass

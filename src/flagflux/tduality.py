@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._kernel import integers, is_int
+from ._kernel import integers
 from ._linalg import echelon, nullspace, rank
 from .exterior import (
     Form,
@@ -90,12 +90,12 @@ class AdmissibleTriple:
                 "flux references index %d beyond dimension %d"
                 % (self.flux.max_index(), self.algebra.dim)
             )
-        ideal = tuple(sorted(set(integers(self.ideal, "ideal slots"))))
-        if any(not 1 <= k <= self.algebra.dim for k in ideal):
-            raise ValueError("ideal %r outside 1..%d" % (self.ideal, self.algebra.dim))
+        slots = integers(self.ideal, "ideal slots")
+        if any(not 1 <= k <= self.algebra.dim for k in slots):
+            raise ValueError("ideal %r outside 1..%d" % (slots, self.algebra.dim))
         if self.flux.degree != 3:
             raise ValueError("flux must be a 3-form")
-        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "ideal", tuple(sorted(set(slots))))
 
 
 # The admissibility flags in report order, and whether ``ok`` requires each.
@@ -344,12 +344,12 @@ class BasisChange:
     This is the one relabelling of slots: iso_small's witnesses are signed
     changes, and dualization moves a non-trailing ideal to the trailing
     slots by the unit-sign change along its slot map's permutation.
-    Construction rejects perm entries that are not ints (TypeError), a perm
-    that is not a permutation of 1..n and signs that are not n ints of 1 or
-    -1 (ValueError), and stores both as plain ints, so ``apply`` moves each
-    nonzero constant to a distinct key with its sign and adopts the forms it
-    builds; their filtration is still checked, since a permutation can
-    break it.  A change of size n rewrites a presentation of dimension n
+    Construction rejects perm or sign entries that are not ints (TypeError),
+    a perm that is not a permutation of 1..n and signs that are not n values
+    of 1 or -1 (ValueError), and stores both as plain ints, so ``apply``
+    moves each nonzero constant to a distinct key with its sign and adopts
+    the forms it builds; their filtration is still checked, since a
+    permutation can break it.  A change of size n rewrites a presentation of dimension n
     and forms with indices up to n, and raises ValueError on any other.
     """
 
@@ -361,9 +361,10 @@ class BasisChange:
         n = len(perm)
         if sorted(perm) != list(range(1, n + 1)):
             raise ValueError("perm %r is not a permutation of 1..%d" % (perm, n))
-        if len(self.signs) != n or not all(is_int(s) and s in (1, -1) for s in self.signs):
-            raise ValueError("signs %r must be %d values of 1 or -1" % (self.signs, n))
-        vars(self).update(perm=perm, signs=integers(self.signs, "signs"))
+        signs = integers(self.signs, "signs")
+        if len(signs) != n or not all(s in (1, -1) for s in signs):
+            raise ValueError("signs %r must be %d values of 1 or -1" % (signs, n))
+        vars(self).update(perm=perm, signs=signs)
 
     def apply(self, p):
         if p.dim != len(self.perm):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from flagflux import AdmissibleTriple, BasisChange, FlagSpec, Form, IsoResult, MalcevPresentation
 from flagflux import Root, ce_diff, compare_fingerprints, dualize, fingerprint, iso_small
-from flagflux import nilradical_presentation, print_form, tduality
+from flagflux import make_block, nilradical_presentation, phi_conjugate, print_form, tduality
+from flagflux.gcs import identity_matrix, mat_eq, mat_mul, mat_neg
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -685,3 +686,89 @@ def parabolic_fields_oracle(spec):
         "center_dim": sum(1 for u in units if not bracket({u}, units)),
         "d1_rank": lcs[0],
     }
+
+
+def _is_zero_block(m, rows, cols):
+    return all(m[i][j] == 0 for i in rows for j in cols)
+
+
+def classify_block_oracle(matrix):
+    """Name the type of a 4x4 block squaring to -1.
+
+    complex:      [[A, 0], [0, -A^T]] in the 2+2 split
+    symplectic:   block-antidiagonal [[0, B], [C, 0]]
+    B-symplectic: symplectic twisted by a B-field, the a*I diagonal family
+    other:        anything else
+
+    The zero-pattern table ``gcs.classify_block`` used before the type rule.
+    It never checks that the block is orthogonal for the split pairing, so
+    it agrees with the rule only on blocks that are.
+    """
+    m = [list(row) for row in matrix]
+    if len(m) != 4 or any(len(row) != 4 for row in m):
+        raise ValueError("expected a 4x4 matrix")
+    if not mat_eq(mat_mul(m, m), mat_neg(identity_matrix(4))):
+        raise ValueError("block does not square to -1")
+    top = range(2)
+    bot = range(2, 4)
+    b_zero = _is_zero_block(m, top, bot)
+    c_zero = _is_zero_block(m, bot, top)
+    if b_zero and c_zero:
+        a = [[m[i][j] for j in range(2)] for i in range(2)]
+        d = [[m[i][j] for j in range(2, 4)] for i in range(2, 4)]
+        neg_at = [[-a[j][i] for j in range(2)] for i in range(2)]
+        if mat_eq(d, neg_at):
+            return "complex"
+        return "other"
+    a_zero = _is_zero_block(m, top, top)
+    d_zero = _is_zero_block(m, bot, bot)
+    if a_zero and d_zero:
+        return "symplectic"
+    a00 = m[0][0]
+    diag_a = (
+        m[0][1] == 0
+        and m[1][0] == 0
+        and m[1][1] == a00
+        and m[2][2] == -a00
+        and m[2][3] == 0
+        and m[3][2] == 0
+        and m[3][3] == -a00
+        and a00 != 0
+    )
+    if diag_a:
+        anti_b = m[0][2] == 0 and m[1][3] == 0 and m[0][3] == -m[1][2]
+        anti_c = m[2][0] == 0 and m[3][1] == 0 and m[2][1] == -m[3][0]
+        if anti_b and anti_c:
+            return "B-symplectic"
+    return "other"
+
+
+def b_transform(m, b):
+    """e^B m e^{-B} for the B-field b * [[0, 1], [-1, 0]] on (V, V*)."""
+
+    def exp(c):
+        return [[1, 0, 0, 0], [0, 1, 0, 0], [0, c, 1, 0], [-c, 0, 0, 1]]
+
+    return mat_mul(exp(b), mat_mul(m, exp(-b)))
+
+
+block_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def gcs_blocks(draw):
+    """A per-root block as a matrix: a complex block of either sign, or a
+    noncomplex one with rational a and x != 0 (y = (a**2 + 1) / x); then,
+    each half the time, its phi-conjugate and its B-transform."""
+    if draw(st.booleans()):
+        block = make_block("complex", sign=draw(st.sampled_from([1, -1])))
+    else:
+        a = draw(block_rationals)
+        x = draw(block_rationals.filter(bool))
+        block = make_block("noncomplex", a=a, x=x, y=(a * a + 1) / x)
+    if draw(st.booleans()):
+        block = phi_conjugate(block)
+    m = [list(row) for row in block.matrix]
+    if draw(st.booleans()):
+        m = b_transform(m, draw(block_rationals))
+    return m

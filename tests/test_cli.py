@@ -96,6 +96,15 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "expected a comma-separated integer list, got 'x'" in result.stderr
 
+    def test_ideal_out_of_range_is_one(self, run):
+        # named as typed, repeats and order kept
+        result = run("dualize", "--rank", "2", "--ideal", "5,5,1")
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["error"] == {
+            "kind": "invalid-input",
+            "message": "ideal (5, 5, 1) outside 1..3",
+        }
+
     def test_flux_out_of_range_is_one(self, run):
         result = run("dualize", "--rank", "2", "--ideal", "3", "--flux", "e^{145}")
         assert result.exit_code == 1

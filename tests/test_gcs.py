@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
 
 from flagflux import (
     build_root_system,
@@ -23,6 +24,8 @@ from flagflux.gcs import (
     mat_mul,
     mat_neg,
 )
+
+from conftest import b_transform, block_rationals, classify_block_oracle, gcs_blocks
 
 F = Fraction
 
@@ -159,6 +162,30 @@ class TestClassify:
     def test_non_square_root_rejected(self):
         with pytest.raises(ValueError):
             classify_block(identity_matrix(4))
+
+
+# Gualtieri's type of each name a block of the families can take
+TYPE = {"complex": 1, "symplectic": 0, "B-symplectic": 0}
+
+
+class TestTypeRule:
+    @given(gcs_blocks())
+    def test_matches_the_pattern_table(self, m):
+        assert classify_block(m) == classify_block_oracle(m)
+
+    def test_non_orthogonal_block_is_other(self):
+        # squares to -1 with A = D = 0, but P = [[1, 1], [0, 1]] is not skew
+        m = [[0, 0, 1, 1], [0, 0, 0, 1], [-1, 1, 0, 0], [0, -1, 0, 0]]
+        assert mat_eq(mat_mul(m, m), mat_neg(identity_matrix(4)))
+        assert classify_block(m) == "other"
+
+    @given(gcs_blocks(), block_rationals)
+    def test_b_transform_keeps_the_type(self, m, b):
+        assert TYPE[classify_block(b_transform(m, b))] == TYPE[classify_block(m)]
+
+    @given(gcs_blocks())
+    def test_phi_takes_type_k_to_one_minus_k(self, m):
+        assert TYPE[phi_conjugate(m).classification] == 1 - TYPE[classify_block(m)]
 
 
 class TestTransport:

@@ -127,6 +127,14 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             AdmissibleTriple(p, (4,), Form.zero(3))
 
+    def test_out_of_range_ideal_is_named_as_read(self):
+        # the slots as read, before sorting: a generator is spent by then
+        p = parse_malcev(HEISENBERG)
+        with pytest.raises(ValueError, match=r"^ideal \(9,\) outside 1\.\.3$"):
+            AdmissibleTriple(p, (k for k in [9]), Form.zero(3))
+        with pytest.raises(ValueError, match=r"^ideal \(9,\) outside 1\.\.3$"):
+            AdmissibleTriple(p, [9], Form.zero(3))
+
     @pytest.mark.parametrize("ideal", [(3.0,), ("3",), (True,), (2, False), (Fraction(3),)])
     def test_ideal_slots_must_be_ints(self, ideal):
         # a float or bool slot would pass the range check and reach the
@@ -894,13 +902,11 @@ class TestBasisChange:
             ((1, 2, 3), (1, 1)),
             ((1, 2, 3), (1, 0, 1)),
             ((1, 2, 3), (1, 2, 1)),
-            ((1, 2, 3), (1, 1.0, 1)),
-            ((1, 2, 3), (1, True, 1)),
         ],
     )
     def test_rejects_what_is_not_a_signed_permutation(self, perm, signs):
-        # apply adopts the forms it builds, so a zero or float sign must
-        # not get that far
+        # apply adopts the forms it builds, so a zero sign must not get
+        # that far
         with pytest.raises(ValueError):
             BasisChange(perm, signs)
 
@@ -910,6 +916,13 @@ class TestBasisChange:
         # permutation check alone would pass it; a str one fails the sort
         with pytest.raises(TypeError, match="entries must be integers"):
             BasisChange(perm, (1, 1, 1))
+
+    @pytest.mark.parametrize("signs", [(1, True, 1), (1, 1.0, 1), (1, "1", 1), (Fraction(1), 1, 1)])
+    def test_rejects_non_int_signs(self, signs):
+        # a bool, float or integral Fraction sign equals 1, so the +-1 check
+        # alone would pass it
+        with pytest.raises(TypeError, match="signs must be integers"):
+            BasisChange((1, 2, 3), signs)
 
     @pytest.mark.parametrize(
         "rewrite, sizes",
