@@ -5,6 +5,11 @@ indices mapping to nonzero exact coefficients (int or Fraction).  Every
 number from outside enters through ``exact`` or ``integers`` (``integer``
 for one value): an int or Fraction subclass is stored as the plain value it
 equals, and a bool, a float or any other type raises TypeError.
+
+A sum of term maps accumulates freely, ``out[key] = out.get(key, 0) + c``,
+and is settled once by ``settle``: a key whose sum is 0 leaves the map and
+an integral value is stored as an int.  A key stays where it was first
+written, even if its partial sum passed through 0.
 """
 
 from collections.abc import Iterable, Mapping
@@ -49,7 +54,8 @@ def integer(value, what):
 
 
 def integers(values, what):
-    """A tuple of plain ints from an iterable that is not a mapping."""
+    """A tuple of plain ints from an iterable that is not a mapping, read
+    once: a refused iterable is named by the tuple read from it."""
     if type(values) is tuple:
         for v in values:
             if type(v) is not int:
@@ -57,9 +63,9 @@ def integers(values, what):
         else:
             return values
     if isinstance(values, Iterable) and not isinstance(values, Mapping):
-        out = tuple(values)
-        if all(map(is_int, out)):
-            return tuple(map(int, out))
+        values = tuple(values)
+        if all(map(is_int, values)):
+            return tuple(map(int, values))
     raise TypeError("%s must be integers, got %r" % (what, values))
 
 
@@ -88,15 +94,16 @@ def merge_indices(left, right):
     return tuple(merged), (-1 if inv & 1 else 1)
 
 
+def settle(terms):
+    """A new term map: ``terms`` without zeros, each value through ``_norm``."""
+    return {key: _norm(c) for key, c in terms.items() if c}
+
+
 def add_terms(a, b):
     out = dict(a)
     for key, c in b.items():
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = _norm(s)
-        elif key in out:
-            del out[key]
-    return out
+        out[key] = out.get(key, 0) + c
+    return settle(out)
 
 
 def scale_terms(a, c):
@@ -110,14 +117,9 @@ def wedge_terms(a, b):
     for ka, ca in a.items():
         for kb, cb in b.items():
             key, sign = merge_indices(ka, kb)
-            if sign == 0:
-                continue
-            s = out.get(key, 0) + sign * ca * cb
-            if s:
-                out[key] = _norm(s)
-            elif key in out:
-                del out[key]
-    return out
+            if sign:
+                out[key] = out.get(key, 0) + sign * ca * cb
+    return settle(out)
 
 
 def interior_terms(x, a):
@@ -127,12 +129,8 @@ def interior_terms(x, a):
             continue
         p = key.index(x)
         rest = key[:p] + key[p + 1:]
-        s = out.get(rest, 0) + (-c if p & 1 else c)
-        if s:
-            out[rest] = _norm(s)
-        elif rest in out:
-            del out[rest]
-    return out
+        out[rest] = out.get(rest, 0) + (-c if p & 1 else c)
+    return settle(out)
 
 
 def ce_terms(diffs, a):
@@ -147,11 +145,6 @@ def ce_terms(diffs, a):
             cp = -c if p & 1 else c
             for dk, dc in dterms.items():
                 merged, sign = merge_indices(dk, rest)
-                if sign == 0:
-                    continue
-                s = out.get(merged, 0) + sign * cp * dc
-                if s:
-                    out[merged] = _norm(s)
-                elif merged in out:
-                    del out[merged]
-    return out
+                if sign:
+                    out[merged] = out.get(merged, 0) + sign * cp * dc
+    return settle(out)

@@ -11,7 +11,7 @@ Odlyzko 1990).
 
 from fractions import Fraction
 
-from ._kernel import _norm
+from ._kernel import _norm, settle
 
 
 def _subtract(row, f, other):
@@ -34,7 +34,7 @@ def echelon(rows):
     """
     pivots = {}
     for row in rows:
-        row = {k: _norm(v) for k, v in row.items() if v}
+        row = settle(row)
         while row:
             col = min(row)
             pivot = pivots.get(col)

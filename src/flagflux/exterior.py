@@ -104,11 +104,7 @@ class Form:
                 sign *= step
             if sign == 0:
                 continue
-            s = acc.get(key, 0) + sign * exact(c)
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+            acc[key] = acc.get(key, 0) + sign * exact(c)
         return cls(degree, acc)
 
     @classmethod

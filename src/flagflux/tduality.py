@@ -314,6 +314,15 @@ def duality_certificate(t, d):
     from a relabelled copy on d, although dualize built one: the
     certificate must not trust the dual it checks, and a source taken from
     d would let a wrong dualization certify itself.
+
+    On d = dualize(t), ``ok`` equals ``check_admissible(t).central`` for
+    any flux.  In H - lift(H_dual) - dF only dF has terms with one x leg
+    and one z leg: up to sign, the sum over j of (the ideal-leg terms of
+    de^{x_j}) ^ e^{z_j}.  An abelian ideal gives each one ideal leg and each
+    j has its own z_j, so they cannot cancel; they vanish exactly when no
+    ideal differential touches the ideal, and quotient ones never do.  On a
+    central ideal the rest cancels, and dualize keeps the quotient
+    differentials.
     """
     algebra, flux, _ = _reorder_triple(t)
     n = algebra.dim

@@ -6,14 +6,17 @@ systems) so the kernel is checked against code that shares none of its
 shortcuts.
 """
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from flagflux import AdmissibleTriple, BasisChange, FlagSpec, Form, IsoResult, MalcevPresentation
-from flagflux import Root, ce_diff, compare_fingerprints, dualize, fingerprint, iso_small
+from flagflux import Root, ce_diff, check_admissible, compare_fingerprints, dualize, fingerprint
+from flagflux import iso_small, jacobi_check
 from flagflux import make_block, nilradical_presentation, phi_conjugate, print_form, tduality
 from flagflux.gcs import identity_matrix, mat_eq, mat_mul, mat_neg
 
@@ -75,6 +78,63 @@ def filtered_presentations(draw, max_dim=6):
         else:
             diffs.append(draw(forms(2, max_index=k - 1, max_terms=2)))
     return MalcevPresentation(diffs)
+
+
+def _touched_abelian_ideals(p):
+    """Every set of slots of p that is an abelian ideal some ideal
+    differential touches: no quotient differential has a leg in it, no term
+    of an ideal differential has two, and some has one."""
+    found = []
+    for size in range(1, p.dim + 1):
+        for ideal in itertools.combinations(range(1, p.dim + 1), size):
+            legs = [
+                (k in ideal, sum(i in ideal for i in key))
+                for k, f in enumerate(p.differentials, start=1)
+                for key in f.terms
+            ]
+            if all(n <= own for own, n in legs) and any(own and n for own, n in legs):
+                found.append(ideal)
+    return found
+
+
+@st.composite
+def non_central_triples(draw):
+    """An admissible triple whose abelian ideal an ideal differential
+    touches, on a flag nilradical of A2..A4 or a Lie algebra from
+    ``filtered_presentations``; the flux is a sum of up to two closed
+    3-forms with at most one ideal leg per term
+    (``tduality._closed_forms``)."""
+    if draw(st.booleans()):
+        l = draw(st.integers(min_value=2, max_value=4))
+        theta = draw(st.sets(st.integers(min_value=1, max_value=l), max_size=l - 1))
+        p, _ = nilradical_presentation(FlagSpec("A", l, tuple(sorted(theta))))
+    else:
+        p = draw(filtered_presentations().filter(lambda p: jacobi_check(p).ok))
+    ideals = _touched_abelian_ideals(p)
+    assume(ideals)
+    ideal = draw(st.sampled_from(ideals))
+    keys = [
+        key
+        for key in itertools.combinations(range(1, p.dim + 1), 3)
+        if sum(i in ideal for i in key) <= 1
+    ]
+    closed = tduality._closed_forms(p, keys) if keys else []
+    flux = Form(3)
+    if closed:
+        for f in draw(st.lists(st.sampled_from(closed), max_size=2)):
+            flux = flux + draw(coefficients) * f
+    t = AdmissibleTriple(p, ideal, flux)
+    assume(check_admissible(t).ok)
+    return t
+
+
+def settle_oracle(pairs):
+    """The settled sum of (key, value) pairs: summed in a defaultdict of
+    Fractions, zero sums dropped, integral sums as ints."""
+    sums = collections.defaultdict(Fraction)
+    for key, c in pairs:
+        sums[key] += c
+    return {key: int(c) if c.denominator == 1 else c for key, c in sums.items() if c}
 
 
 def revalidated(f):

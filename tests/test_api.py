@@ -1,6 +1,7 @@
 import ast
 import enum
 import pathlib
+import re
 import warnings
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from flagflux import (
     split_pairing,
     three_summand_dims,
 )
+from flagflux._kernel import integers
 from flagflux.cli import UsageError, _as_int, _as_int_tuple
 
 # The package's public names, one entry per name.
@@ -151,6 +153,43 @@ def test_only_the_kernel_spells_the_number_rule():
     assert spelled == []
 
 
+def _del_statements(source):
+    """(enclosing function or None, line) of each ``del`` statement in
+    ``source``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Delete):
+                found.append((function, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_del_statement_is_found():
+    source = (
+        "del a\ndef f(row):\n    del row[1]\n    def g():\n        del b, c\n"
+        "class C:\n    def m(self):\n        del self.x\n    y = {}.pop(1)\n"
+    )
+    assert _del_statements(source) == [(None, 1), ("f", 3), ("g", 5), ("m", 8)]
+
+
+def test_only_subtract_cancels_in_place():
+    # sums settle through _kernel.settle, which drops the zeros once; only
+    # echelon's row update cancels as it goes, since echelon reads the
+    # row's least column after every step
+    package = pathlib.Path(flagflux.__file__).parent
+    found = [
+        (path.name, function)
+        for path in sorted(package.glob("*.py"))
+        for function, _line in _del_statements(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("_linalg.py", "_subtract")]
+
+
 class Half(Fraction):
     pass
 
@@ -221,3 +260,36 @@ class TestBoundaryTable:
         for bad in (True, 2.0, "2"):
             with pytest.raises(TypeError):
                 call(bad)
+
+
+# (what the message calls the values, a call that reads them)
+INTEGERS_READERS = [
+    ("ideal slots", lambda v: integers(v, "ideal slots")),
+    ("ideal slots", lambda v: AdmissibleTriple(parse_malcev("(0,0,-e^{12})"), v, Form.zero(3))),
+    ("key indices", lambda v: Form.from_terms(1, [(v, 1)])),
+]
+
+
+@pytest.mark.parametrize("what, call", INTEGERS_READERS, ids=["integers", "ideal", "from_terms"])
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: (k for k in [1.0]), "(1.0,)"),
+        (lambda: iter([1, True]), "(1, True)"),
+        (lambda: [2, "3"], "(2, '3')"),
+        (lambda: {1: 2}, "{1: 2}"),
+        (lambda: 5, "5"),
+    ],
+    ids=["generator", "iterator", "list", "mapping", "non-iterable"],
+)
+def test_refused_integers_are_named_as_read(what, call, make, named):
+    # an iterable is named by the tuple read from it, not as a spent
+    # iterator; what cannot be read as values is named as given
+    message = "^%s must be integers, got %s$" % (what, re.escape(named))
+    with pytest.raises(TypeError, match=message):
+        call(make())
+
+
+def test_refused_form_key_is_named_as_read():
+    with pytest.raises(TypeError, match=r"^key indices must be integers, got \(1\.0,\)$"):
+        Form(1, {(k for k in [1.0]): 1})

@@ -1,4 +1,5 @@
 import enum
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagflux import (
+    FlagSpec,
     Form,
     MalcevPresentation,
     MalcevSyntaxError,
     MalcevValueError,
     ce_diff,
     interior,
+    nilradical_presentation,
     parse_form,
     parse_malcev,
     print_form,
@@ -28,6 +31,7 @@ from conftest import (
     forms,
     interior_oracle,
     permutation_sign,
+    settle_oracle,
     wedge_oracle,
 )
 
@@ -187,6 +191,93 @@ class TestExactTypes:
             assert not result.is_zero()
             assert all(type(c) is int for c in result.terms.values()), result.terms
             assert_well_formed(result)
+
+
+# the nilradicals of the flags of A3 and A4 with three or more Levi blocks,
+# where d(de^k) = 0 holds by cancellation
+FLAG_NILRADICALS = [
+    nilradical_presentation(FlagSpec("A", l, theta))[0]
+    for l in (3, 4)
+    for theta in itertools.chain.from_iterable(
+        itertools.combinations(range(1, l + 1), size) for size in range(l - 1)
+    )
+]
+
+
+def _types(terms):
+    return {key: type(c) for key, c in terms.items()}
+
+
+class TestSettle:
+    """The kernel sums settle as ``settle_oracle`` does: zero sums dropped,
+    integral sums stored as ints.  Each pair is drawn so that some terms
+    must cancel."""
+
+    def assert_settles(self, got, pairs):
+        want = settle_oracle(pairs)
+        assert got == want
+        assert _types(got) == _types(want)
+
+    @given(forms(2, max_index=5), forms(2, max_index=5), st.data())
+    def test_add_terms(self, f, g, data):
+        # on some keys of a, b brings the sum to 0 or to an integer
+        a = f.terms
+        b = dict(g.terms)
+        for key in data.draw(st.sets(st.sampled_from(sorted(a)))) if a else ():
+            s = data.draw(st.sampled_from([0, 1, -2]))
+            b[key] = s - a[key] if s != a[key] else -a[key]
+        self.assert_settles(_kernel.add_terms(a, b), [*a.items(), *b.items()])
+
+    @given(forms(1, max_index=5), forms(1, max_index=5))
+    def test_wedge_terms(self, f, g):
+        # f ^ f = 0 cancels inside f ^ (f + g)
+        a, b = f.terms, (f + g).terms
+        pairs = [
+            (tuple(sorted(ka + kb)), permutation_sign(ka + kb) * ca * cb)
+            for ka, ca in a.items()
+            for kb, cb in b.items()
+            if permutation_sign(ka + kb)
+        ]
+        self.assert_settles(_kernel.wedge_terms(a, b), pairs)
+
+    @given(st.integers(1, 5), forms(3, max_index=5))
+    def test_interior_terms(self, x, f):
+        pairs = [
+            (key[:p] + key[p + 1:], (-1) ** p * c)
+            for key, c in f.terms.items()
+            for p in range(len(key))
+            if key[p] == x
+        ]
+        self.assert_settles(_kernel.interior_terms(x, f.terms), pairs)
+
+    @given(st.sampled_from(FLAG_NILRADICALS), st.data())
+    def test_ce_terms(self, p, data):
+        # d(df) = 0 cancels inside d(df + g)
+        f = data.draw(forms(1, max_index=p.dim))
+        g = data.draw(forms(2, max_index=p.dim))
+        a = (ce_diff(p, f) + g).terms
+        pairs = []
+        for key, c in a.items():
+            for q, idx in enumerate(key):
+                for dk, dc in p.differentials[idx - 1].terms.items():
+                    seq = key[:q] + dk + key[q + 1:]
+                    if permutation_sign(seq):
+                        pairs.append((tuple(sorted(seq)), (-1) ** q * permutation_sign(seq) * c * dc))
+        self.assert_settles(_kernel.ce_terms(p._dterms, a), pairs)
+
+    def test_a_partial_sum_through_zero(self):
+        # the sum on e^{12} runs 1/2, 0, 1: it is kept, as the int 1
+        p = parse_malcev("(0,0,e^{12},e^{12},2e^{12})")
+        f = Form(1, {(3,): Fraction(1, 2), (4,): Fraction(-1, 2), (5,): Fraction(1, 2)})
+        df = ce_diff(p, f)
+        assert df.terms == {(1, 2): 1}
+        assert_well_formed(df)
+        # and through from_terms, with another key written in between
+        g = Form.from_terms(
+            2, [((1, 2), Fraction(1, 2)), ((1, 3), 1), ((2, 1), Fraction(1, 2)), ((1, 2), 2)]
+        )
+        assert g.terms == {(1, 2): 2, (1, 3): 1}
+        assert_well_formed(g)
 
 
 class TestAdoptedResults:

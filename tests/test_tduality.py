@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -51,6 +52,7 @@ from conftest import (
     jacobi_oracle,
     kostant_oracle,
     mahonian_oracle,
+    non_central_triples,
     permutation_sign,
     signed_relabellings,
     wedge_oracle,
@@ -956,6 +958,31 @@ def central_triples(draw):
 
 
 class TestCertificateProperty:
+    @given(st.one_of(central_triples(), non_central_triples()))
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_decides_centrality(self, t):
+        # duality_certificate's docstring proves this for any flux
+        assert duality_certificate(t, dualize(t)).ok == check_admissible(t).central
+
+    def test_certificate_decides_centrality_on_flags(self):
+        # zero flux, every admissible ideal of every flag of A2..A4
+        table = {}
+        for l in (2, 3, 4):
+            seen = table[l] = collections.Counter()
+            for size in range(l):
+                for theta in itertools.combinations(range(1, l + 1), size):
+                    p, _ = nilradical_presentation(FlagSpec("A", l, theta))
+                    for ideal in nonempty_subsets(p.dim):
+                        t = AdmissibleTriple(p, ideal, Form(3))
+                        report = check_admissible(t)
+                        if report.ok:
+                            seen[report.central, duality_certificate(t, dualize(t)).ok] += 1
+        assert table == {
+            2: {(True, True): 7, (False, False): 2},
+            3: {(True, True): 37, (False, False): 26},
+            4: {(True, True): 201, (False, False): 234},
+        }
+
     @given(central_triples())
     @settings(max_examples=40, deadline=None)
     def test_certificate_and_involution(self, t):
