@@ -173,6 +173,20 @@ def _algebra_from_cfg(cfg):
 # ---------------------------------------------------------------- reports
 
 
+def _ints(values):
+    """An integer list as text reports spell it: "1,2"."""
+    return ",".join(map(str, values))
+
+
+def _flag(spec):
+    """A flag of a report, from its series, rank and theta: "A_3, theta {1,2}"."""
+    return "%s_%d, theta {%s}" % (spec["series"], spec["rank"], _ints(spec["theta"]))
+
+
+def _yes_no(verdict):
+    return "undecided" if verdict is None else "yes" if verdict else "no"
+
+
 def _run_root_system(cfg):
     spec = _spec_from_cfg(cfg)
     rs = build_root_system(spec.series, spec.rank)
@@ -215,23 +229,15 @@ def _text_root_system(report):
     ]
     for r in report["positive_roots"]:
         lines.append(
-            "  (%s)  height %d  E(%d,%d)"
-            % (
-                ",".join(str(c) for c in r["coeffs"]),
-                r["height"],
-                r["matrix_unit"][0],
-                r["matrix_unit"][1],
-            )
+            "  (%s)  height %d  E(%s)"
+            % (_ints(r["coeffs"]), r["height"], _ints(r["matrix_unit"]))
         )
     if "summands" in report:
-        lines.append("theta: {%s}" % ",".join(str(t) for t in report["theta"]))
+        lines.append("theta: {%s}" % _ints(report["theta"]))
         lines.append("flag dimension: %d" % report["flag_dimension"])
         lines.append("isotropy summands (%d):" % len(report["summands"]))
         for s in report["summands"]:
-            lines.append(
-                "  signature (%s)  dim %d"
-                % (",".join(str(c) for c in s["signature"]), s["dim"])
-            )
+            lines.append("  signature (%s)  dim %d" % (_ints(s["signature"]), s["dim"]))
     return lines
 
 
@@ -253,8 +259,7 @@ def _run_nilradical(cfg):
 
 def _text_nilradical(report):
     lines = [
-        "flag: %s_%d, theta {%s}"
-        % (report["series"], report["rank"], ",".join(str(t) for t in report["theta"])),
+        "flag: %s" % _flag(report),
         "dim: %d" % report["dim"],
         "presentation: %s" % report["presentation"],
         "jacobi: %s" % ("pass" if report["jacobi_ok"] else "FAIL"),
@@ -262,13 +267,8 @@ def _text_nilradical(report):
     ]
     for entry in report["legend"]:
         lines.append(
-            "  e%d = root (%s) = E(%d,%d)"
-            % (
-                entry["slot"],
-                ",".join(str(c) for c in entry["root"]),
-                entry["matrix_unit"][0],
-                entry["matrix_unit"][1],
-            )
+            "  e%d = root (%s) = E(%s)"
+            % (entry["slot"], _ints(entry["root"]), _ints(entry["matrix_unit"]))
         )
     return lines
 
@@ -315,11 +315,11 @@ def _run_dualize(cfg):
 def _text_dualize(report):
     lines = [
         "algebra: %s" % report["algebra"],
-        "ideal: {%s}" % ",".join(str(i) for i in report["ideal"]),
+        "ideal: {%s}" % _ints(report["ideal"]),
         "flux: %s" % report["flux"],
-        "admissible: %s" % ("yes" if report["admissibility"]["ok"] else "no"),
+        "admissible: %s" % _yes_no(report["admissibility"]["ok"]),
         "dual algebra: %s" % report["dual"]["algebra"],
-        "dual ideal: {%s}" % ",".join(str(i) for i in report["dual"]["ideal"]),
+        "dual ideal: {%s}" % _ints(report["dual"]["ideal"]),
         "H_dual: %s" % report["H_dual"],
         "delta: %s" % report["delta"],
         "certificate: %s" % ("pass" if report["certificate"]["ok"] else "FAIL"),
@@ -348,26 +348,14 @@ def _text_correspond(report):
     if report["targets"]:
         lines.append("targets:")
         for t in report["targets"]:
-            lines.append(
-                "  %s  [%s_%d, theta {%s}]"
-                % (
-                    t["pretty_name"],
-                    t["series"],
-                    t["rank"],
-                    ",".join(str(v) for v in t["theta"]),
-                )
-            )
+            lines.append("  %s  [%s]" % (t["pretty_name"], _flag(t)))
     else:
         lines.append("targets: none")
         lines.append("reason: %s" % report.get("search_reason", ""))
     if "unconfirmed" in report:
         lines.append(
             "unconfirmed: %s"
-            % "; ".join(
-                "%s_%d, theta {%s} (%s)"
-                % (u["series"], u["rank"], ",".join(str(v) for v in u["theta"]), u["reason"])
-                for u in report["unconfirmed"]
-            )
+            % "; ".join("%s (%s)" % (_flag(u), u["reason"]) for u in report["unconfirmed"])
         )
     return lines
 
@@ -394,13 +382,11 @@ def _run_selfdual(cfg):
 
 
 def _text_selfdual(report):
-    verdict = report["selfdual"]
     lines = [
         "flag: %s_%d, maximal" % (report["series"], report["rank"]),
         "flux: %s" % report["flux"],
-        "admissible: %s" % ("yes" if report["admissibility"]["ok"] else "no"),
-        "selfdual: %s"
-        % ("yes" if verdict else "undecided" if verdict is None else "no"),
+        "admissible: %s" % _yes_no(report["admissibility"]["ok"]),
+        "selfdual: %s" % _yes_no(report["selfdual"]),
     ]
     if not report["admissibility"]["ok"]:
         for flag, detail in sorted(report["admissibility"]["details"].items()):
@@ -424,7 +410,7 @@ def _run_gcs_transport(cfg):
     blocks = []
     assignment = []
     for summand in summands:
-        key = ",".join(str(c) for c in summand.signature)
+        key = _ints(summand.signature)
         if key not in raw:
             raise MalcevValueError("no block assigned to signature (%s)" % key)
         try:
@@ -469,33 +455,18 @@ def _run_gcs_transport(cfg):
 
 def _text_gcs_transport(report):
     lines = [
-        "source: %s_%d, theta {%s}"
-        % (
-            report["source"]["series"],
-            report["source"]["rank"],
-            ",".join(str(t) for t in report["source"]["theta"]),
-        ),
-        "uniform before transport: %s"
-        % ("yes" if report["uniform_before"]["ok"] else "no"),
+        "source: %s" % _flag(report["source"]),
+        "uniform before transport: %s" % _yes_no(report["uniform_before"]["ok"]),
     ]
     for entry, moved in zip(report["blocks"], report["transported"]):
         lines.append(
             "  root (%s): %s -> %s"
-            % (
-                ",".join(str(c) for c in entry["root"]),
-                entry["block"]["kind"],
-                moved["classification"],
-            )
+            % (_ints(entry["root"]), entry["block"]["kind"], moved["classification"])
         )
     if "uniform_after" in report:
         lines.append(
-            "uniform after transport on %s_%d theta {%s}: %s"
-            % (
-                report["dual"]["series"],
-                report["dual"]["rank"],
-                ",".join(str(t) for t in report["dual"]["theta"]),
-                "yes" if report["uniform_after"]["ok"] else "no",
-            )
+            "uniform after transport on %s: %s"
+            % (_flag(report["dual"]), _yes_no(report["uniform_after"]["ok"]))
         )
     return lines
 

@@ -161,6 +161,7 @@ def wedge(f, g):
 
 def interior(x_index, f):
     """Contraction in the first slot: (interior(x, f))(...) = f(e_x, ...)."""
+    x_index = integer(x_index, "index")
     if f.degree == 0:
         return Form.zero(0)
     return Form._adopt(f.degree - 1, _kernel.interior_terms(x_index, f.terms))
@@ -408,14 +409,18 @@ def print_form(f):
 def parse_malcev(text, dim=None):
     """Parse a Malcev tuple; dim, when given, left-pads zero entries.
 
-    Rejects indices outside 1..dim and any de^k touching an index >= k.
+    "()" is the 0-dimensional algebra.  Rejects indices outside 1..dim and
+    any de^k touching an index >= k.
     """
+    dim = None if dim is None else integer(dim, "dim")
     sc = _Scanner(text)
     sc.expect("(")
-    entries = [sc.entry()]
-    while sc.peek() == ",":
-        sc.pos += 1
+    entries = []
+    if sc.peek() != ")":
         entries.append(sc.entry())
+        while sc.peek() == ",":
+            sc.pos += 1
+            entries.append(sc.entry())
     sc.expect(")")
     sc.skip_ws()
     if sc.pos != len(sc.text):

@@ -8,9 +8,11 @@ A block is named by its type (Gualtieri, "Generalized complex geometry",
 Ann. of Math. 174 (2011)): written [[A, P], [Q, D]] on (V, V*), it is
 orthogonal for the pairing when P and Q are skew and D = -A^T, and then
 has type (dim V - rank P) / 2; full type is complex, and type 0 is
-symplectic up to the B-field -P^{-1} A.  All entries stay exact
-rationals: an integral entry is an int, and only a non-integral one a
-Fraction, as in the form kernel.
+symplectic up to the B-field -P^{-1} A.  Every matrix built here is a
+tuple of tuples of exact rationals, so ``==`` compares two of them: an
+integral entry is an int, and only a non-integral one a Fraction, as in
+the form kernel.  A function that reads a block also reads a raw matrix,
+any sequence of rows.
 """
 
 from dataclasses import dataclass
@@ -45,27 +47,20 @@ def _rat(value):
 
 
 def identity_matrix(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b):
-    n = len(a)
     k = len(b)
     m = len(b[0])
-    return [
-        [_norm(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m)]
-        for i in range(n)
-    ]
+    return tuple(
+        tuple(_norm(sum(row[t] * b[t][j] for t in range(k))) for j in range(m))
+        for row in a
+    )
 
 
 def mat_neg(a):
-    return [[-v for v in row] for row in a]
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
+    return tuple(tuple(-v for v in row) for row in a)
 
 
 def complex_matrix(sign):
@@ -73,13 +68,12 @@ def complex_matrix(sign):
     s = integer(sign, "sign")
     if s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    z = 0
-    return [
-        [z, -s, z, z],
-        [s, z, z, z],
-        [z, z, z, -s],
-        [z, z, s, z],
-    ]
+    return (
+        (0, -s, 0, 0),
+        (s, 0, 0, 0),
+        (0, 0, 0, -s),
+        (0, 0, s, 0),
+    )
 
 
 def noncomplex_matrix(a, x, y):
@@ -87,13 +81,12 @@ def noncomplex_matrix(a, x, y):
     a = _rat(a)
     x = _rat(x)
     y = _rat(y)
-    z = 0
-    return [
-        [a, z, z, -x],
-        [z, a, x, z],
-        [z, -y, -a, z],
-        [y, z, z, -a],
-    ]
+    return (
+        (a, 0, 0, -x),
+        (0, a, x, 0),
+        (0, -y, -a, 0),
+        (y, 0, 0, -a),
+    )
 
 
 def phi_matrix(t, m):
@@ -115,18 +108,19 @@ def phi_matrix(t, m):
     for j in range(m):
         phi[t + j][n - m + j] = -1
         phi[n - m + j][t + j] = -1
-    return phi
+    return tuple(map(tuple, phi))
 
 
 def split_pairing(n):
     """The natural pairing of T with T* in the (vectors, covectors) split."""
     n = integer(n, "n")
+    if n < 0:
+        raise ValueError("need n >= 0")
     half = Fraction(1, 2)
-    g = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        g[i][n + i] = half
-        g[n + i][i] = half
-    return g
+    # slot i pairs with its dual, slot i + n
+    return tuple(
+        tuple(half if abs(i - j) == n else 0 for j in range(2 * n)) for i in range(2 * n)
+    )
 
 
 @dataclass(frozen=True)
@@ -146,21 +140,13 @@ class GcsBlock:
         }
 
 
-def _freeze(m):
-    return tuple(tuple(row) for row in m)
-
-
-def _thaw(m):
-    return [list(row) for row in m]
-
-
 def make_block(kind, **params):
     """Build a validated block; rejects parameters off the a**2-xy=-1 sheet.
 
-    A parameter of the wrong type (a sign that is not an int, a bool
-    anywhere, text that is not a rational) or one the kind does not take is
-    a TypeError; a value off the sheet, or a sign other than +1 or -1, is a
-    ValueError.
+    A missing parameter, one the kind does not take, or one of the wrong
+    type (a sign that is not an int, a bool anywhere, text that is not a
+    rational) is a TypeError; a value off the sheet, or a sign other than
+    +1 or -1, is a ValueError.
     """
     if kind == "complex":
         sign = params.pop("sign", 1)
@@ -168,40 +154,33 @@ def make_block(kind, **params):
             raise TypeError("unexpected parameters: %s" % sorted(params))
         if not is_int(sign):
             raise TypeError("sign must be the integer 1 or -1, got %r" % (sign,))
-        return GcsBlock("complex", _freeze(complex_matrix(sign)), (int(sign),))
+        return GcsBlock("complex", complex_matrix(sign), (int(sign),))
     if kind == "noncomplex":
-        a = _rat(params.pop("a"))
-        x = _rat(params.pop("x"))
-        y = _rat(params.pop("y"))
+        missing = [k for k in ("a", "x", "y") if k not in params]
+        if missing:
+            raise TypeError("a noncomplex block needs %s" % ", ".join(map(repr, missing)))
+        a, x, y = (_rat(params.pop(k)) for k in ("a", "x", "y"))
         if params:
             raise TypeError("unexpected parameters: %s" % sorted(params))
         if a * a - x * y != -1:
             raise ValueError("need a**2 - x*y = -1, got %s" % (a * a - x * y))
-        m = noncomplex_matrix(a, x, y)
-        return GcsBlock("noncomplex", _freeze(m), (a, x, y))
+        return GcsBlock("noncomplex", noncomplex_matrix(a, x, y), (a, x, y))
     raise ValueError("unknown block kind %r" % (kind,))
 
 
 def block_from_json(data):
     """Inverse of ``GcsBlock.to_json``; TypeError when ``data`` is malformed.
 
-    Malformed means not an object, an unknown kind, a missing parameter, a
-    key the kind does not read, or a parameter of the wrong type or not a
-    rational (a zero denominator included); a parameter off the a**2-xy=-1
-    sheet is a ValueError, as in make_block.
+    Malformed means not an object or an unknown kind; make_block checks
+    the parameters, so a malformed one (a zero denominator included) is a
+    TypeError and one off the a**2-xy=-1 sheet a ValueError.
     """
     if not isinstance(data, dict):
         raise TypeError("a block must be a JSON object, got %r" % (data,))
     kind = data.get("kind")
     if kind not in ("complex", "noncomplex"):
         raise TypeError("unknown block kind %r" % (kind,))
-    params = {k: v for k, v in data.items() if k != "kind"}
-    if kind == "noncomplex":
-        missing = [k for k in ("a", "x", "y") if k not in data]
-        if missing:
-            needs = ", ".join(map(repr, missing))
-            raise TypeError("a noncomplex block needs %s" % needs)
-    return make_block(kind, **params)
+    return make_block(kind, **{k: v for k, v in data.items() if k != "kind"})
 
 
 @dataclass(frozen=True)
@@ -210,31 +189,20 @@ class TransportedBlock:
     classification: str
 
 
-def _matrix_of(block):
-    if isinstance(block, (GcsBlock, TransportedBlock)):
-        return _thaw(block.matrix)
-    return [list(row) for row in block]
-
-
 def phi_conjugate(block):
-    """Transport one block across the correspondence: phi J phi.
+    """Transport a block or raw matrix across the correspondence: phi J phi.
 
     The slice is a single root, so phi is the 4x4 swap (t=1, m=1);
     phi is its own inverse.  Applying this twice returns the original
     matrix.
     """
-    j = _matrix_of(block)
     phi = phi_matrix(1, 1)
-    moved = mat_mul(phi, mat_mul(j, phi))
-    return TransportedBlock(_freeze(moved), classify_block(moved))
+    moved = mat_mul(phi, mat_mul(getattr(block, "matrix", block), phi))
+    return TransportedBlock(moved, classify_block(moved))
 
 
-def _minus_transpose(b):
-    return [[-v for v in col] for col in zip(*b)]
-
-
-def classify_block(matrix):
-    """Name Gualtieri's type of a 4x4 block squaring to -1.
+def classify_block(block):
+    """Name Gualtieri's type of a 4x4 block or raw matrix squaring to -1.
 
     Write J = [[A, P], [Q, D]] on (V, V*) = ((y, x), (y*, x*)).  J is
     orthogonal for the split pairing exactly when P and Q are skew and
@@ -248,17 +216,17 @@ def classify_block(matrix):
 
     A matrix that is not 4x4 or does not square to -1 is a ValueError.
     """
-    m = [list(row) for row in matrix]
+    m = tuple(map(tuple, getattr(block, "matrix", block)))
     if len(m) != 4 or any(len(row) != 4 for row in m):
         raise ValueError("expected a 4x4 matrix")
-    if not mat_eq(mat_mul(m, m), mat_neg(identity_matrix(4))):
+    if mat_mul(m, m) != mat_neg(identity_matrix(4)):
         raise ValueError("block does not square to -1")
     n = 2
-    a = [row[:n] for row in m[:n]]
-    p = [row[n:] for row in m[:n]]
-    q = [row[:n] for row in m[n:]]
-    d = [row[n:] for row in m[n:]]
-    if p != _minus_transpose(p) or q != _minus_transpose(q) or d != _minus_transpose(a):
+    a = tuple(row[:n] for row in m[:n])
+    p = tuple(row[n:] for row in m[:n])
+    q = tuple(row[:n] for row in m[n:])
+    d = tuple(row[n:] for row in m[n:])
+    if p != mat_neg(zip(*p)) or q != mat_neg(zip(*q)) or d != mat_neg(zip(*a)):
         return "other"
     k = (n - rank(dict(enumerate(row)) for row in p)) // 2
     if k == n // 2:
@@ -302,7 +270,7 @@ def integrability_necessary(blocks, partition):
     for pos, summand in enumerate(partition):
         types = []
         for _ in range(summand.dim):
-            t = classify_block(_matrix_of(blocks[idx]))
+            t = classify_block(blocks[idx])
             types.append("symplectic" if t == "B-symplectic" else t)
             idx += 1
         component_types.append(types)

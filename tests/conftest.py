@@ -18,7 +18,7 @@ from flagflux import AdmissibleTriple, BasisChange, FlagSpec, Form, IsoResult, M
 from flagflux import Root, ce_diff, check_admissible, compare_fingerprints, dualize, fingerprint
 from flagflux import iso_small, jacobi_check
 from flagflux import make_block, nilradical_presentation, phi_conjugate, print_form, tduality
-from flagflux.gcs import identity_matrix, mat_eq, mat_mul, mat_neg
+from flagflux.gcs import identity_matrix, mat_mul, mat_neg
 
 coefficients = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -767,7 +767,7 @@ def classify_block_oracle(matrix):
     m = [list(row) for row in matrix]
     if len(m) != 4 or any(len(row) != 4 for row in m):
         raise ValueError("expected a 4x4 matrix")
-    if not mat_eq(mat_mul(m, m), mat_neg(identity_matrix(4))):
+    if mat_mul(m, m) != mat_neg(identity_matrix(4)):
         raise ValueError("block does not square to -1")
     top = range(2)
     bot = range(2, 4)
@@ -777,7 +777,7 @@ def classify_block_oracle(matrix):
         a = [[m[i][j] for j in range(2)] for i in range(2)]
         d = [[m[i][j] for j in range(2, 4)] for i in range(2, 4)]
         neg_at = [[-a[j][i] for j in range(2)] for i in range(2)]
-        if mat_eq(d, neg_at):
+        if d == neg_at:
             return "complex"
         return "other"
     a_zero = _is_zero_block(m, top, top)
@@ -828,7 +828,7 @@ def gcs_blocks(draw):
         block = make_block("noncomplex", a=a, x=x, y=(a * a + 1) / x)
     if draw(st.booleans()):
         block = phi_conjugate(block)
-    m = [list(row) for row in block.matrix]
+    m = block.matrix
     if draw(st.booleans()):
         m = b_transform(m, draw(block_rationals))
     return m

@@ -16,6 +16,7 @@ from flagflux import (
     Root,
     build_root_system,
     complex_matrix,
+    interior,
     dimension_obstruction_scan,
     make_block,
     parse_form,
@@ -206,6 +207,8 @@ INTEGER_BOUNDARIES = [
     ("Form.from_terms index", lambda v: min(Form.from_terms(2, [((1, v), 1)]).terms)[1], 2,
      TypeError),
     ("parse_form degree", lambda v: parse_form("e^{12}", v).degree, 2, TypeError),
+    ("interior index", lambda v: interior(v, Form.basis(1, 2)).terms[(2,)], 1, TypeError),
+    ("parse_malcev dim", lambda v: parse_malcev("(0)", v).dim, 1, TypeError),
     ("Root", lambda v: Root(1, v, 3).col, 2, TypeError),
     ("FlagSpec rank", lambda v: FlagSpec("A", v).rank, 2, TypeError),
     ("FlagSpec theta", lambda v: FlagSpec("A", 3, (v,)).theta[0], 2, TypeError),

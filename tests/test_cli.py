@@ -324,6 +324,16 @@ class TestConfigMerge:
         assert body["H_dual"] == "-e^{146}+e^{356}"
         assert "source" not in body
 
+    def test_zero_dimensional_nilradical_dualizes(self, run, tmp_path):
+        # theta {1} on A_1 leaves no complementary root: a 0-dimensional nilradical
+        algebra = json.loads(run("nilradical", "--rank", "1", "--theta", "1").stdout)
+        assert algebra["presentation"] == "()"
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"algebra": algebra["presentation"], "ideal": []}))
+        result = run("dualize", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.stdout)["dual"]["algebra"] == "()"
+
 
 class TestReports:
     def test_dualize_json_shape(self, run):
@@ -463,6 +473,15 @@ class TestTextFormat:
         lines = result.stdout.splitlines()
         assert lines[0] == "series: A"
         assert "positive roots (3):" in lines
+
+    def test_gcs_transport_text_spells_the_dual_flag(self, run, tmp_path):
+        # golden job 14; the dual flag is spelled as every other text report spells a flag
+        job = resources.files("flagflux").joinpath("jobs", "14-gcs-sl3-to-cp3.json")
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(json.loads(job.read_text(encoding="utf-8"))["config"]))
+        result = run("gcs-transport", "--config", str(cfg), "--format", "text")
+        lines = result.stdout.splitlines()
+        assert lines[-1] == "uniform after transport on A_3, theta {1,2}: no"
 
     def test_selfdual_text_undecided(self, run):
         result = run("selfdual", "--rank", "3", "--format", "text")

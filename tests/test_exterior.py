@@ -545,3 +545,9 @@ class TestPrinter:
     @given(filtered_presentations())
     def test_malcev_round_trip(self, p):
         assert parse_malcev(print_malcev(p)) == p
+
+    def test_zero_dimensional_round_trip(self):
+        # the strategy draws dim >= 1, so "()" is pinned here
+        empty = MalcevPresentation([])
+        assert print_malcev(empty) == "()"
+        assert parse_malcev(print_malcev(empty)) == empty

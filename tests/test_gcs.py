@@ -17,13 +17,7 @@ from flagflux import (
     phi_matrix,
     split_pairing,
 )
-from flagflux.gcs import (
-    block_from_json,
-    identity_matrix,
-    mat_eq,
-    mat_mul,
-    mat_neg,
-)
+from flagflux.gcs import block_from_json, identity_matrix, mat_mul, mat_neg
 
 from conftest import b_transform, block_rationals, classify_block_oracle, gcs_blocks
 
@@ -36,12 +30,12 @@ def transpose(m):
 
 class TestBlockMatrices:
     def test_complex_plus(self):
-        assert complex_matrix(1) == [
-            [0, -1, 0, 0],
-            [1, 0, 0, 0],
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-        ]
+        assert complex_matrix(1) == (
+            (0, -1, 0, 0),
+            (1, 0, 0, 0),
+            (0, 0, 0, -1),
+            (0, 0, 1, 0),
+        )
 
     def test_complex_minus_is_negation(self):
         assert complex_matrix(-1) == mat_neg(complex_matrix(1))
@@ -52,37 +46,37 @@ class TestBlockMatrices:
 
     def test_noncomplex_layout(self):
         a, x, y = F(2), F(1), F(5)
-        assert noncomplex_matrix(a, x, y) == [
-            [a, 0, 0, -x],
-            [0, a, x, 0],
-            [0, -y, -a, 0],
-            [y, 0, 0, -a],
-        ]
+        assert noncomplex_matrix(a, x, y) == (
+            (a, 0, 0, -x),
+            (0, a, x, 0),
+            (0, -y, -a, 0),
+            (y, 0, 0, -a),
+        )
 
     def test_symplectic_point(self):
         # a=0, x=y=1 swaps each direction with its dual
-        assert noncomplex_matrix(0, 1, 1) == [
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-            [0, -1, 0, 0],
-            [1, 0, 0, 0],
-        ]
+        assert noncomplex_matrix(0, 1, 1) == (
+            (0, 0, 0, -1),
+            (0, 0, 1, 0),
+            (0, -1, 0, 0),
+            (1, 0, 0, 0),
+        )
 
     def test_squares_to_minus_one_on_locus(self):
         for a, x in [(0, 1), (2, 1), (F(1, 2), F(5, 3)), (-3, F(2, 7))]:
             y = (F(a) ** 2 + 1) / F(x)
             m = noncomplex_matrix(a, x, y)
-            assert mat_eq(mat_mul(m, m), mat_neg(identity_matrix(4)))
+            assert mat_mul(m, m) == mat_neg(identity_matrix(4))
 
 
 class TestPhi:
     def test_four_by_four(self):
-        assert phi_matrix(1, 1) == [
-            [1, 0, 0, 0],
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-            [0, -1, 0, 0],
-        ]
+        assert phi_matrix(1, 1) == (
+            (1, 0, 0, 0),
+            (0, 0, 0, -1),
+            (0, 0, 1, 0),
+            (0, -1, 0, 0),
+        )
 
     @pytest.mark.parametrize("t", range(0, 7))
     @pytest.mark.parametrize("m", range(0, 7))
@@ -93,34 +87,65 @@ class TestPhi:
             return
         phi = phi_matrix(t, m)
         n = 2 * (t + m)
-        assert mat_eq(mat_mul(phi, phi), identity_matrix(n))
+        assert mat_mul(phi, phi) == identity_matrix(n)
         # the two sign flips cancel against each other in the pairing
         g = split_pairing(t + m)
-        assert mat_eq(mat_mul(transpose(phi), mat_mul(g, phi)), g)
+        assert mat_mul(transpose(phi), mat_mul(g, phi)) == g
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
             phi_matrix(-1, 2)
+        with pytest.raises(ValueError):
+            split_pairing(-1)
 
     def test_pairing_shape(self):
-        assert split_pairing(2) == [
-            [0, 0, F(1, 2), 0],
-            [0, 0, 0, F(1, 2)],
-            [F(1, 2), 0, 0, 0],
-            [0, F(1, 2), 0, 0],
-        ]
+        assert split_pairing(2) == (
+            (0, 0, F(1, 2), 0),
+            (0, 0, 0, F(1, 2)),
+            (F(1, 2), 0, 0, 0),
+            (0, F(1, 2), 0, 0),
+        )
+
+
+# every matrix gcs builds or returns, from its raw ingredients
+MATRICES = [
+    ("identity_matrix", lambda: identity_matrix(3)),
+    ("complex_matrix", lambda: complex_matrix(-1)),
+    ("noncomplex_matrix", lambda: noncomplex_matrix(F(1, 2), 1, F(5, 4))),
+    ("phi_matrix", lambda: phi_matrix(2, 1)),
+    ("split_pairing", lambda: split_pairing(2)),
+    ("mat_mul", lambda: mat_mul(phi_matrix(1, 1), complex_matrix(1))),
+    ("mat_neg", lambda: mat_neg(noncomplex_matrix(0, 1, 1))),
+    ("make_block", lambda: make_block("noncomplex", a=2, x=1, y=5).matrix),
+    ("phi_conjugate", lambda: phi_conjugate(make_block("complex", sign=1)).matrix),
+    ("phi_conjugate of lists", lambda: phi_conjugate(list(map(list, complex_matrix(1)))).matrix),
+]
+
+
+@pytest.mark.parametrize(
+    "build", [row[1] for row in MATRICES], ids=[row[0] for row in MATRICES]
+)
+def test_every_matrix_is_a_tuple_of_tuples(build):
+    # one immutable type, so == compares any two and a matrix can be hashed
+    m = build()
+    assert type(m) is tuple and all(type(row) is tuple for row in m)
+    hash(m)
 
 
 class TestMakeBlock:
     def test_complex_kinds(self):
         b = make_block("complex", sign=-1)
         assert b.kind == "complex"
-        assert list(map(list, b.matrix)) == complex_matrix(-1)
+        assert b.matrix == complex_matrix(-1)
 
     def test_noncomplex_locus_enforced(self):
         make_block("noncomplex", a=0, x=1, y=1)
         with pytest.raises(ValueError):
             make_block("noncomplex", a=2, x=1, y=-5)
+
+    def test_missing_noncomplex_parameter_is_named(self):
+        with pytest.raises(TypeError, match="needs 'y'"):
+            make_block("noncomplex", a=0, x=1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -176,7 +201,7 @@ class TestTypeRule:
     def test_non_orthogonal_block_is_other(self):
         # squares to -1 with A = D = 0, but P = [[1, 1], [0, 1]] is not skew
         m = [[0, 0, 1, 1], [0, 0, 0, 1], [-1, 1, 0, 0], [0, -1, 0, 0]]
-        assert mat_eq(mat_mul(m, m), mat_neg(identity_matrix(4)))
+        assert mat_mul(m, m) == mat_neg(identity_matrix(4))
         assert classify_block(m) == "other"
 
     @given(gcs_blocks(), block_rationals)
