@@ -52,7 +52,7 @@ def identity_matrix(n):
 
 def mat_mul(a, b):
     k = len(b)
-    m = len(b[0])
+    m = len(b[0]) if b else 0
     return tuple(
         tuple(_norm(sum(row[t] * b[t][j] for t in range(k))) for j in range(m))
         for row in a
@@ -189,15 +189,22 @@ class TransportedBlock:
     classification: str
 
 
+def _matrix4(block):
+    m = tuple(map(tuple, getattr(block, "matrix", block)))
+    if len(m) != 4 or any(len(row) != 4 for row in m):
+        raise ValueError("expected a 4x4 matrix")
+    return m
+
+
 def phi_conjugate(block):
     """Transport a block or raw matrix across the correspondence: phi J phi.
 
     The slice is a single root, so phi is the 4x4 swap (t=1, m=1);
     phi is its own inverse.  Applying this twice returns the original
-    matrix.
+    matrix.  A matrix that is not 4x4 is a ValueError.
     """
     phi = phi_matrix(1, 1)
-    moved = mat_mul(phi, mat_mul(getattr(block, "matrix", block), phi))
+    moved = mat_mul(phi, mat_mul(_matrix4(block), phi))
     return TransportedBlock(moved, classify_block(moved))
 
 
@@ -216,9 +223,7 @@ def classify_block(block):
 
     A matrix that is not 4x4 or does not square to -1 is a ValueError.
     """
-    m = tuple(map(tuple, getattr(block, "matrix", block)))
-    if len(m) != 4 or any(len(row) != 4 for row in m):
-        raise ValueError("expected a 4x4 matrix")
+    m = _matrix4(block)
     if mat_mul(m, m) != mat_neg(identity_matrix(4)):
         raise ValueError("block does not square to -1")
     n = 2

@@ -322,11 +322,15 @@ def duality_certificate(t, d):
     j has its own z_j, so they cannot cancel; they vanish exactly when no
     ideal differential touches the ideal, and quotient ones never do.  On a
     central ideal the rest cancels, and dualize keeps the quotient
-    differentials.
+    differentials.  A dual of another dimension or ideal size is a ValueError.
     """
     algebra, flux, _ = _reorder_triple(t)
-    n = algebra.dim
-    m = len(d.dual.ideal)
+    n, m = algebra.dim, len(t.ideal)
+    if (d.dual.algebra.dim, len(d.dual.ideal)) != (n, m):
+        raise ValueError(
+            "dual of dimension %d with ideal size %d for a source of dimension %d "
+            "with ideal size %d" % (d.dual.algebra.dim, len(d.dual.ideal), n, m)
+        )
     q = n - m
 
     def lift(f):
@@ -551,12 +555,11 @@ def iso_small(p, q):
     every colour, so a pruned branch holds none, and the first witness found
     is the first of the full walk.
 
-    Exhausting ISO_BUDGET individualisations is inconclusive, as is a
-    search that ends without a witness: only a fingerprint mismatch proves
-    the two presentations non-isomorphic.
+    Exhausting ISO_BUDGET individualisations is inconclusive, as is a search
+    that ends without a witness, at the root when the weight-layer profiles
+    differ: only a fingerprint mismatch, the dimension its cheapest field,
+    proves the two presentations non-isomorphic.
     """
-    if p.dim != q.dim:
-        return IsoResult(None, True, "dimension mismatch")
     n = p.dim
     equal, field = compare_fingerprints(p, q)
     if not equal:
@@ -564,11 +567,6 @@ def iso_small(p, q):
 
     wp = _weight_layers(p)
     wq = _weight_layers(q)
-    if sorted(wp.values()) != sorted(wq.values()):
-        # signed monomial maps preserve the layer profile, so the search
-        # cannot succeed; this is inconclusive for general isomorphism
-        return IsoResult(None, False, "no signed monomial witness: layer profiles differ")
-
     edges = _slot_edges(p, q)
     colours = _refine(list(wp.values()) + list(wq.values()), edges, n)
     order = sorted(range(1, n + 1), key=lambda k: (wq[k], k))

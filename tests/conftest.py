@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from flagflux import AdmissibleTriple, BasisChange, FlagSpec, Form, IsoResult, MalcevPresentation
 from flagflux import Root, ce_diff, check_admissible, compare_fingerprints, dualize, fingerprint
-from flagflux import iso_small, jacobi_check
+from flagflux import iso_small, jacobi_check, wedge
 from flagflux import make_block, nilradical_presentation, phi_conjugate, print_form, tduality
 from flagflux.gcs import identity_matrix, mat_mul, mat_neg
 
@@ -490,17 +490,17 @@ def _arrangements(layers):
 def iso_oracle(p, q, budget=tduality.ISO_BUDGET):
     """iso_small's answer by walking every arrangement of each weight layer.
 
-    The same tests before the search as iso_small, then each relabelling of
-    q's layers onto p's, in ``_arrangements`` order, until one transports
-    p's constants onto q's up to the signs ``_solve_signs`` finds; more than
-    ``budget`` arrangements is inconclusive.
+    The fingerprint first, as in iso_small, then each relabelling of q's
+    layers onto p's, in ``_arrangements`` order, until one transports p's
+    constants onto q's up to the signs ``_solve_signs`` finds; more than
+    ``budget`` arrangements is inconclusive.  Layers of unequal sizes leave
+    no arrangement to walk, so the search ends there without a witness, as
+    iso_small's refinement does at the root.
     """
-    if p.dim != q.dim:
-        return IsoResult(None, True, "dimension mismatch")
-    n = p.dim
     equal, field = compare_fingerprints(p, q)
     if not equal:
         return IsoResult(None, True, "fingerprint differs: %s" % field)
+    n = p.dim
     wp = tduality._weight_layers(p)
     wq = tduality._weight_layers(q)
     layers_p, layers_q = {}, {}
@@ -508,7 +508,7 @@ def iso_oracle(p, q, budget=tduality.ISO_BUDGET):
         layers_p.setdefault(wp[k], []).append(k)
         layers_q.setdefault(wq[k], []).append(k)
     if {w: len(v) for w, v in layers_p.items()} != {w: len(v) for w, v in layers_q.items()}:
-        return IsoResult(None, False, "no signed monomial witness: layer profiles differ")
+        return IsoResult(None, False, "search space exhausted without witness")
     weights = sorted(layers_p)
     source = p.structure_constants()
     target = q.structure_constants()
@@ -539,6 +539,36 @@ def signed_relabellings(draw, p):
         del needs[k]
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=p.dim, max_size=p.dim))
     return BasisChange(tuple(perm), tuple(signs))
+
+
+@st.composite
+def unitriangular_copies(draw, p):
+    """p in the coframe eps^k = e^k + sum_{m<k} a_km e^m, with small int
+    a_km: an isomorphic copy that is in general no signed relabelling of p.
+
+    d eps^k = de^k + sum_{m<k} a_km de^m names e slots below k only, and
+    each e^i is eps^i minus the a_im e^m below it, so rewritten in eps it
+    still names slots below k: the checked constructor's filtration holds.
+    """
+    n = p.dim
+    a = {(k, m): draw(st.integers(min_value=-2, max_value=2)) for k in range(1, n + 1)
+         for m in range(1, k)}
+    e = []  # e^i in the eps coframe
+    for i in range(1, n + 1):
+        f = Form.basis(i)
+        for m in range(1, i):
+            f = f - a[i, m] * e[m - 1]
+        e.append(f)
+    diffs = []
+    for k in range(1, n + 1):
+        d = p.differentials[k - 1]
+        for m in range(1, k):
+            d = d + a[k, m] * p.differentials[m - 1]
+        eps = Form(2)
+        for (i, j), c in d.terms.items():
+            eps = eps + c * wedge(e[i - 1], e[j - 1])
+        diffs.append(eps)
+    return MalcevPresentation(diffs)
 
 
 def fingerprint_tie_dual():

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -484,9 +485,11 @@ class TestObstructionScan:
         assert report.scanned_to == 2000
         assert report.e6_dims == (24, 16)
         assert report.e6_check is True
+        # the report states a theorem, so no loop runs to the bound
+        assert dimension_obstruction_scan(10**18) == replace(report, scanned_to=10**18)
 
     def test_against_factor_pair_oracle(self):
-        # independent check: brute-force l instead of isqrt inversion
+        # independent check: brute-force l for each n, no theorem used
         found = []
         for n in range(4, 400):
             target = n * n + n - 2

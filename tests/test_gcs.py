@@ -98,6 +98,10 @@ class TestPhi:
         with pytest.raises(ValueError):
             split_pairing(-1)
 
+    def test_empty_product(self):
+        assert mat_mul((), ()) == ()
+        assert mat_mul(split_pairing(0), split_pairing(0)) == ()
+
     def test_pairing_shape(self):
         assert split_pairing(2) == (
             (0, 0, F(1, 2), 0),
@@ -183,6 +187,14 @@ class TestClassify:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             classify_block([[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("read", [classify_block, phi_conjugate])
+    @pytest.mark.parametrize("rows,cols", [(4, 3), (3, 4), (5, 5)])
+    def test_one_shape_check(self, read, rows, cols):
+        # the shape is read before any product, which would otherwise fail
+        # on an index or on the square
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            read([[0] * cols for _ in range(rows)])
 
     def test_non_square_root_rejected(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ from flagflux import (
 )
 from flagflux import tduality
 from flagflux.nilradical import _nilradical
-from flagflux.tduality import BasisChange
+from flagflux.tduality import BasisChange, IsoResult
 
 from conftest import (
     _arrangements,
@@ -55,6 +55,7 @@ from conftest import (
     non_central_triples,
     permutation_sign,
     signed_relabellings,
+    unitriangular_copies,
     wedge_oracle,
 )
 
@@ -448,6 +449,25 @@ class TestCertificate:
         assert not cert.ok
         assert print_form(cert.residual) == "-e^{125}+e^{145}"
 
+    @pytest.mark.parametrize(
+        "source,other,message",
+        [
+            ((DIM6, (4, 5, 6)), (HEISENBERG, (3,)),
+             "dual of dimension 3 with ideal size 1 for a source of dimension 6 "
+             "with ideal size 3"),
+            ((HEISENBERG, (3,)), (DIM6, (4, 5, 6)),
+             "dual of dimension 6 with ideal size 3 for a source of dimension 3 "
+             "with ideal size 1"),
+            ((DIM6, (6,)), (DIM6, (4, 5, 6)),
+             "dual of dimension 6 with ideal size 3 for a source of dimension 6 "
+             "with ideal size 1"),
+        ],
+    )
+    def test_refuses_a_dual_of_another_shape(self, source, other, message):
+        # no correspondence algebra joins the two, so no form is built
+        with pytest.raises(ValueError, match=message):
+            duality_certificate(triple(*source), dualize(triple(*other)))
+
 
 class TestInvolution:
     @pytest.mark.parametrize(
@@ -779,6 +799,21 @@ class TestIsoSmall:
         assert result.proved_distinct
         assert "abelian" in result.reason
 
+    def test_dimension_mismatch_is_the_fingerprint_dim_field(self):
+        result = iso_small(parse_malcev(HEISENBERG), parse_malcev("(0,0,0,0)"))
+        assert result == IsoResult(None, True, "fingerprint differs: dim")
+
+    def test_unequal_layer_profiles_end_at_the_root(self):
+        # isomorphic (e_4 -> e_4 - e_3 on the second), but no signed
+        # relabelling joins them: refinement fails at its first round
+        p = parse_malcev("(0,0,e^{12},0)")
+        q = parse_malcev("(0,0,e^{12},e^{12})")
+        assert sorted(tduality._weight_layers(p).values()) != sorted(
+            tduality._weight_layers(q).values()
+        )
+        result = iso_small(p, q)
+        assert result == IsoResult(None, False, "search space exhausted without witness")
+
     def test_exhausted_budget_is_inconclusive(self, monkeypatch):
         # two Heisenberg blocks: the blocks, then the pair inside the second,
         # are each one individualisation
@@ -883,6 +918,27 @@ class TestIsoSearchOracle:
             return MalcevPresentation(diffs)
 
         assert iso_small(shuffled(p), shuffled(q)) == iso_small(p, q)
+
+
+class TestUnitriangularCopies:
+    """Isomorphic copies beyond signed relabellings: a lower-unitriangular
+    change of coframe moves slots across weight layers."""
+
+    @given(_presentations_up_to_dim_8(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_never_proved_distinct(self, p, data):
+        q = data.draw(unitriangular_copies(p))
+        assert compare_fingerprints(p, q) == (True, None)
+        result = iso_small(p, q)
+        assert not result.proved_distinct
+        if result.witness is not None:
+            assert result.witness.apply(p) == q
+        layers = [sorted(tduality._weight_layers(r).values()) for r in (p, q)]
+        if layers[0] != layers[1]:
+            assert result.reason == "search space exhausted without witness"
+        want = iso_oracle(p, q, budget=2000)
+        if not want.reason.startswith("budget"):
+            assert result == want
 
 
 class TestBasisChange:
