@@ -407,6 +407,7 @@ def _run_gcs_transport(cfg):
         raise UsageError(
             "gcs-transport needs a config with a \"blocks\" object keyed by signature"
         )
+    _check_keys(raw, [_ints(summand.signature) for summand in summands], "blocks")
     blocks = []
     assignment = []
     for summand in summands:
@@ -639,7 +640,7 @@ def _run(parser, run, flags):
     except MalcevSyntaxError as exc:
         _echo("parse error: %s" % exc, err=True)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _echo("parse error: invalid JSON: %s" % exc, err=True)
         return 2
     except DualityError as exc:

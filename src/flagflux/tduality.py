@@ -288,12 +288,10 @@ def dualize(t):
     for k in range(q + 1, n + 1):
         for (i, j), c in algebra.differentials[k - 1].terms.items():
             h_terms[i, j, k] = c
-    delta = Form._adopt(3, delta_terms)
-    h_dual = Form._adopt(3, h_terms)
+    delta = Form(3, delta_terms)
+    h_dual = Form(3, h_terms)
 
-    # an admissible H has one ideal leg per term at most, so each dz^k = i_x H
-    # names quotient slots only, below k: the filtration holds too
-    dual_algebra = MalcevPresentation._adopt(diffs)
+    dual_algebra = MalcevPresentation(diffs)
     dual_algebra._invariants["lie"] = True
     dual = AdmissibleTriple(dual_algebra, slot_map.z_slots, h_dual)
     return DualizationResult(dual, slot_map, delta, report)
@@ -335,12 +333,10 @@ def duality_certificate(t, d):
 
     def lift(f):
         terms = {tuple(i if i <= q else i + m for i in key): c for key, c in f.terms.items()}
-        return Form._adopt(f.degree, terms)
+        return Form(f.degree, terms)
 
     dual_diffs = d.dual.algebra.differentials
-    # both parts are checked presentations and the lift keeps index order,
-    # so every dz^k still references only slots below its own
-    corr = MalcevPresentation._adopt(algebra.differentials + tuple(map(lift, dual_diffs[q:])))
+    corr = MalcevPresentation(algebra.differentials + tuple(map(lift, dual_diffs[q:])))
     F = Form(2, {(q + j, n + j): -1 for j in range(1, m + 1)})
     residual = (flux - lift(d.dual.flux)) - ce_diff(corr, F)
     ok = residual.is_zero() and dual_diffs[:q] == algebra.differentials[:q]
@@ -359,11 +355,10 @@ class BasisChange:
     slots by the unit-sign change along its slot map's permutation.
     Construction rejects perm or sign entries that are not ints (TypeError),
     a perm that is not a permutation of 1..n and signs that are not n values
-    of 1 or -1 (ValueError), and stores both as plain ints, so ``apply``
-    moves each nonzero constant to a distinct key with its sign and adopts
-    the forms it builds; their filtration is still checked, since a
-    permutation can break it.  A change of size n rewrites a presentation of dimension n
-    and forms with indices up to n, and raises ValueError on any other.
+    of 1 or -1 (ValueError), and stores both as plain ints.  A change of
+    size n rewrites a presentation of dimension n and forms with indices up
+    to n, and raises ValueError on any other; ``apply`` raises
+    MalcevValueError when the relabelled presentation breaks the filtration.
     """
 
     perm: tuple
@@ -386,7 +381,7 @@ class BasisChange:
         moved = _transported_constants(p.structure_constants(), self.perm, self.signs)
         for (i, j, k), c in moved.items():
             diffs[k - 1][(i, j)] = -c
-        return MalcevPresentation([Form._adopt(2, d) for d in diffs])
+        return MalcevPresentation([Form(2, d) for d in diffs])
 
     def to_json(self):
         return {"perm": list(self.perm), "signs": list(self.signs)}
@@ -666,7 +661,7 @@ def _center_dim(p):
 def _d_columns(p, keys):
     """The matrix of d on the basis forms e^key, one term map per increasing
     key."""
-    return (ce_diff(p, Form._adopt(len(key), {key: 1})).terms for key in keys)
+    return (ce_diff(p, Form(len(key), {key: 1})).terms for key in keys)
 
 
 def _diff_rank(p, degree):
@@ -756,7 +751,7 @@ def _closed_forms(p, keys):
     for key, img in zip(keys, _d_columns(p, keys)):
         for tkey, c in img.items():
             rows.setdefault(tkey, {})[key] = c
-    return [Form._adopt(len(keys[0]), terms) for terms in nullspace(rows.values(), keys)]
+    return [Form(len(keys[0]), terms) for terms in nullspace(rows.values(), keys)]
 
 
 def _random_sum(rng, forms, degree, draws, coeffs):

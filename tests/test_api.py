@@ -191,6 +191,50 @@ def test_only_subtract_cancels_in_place():
     assert found == [("_linalg.py", "_subtract")]
 
 
+def _unchecked_builds(source):
+    """(enclosing qualified name or None, spelling) of each ``_adopt``
+    attribute and each ``object.__new__`` in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                if child.attr == "_adopt":
+                    found.append((scope, "_adopt"))
+                elif child.attr == "__new__" and getattr(child.value, "id", None) == "object":
+                    found.append((scope, "object.__new__"))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, ".".join(filter(None, (scope, child.name))) if named else scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_unchecked_build_is_found():
+    source = (
+        "class F:\n    def _adopt(cls):\n        return object.__new__(cls)\n"
+        "def g():\n    return F._adopt()\nF._adopt\nobject.__init__\n"
+    )
+    assert _unchecked_builds(source) == [
+        ("F._adopt", "object.__new__"), ("g", "_adopt"), (None, "_adopt"),
+    ]
+
+
+def test_only_exterior_builds_unchecked():
+    # every presentation, and every form built outside exterior's
+    # arithmetic, goes through its checking constructor
+    package = pathlib.Path(flagflux.__file__).parent
+    found = [
+        (path.name, scope, spelling)
+        for path in sorted(package.glob("*.py"))
+        for scope, spelling in _unchecked_builds(path.read_text(encoding="utf-8"))
+    ]
+    assert {name for name, _scope, spelling in found if spelling == "_adopt"} == {"exterior.py"}
+    assert [(name, scope) for name, scope, spelling in found if spelling == "object.__new__"] == [
+        ("exterior.py", "Form._adopt")
+    ]
+
+
 class Half(Fraction):
     pass
 

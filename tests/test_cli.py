@@ -171,6 +171,17 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "invalid JSON" in result.stderr
 
+    def test_non_utf8_config_is_two(self, run, tmp_path):
+        # a config is JSON, which is UTF-8; a byte that cannot decode is a
+        # parse error like invalid JSON, not a domain error
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"rank": 2, "theta": "\xff"}')
+        result = run("nilradical", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "parse error: invalid JSON" in result.stderr
+        assert "can't decode byte 0xff" in result.stderr
+
     def test_missing_rank_is_two(self, run):
         result = run("nilradical")
         assert result.exit_code == 2
@@ -488,6 +499,38 @@ class TestTextFormat:
         assert "selfdual: undecided" in result.stdout
         assert "closed: dH = 2e^{1345}" in result.stdout
 
+    def test_selfdual_text_dual(self, run):
+        lines = run("selfdual", "--rank", "2", "--format", "text").stdout.splitlines()
+        assert lines[-3:] == [
+            "selfdual: yes", "dual algebra: (0,0,e^{12})", "H_dual: -e^{123}",
+        ]
+
+    def test_nilradical_text(self, run):
+        lines = run("nilradical", "--rank", "2", "--format", "text").stdout.splitlines()
+        assert lines == [
+            "flag: A_2, theta {}",
+            "dim: 3",
+            "presentation: (0,0,-e^{12})",
+            "jacobi: pass",
+            "legend:",
+            "  e1 = root (1,0) = E(1,2)",
+            "  e2 = root (0,1) = E(2,3)",
+            "  e3 = root (1,1) = E(1,3)",
+        ]
+
+    def test_correspond_text_no_targets(self, run, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(
+            json.dumps({"algebra": "(0,0,0,-e^{12},-e^{23},-e^{14}+e^{35})", "ideal": [6]})
+        )
+        lines = run("correspond", "--config", str(cfg), "--format", "text").stdout.splitlines()
+        assert lines[-2:] == [
+            "targets: none",
+            "reason: no parabolic nilradical, every rank searched, is isomorphic to the "
+            "dual: 3 candidates of dimension 6, 3 rejected by invariant fingerprint, "
+            "0 unconfirmed within search budget",
+        ]
+
 
 class TestGcsTransport:
     CONFIG = {
@@ -569,6 +612,24 @@ class TestGcsTransport:
         assert run("gcs-transport", "--config", str(cfg)).exit_code == 0
         assert len(built) == 6
 
+    @pytest.mark.parametrize(
+        "blocks, key",
+        [
+            (dict(CONFIG["blocks"], **{"9,9": {"kind": "complex", "bogus": 1}}), "9,9"),
+            # names no summand and leaves (1,0) unassigned: the unread key
+            # is the usage error, before any block is looked up
+            ({("1, 0" if k == "1,0" else k): v for k, v in CONFIG["blocks"].items()}, "1, 0"),
+        ],
+        ids=["extra", "misspelt"],
+    )
+    def test_unknown_signature_is_usage_error(self, run, tmp_path, blocks, key):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, blocks=blocks)))
+        result = run("gcs-transport", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "unknown key in blocks: %r" % key in result.stderr
+
     def test_unassigned_signature_is_domain_error(self, run, tmp_path):
         broken = dict(self.CONFIG, blocks={"1,0": {"kind": "complex", "sign": 1}})
         cfg = tmp_path / "job.json"
@@ -585,6 +646,36 @@ class TestGolden:
         lines = result.stdout.splitlines()
         assert len(lines) == 14
         assert all(line.startswith("ok   ") for line in lines)
+
+    def test_failures_are_reported_and_exit_one(self, run, monkeypatch, tmp_path):
+        # a jobs/ tree with one job of each failing kind and one that passes
+        jobs = tmp_path / "jobs"
+        (jobs / "expected").mkdir(parents=True)
+        nil = {"command": "nilradical", "config": {"rank": 1}}
+        for name, job in [
+            ("1-bad.json", {"command": "nope"}),
+            ("2-err.json", {"command": "nilradical", "config": {}}),
+            ("3-miss.json", nil),
+            ("4-diff.json", nil),
+            ("5-ok.json", nil),
+        ]:
+            (jobs / name).write_text(json.dumps(job))
+        (jobs / "expected" / "4-diff.json").write_text("{}\n")
+        (jobs / "expected" / "5-ok.json").write_text(run("nilradical", "--rank", "1").stdout)
+        monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path)
+        result = run("golden")
+        assert result.exit_code == 1
+        lines = result.stdout.splitlines()
+        assert lines[:5] == [
+            "BAD  1-bad.json (unknown command 'nope')",
+            "ERR  2-err.json (missing --rank (or config key \"rank\"))",
+            "MISS 3-miss.json (no expected report)",
+            "DIFF 4-diff.json",
+            "ok   5-ok.json",
+        ]
+        assert json.loads("\n".join(lines[5:])) == {
+            "error": {"kind": "golden-mismatch", "message": "4 job(s) differ"}
+        }
 
     def test_list_names_jobs(self, run):
         result = run("golden", "--list")

@@ -13,7 +13,6 @@ from flagflux import (
     FlagSpec,
     FlowingFlag,
     Form,
-    MalcevPresentation,
     MalcevValueError,
     build_root_system,
     complementary_positive_roots,
@@ -206,6 +205,32 @@ class TestTargets:
         tied = FlagSpec("A", 8, theta_of_blocks((4, 4, 1)))
         assert unconfirmed == [(tied, "search space exhausted without witness")]
 
+    @pytest.mark.parametrize(
+        "blocks, other, d2_ranks",
+        [((2, 4, 1, 2), (4, 2, 2, 1), (251, 283)), ((2, 1, 2, 3, 1), (2, 3, 1, 2, 1), (366, 357))],
+        ids=["n(2,4,1,2)", "n(2,1,2,3,1)"],
+    )
+    def test_block_tie_is_proved_distinct_by_d2_rank(self, monkeypatch, blocks, other, d2_ranks):
+        # two flags of A8 that agree on every field their blocks give: the
+        # other one is built, and iso_small proves it distinct by d2_rank
+        verdicts = []
+        real = C.iso_small
+
+        def spy(p, q):
+            iso = real(p, q)
+            verdicts.append((p, iso))
+            return iso
+
+        monkeypatch.setattr(C, "iso_small", spy)
+        p, _legend = nilradical_presentation(FlagSpec("A", 8, theta_of_blocks(blocks)))
+        targets, reason, unconfirmed = find_targets(p)
+        assert [t.spec for t in targets] == [FlagSpec("A", 8, theta_of_blocks(blocks))]
+        assert (reason, unconfirmed) == (None, [])
+        [(cand, iso)] = [(cand, iso) for cand, iso in verdicts if iso.witness is None]
+        assert cand == _nilradical(other)[0]
+        assert (iso.proved_distinct, iso.reason) == (True, "fingerprint differs: d2_rank")
+        assert (p._invariants["d2_rank"], cand._invariants["d2_rank"]) == d2_ranks
+
     def test_deterministic(self):
         a = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
         b = correspond_presentation(parse_malcev(DIM6), (4, 5, 6), parse_form("0"))
@@ -314,12 +339,13 @@ def assert_matches_oracle(dual):
 class TestAdoptedAlgebras:
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_dual_of_every_flag_is_a_lie_algebra(self, rank):
-        # correspond adopts the nilradical and dualize the dual, neither
-        # through jacobi_check; rebuild the dual checked and check it densely
+        # correspond marks the nilradical and dualize the dual as Lie
+        # algebras, so neither goes through jacobi_check; check the dual
+        # densely
         for theta in flags_with_blocks(rank):
             flag, ideal = last_summand_flag(rank, theta)
             dual = correspond(flag, ideal).dualization.dual.algebra
-            assert MalcevPresentation(dual.differentials) == dual
+            assert dual._invariants["lie"] is True
             assert jacobi_oracle(dual)
 
     @pytest.mark.parametrize("rank", range(1, 8))

@@ -175,8 +175,8 @@ class TestWholeRootSystemOracle:
 
 
 class TestAdoptedPresentation:
-    """nilradical_presentation stores its forms and presentation without
-    the input checks; rebuilt through them, nothing changes."""
+    """nilradical_presentation's forms and presentation are what the
+    checking constructors store: rebuilt through them, nothing changes."""
 
     def test_every_flag_up_to_rank_seven(self):
         for rank in range(1, 8):

@@ -379,11 +379,11 @@ class TestDualize:
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
-    def test_adopted_dual_is_a_lie_algebra(self, seed):
-        # dualize adopts the dual unchecked; rebuild it through the checking
-        # constructor and check Jacobi densely
+    def test_marked_dual_is_a_lie_algebra(self, seed):
+        # dualize marks the dual as a Lie algebra, so its triple skips
+        # jacobi_check; check Jacobi densely
         dual = dualize(random_admissible_triple(random.Random(seed))).dual.algebra
-        assert MalcevPresentation(dual.differentials) == dual
+        assert dual._invariants["lie"] is True
         assert jacobi_oracle(dual)
 
     def test_decomposition_identity(self):
@@ -963,8 +963,8 @@ class TestBasisChange:
         ],
     )
     def test_rejects_what_is_not_a_signed_permutation(self, perm, signs):
-        # apply adopts the forms it builds, so a zero sign must not get
-        # that far
+        # a zero sign would scale constants to 0, which the forms that
+        # apply builds drop, so the change itself refuses it
         with pytest.raises(ValueError):
             BasisChange(perm, signs)
 
