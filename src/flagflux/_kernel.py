@@ -99,10 +99,10 @@ def settle(terms):
     return {key: _norm(c) for key, c in terms.items() if c}
 
 
-def add_terms(a, b):
+def add_terms(a, b, sign=1):
     out = dict(a)
     for key, c in b.items():
-        out[key] = out.get(key, 0) + c
+        out[key] = out.get(key, 0) + sign * c
     return settle(out)
 
 

@@ -50,18 +50,15 @@ class MalcevValueError(ValueError):
 class Form:
     """Sparse exterior form: degree plus {increasing index tuple: coeff}.
 
-    ``Form(degree, terms)``, ``from_terms``, ``parse_form`` and
-    ``parse_malcev`` are where forms enter: they check the degree and the
-    key indices (``_kernel.integer`` and ``integers``), that each key is
-    strictly increasing from 1 with as many indices as the degree, and
-    every coefficient (``_kernel.exact``), and drop zeros.  The results of
-    form arithmetic (+, -, scalar *, wedge, interior, ce_diff) are built by
-    the kernel from such terms, already sorted, normalized and nonzero, in
-    a fresh dict, so ``_adopt`` stores them as they are.  It is the one
-    unchecked way in, used by this module's arithmetic alone: one pass of
-    the property-batch benchmark stores some 30,000 kernel results, and
-    rechecking them would add about 2% to the pass.  ``terms`` is never
-    written to after construction.
+    Every form is built by ``Form(degree, terms)``, which ``from_terms``,
+    ``parse_form``, ``parse_malcev`` and the form arithmetic (+, -, scalar *,
+    wedge, interior, ce_diff) all call.  It checks the degree and the key
+    indices (``_kernel.integer`` and ``integers``), that each key is strictly
+    increasing from 1 with as many indices as the degree, and every
+    coefficient (``_kernel.exact``), and drops zeros, into a dict of its own.
+    ``terms`` is never written to after construction.  Code that only needs
+    term maps, such as the images of d that rank and Jacobi read, calls the
+    kernel and builds no form.
     """
 
     __slots__ = ("degree", "terms")
@@ -82,15 +79,6 @@ class Form:
             if c:
                 clean[key] = c
         self.terms = clean
-
-    @classmethod
-    def _adopt(cls, degree, terms):
-        """A form holding ``terms`` unchecked: a fresh dict, owned by no
-        other form, whose keys and coefficients are already well formed."""
-        f = object.__new__(cls)
-        f.degree = degree
-        f.terms = terms
-        return f
 
     @classmethod
     def from_terms(cls, degree, items):
@@ -129,20 +117,23 @@ class Form:
         return max(map(itemgetter(-1), self.terms), default=0)
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
         if not isinstance(other, Form):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch in form addition")
-        return Form._adopt(self.degree, _kernel.add_terms(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return Form(self.degree, _kernel.add_terms(self.terms, other.terms, sign))
 
     def __neg__(self):
-        return Form._adopt(self.degree, _kernel.scale_terms(self.terms, -1))
+        return Form(self.degree, _kernel.scale_terms(self.terms, -1))
 
     def __mul__(self, scalar):
-        return Form._adopt(self.degree, _kernel.scale_terms(self.terms, exact(scalar)))
+        return Form(self.degree, _kernel.scale_terms(self.terms, exact(scalar)))
 
     __rmul__ = __mul__
 
@@ -160,22 +151,24 @@ class Form:
 
 def wedge(f, g):
     """Exterior product; terms with a repeated index cancel."""
-    return Form._adopt(f.degree + g.degree, _kernel.wedge_terms(f.terms, g.terms))
+    return Form(f.degree + g.degree, _kernel.wedge_terms(f.terms, g.terms))
 
 
 def interior(x_index, f):
     """Contraction in the first slot: (interior(x, f))(...) = f(e_x, ...)."""
     x_index = integer(x_index, "index")
+    if x_index < 1:
+        raise ValueError("index %d is below 1: basis indices start at 1" % x_index)
     if f.degree == 0:
         return Form.zero(0)
-    return Form._adopt(f.degree - 1, _kernel.interior_terms(x_index, f.terms))
+    return Form(f.degree - 1, _kernel.interior_terms(x_index, f.terms))
 
 
 def ce_diff(p, f):
     """Chevalley-Eilenberg differential of f for the presentation p."""
     if f.max_index() > p.dim:
         raise MalcevValueError("form references index beyond dim %d" % p.dim)
-    return Form._adopt(f.degree + 1, _kernel.ce_terms(p._dterms, f.terms))
+    return Form(f.degree + 1, _kernel.ce_terms(p._dterms, f.terms))
 
 
 class MalcevPresentation:
@@ -192,8 +185,8 @@ class MalcevPresentation:
     computed for it so far (see tduality.fingerprint), both freed with it.
     There, ``"lie": True`` marks a Lie algebra where the library builds one
     (a flag nilradical, a dual), and AdmissibleTriple skips the Jacobi check
-    for it, which spares a three-summand correspondence about 40 us of
-    Jacobi checks on its source and its dual.  The certificate's
+    for it: checking its source and its dual would add about a tenth to the
+    library time of a flag correspondence of A2-A5.  The certificate's
     correspondence algebra is never marked, since it is built from the dual
     that the certificate checks.
     """

@@ -37,7 +37,8 @@ the structure constants, which is dim [n, n].
 
 from collections import namedtuple
 
-from .exterior import Form, MalcevPresentation, ce_diff
+from ._kernel import ce_terms
+from .exterior import Form, MalcevPresentation
 from .rootsys import Root, _summand_units
 
 __all__ = [
@@ -96,11 +97,12 @@ def _nilradical(blocks):
 
 
 def jacobi_check(p):
-    """d after d on every basis covector; reports the first failure."""
-    for k in range(1, p.dim + 1):
-        residual = ce_diff(p, p.differentials[k - 1])
-        if not residual.is_zero():
-            return JacobiReport(False, k, residual)
+    """d(de^k) for k = 1..dim, on the kernel's term maps; reports the first
+    nonzero one, as a 3-form, the only form this builds."""
+    for k, dterms in enumerate(p._dterms, start=1):
+        residual = ce_terms(p._dterms, dterms)
+        if residual:
+            return JacobiReport(False, k, Form(3, residual))
     return JacobiReport(True, None, None)
 
 

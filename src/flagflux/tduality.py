@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._kernel import integers
+from ._kernel import ce_terms, integer, integers
 from ._linalg import echelon, nullspace, rank
 from .exterior import (
     Form,
@@ -659,13 +659,9 @@ def _center_dim(p):
 
 
 def _d_columns(p, keys):
-    """The matrix of d on the basis forms e^key, one term map per increasing
-    key."""
-    return (ce_diff(p, Form(len(key), {key: 1})).terms for key in keys)
-
-
-def _diff_rank(p, degree):
-    return rank(_d_columns(p, itertools.combinations(range(1, p.dim + 1), degree)))
+    """The matrix of d on the basis forms e^key: for each increasing key, the
+    kernel's term map of d(e^key), with no form built."""
+    return (ce_terms(p._dterms, {key: 1}) for key in keys)
 
 
 _Field = namedtuple("_Field", "name built blocks cost")
@@ -683,8 +679,13 @@ _FIELDS = (
         "derived_dims", lambda p: _bracket_series(p, False), lambda b: _block_series(b, False), 3
     ),
     _Field("center_dim", _center_dim, lambda b: b[0] * b[-1], 2),
-    _Field("d1_rank", lambda p: _diff_rank(p, 1), lambda b: _gap_dim(b, 2), 1),
-    _Field("d2_rank", lambda p: _diff_rank(p, 2), None, 4),
+    _Field("d1_rank", lambda p: rank(p._dterms), lambda b: _gap_dim(b, 2), 1),
+    _Field(
+        "d2_rank",
+        lambda p: rank(_d_columns(p, itertools.combinations(range(1, p.dim + 1), 2))),
+        None,
+        4,
+    ),
 )
 
 # Every comparison walks the fields cheapest first; ties keep fingerprint order.
@@ -770,8 +771,11 @@ def random_admissible_triple(rng, max_dim=8):
     The presentation is graded (two or three layers, so Jacobi holds by
     construction or by solving the closedness condition exactly), the
     ideal is the top layer and H is drawn from the closed 3-forms with at
-    most one ideal leg per term.
+    most one ideal leg per term.  max_dim must be at least 3.
     """
+    max_dim = integer(max_dim, "max_dim")
+    if max_dim < 3:
+        raise ValueError("max_dim must be at least 3, got %d" % max_dim)
     n = rng.randint(3, max_dim)
     layers = rng.choice([2, 2, 3])
     if layers == 3 and n < 5:

@@ -137,18 +137,12 @@ def settle_oracle(pairs):
     return {key: int(c) if c.denominator == 1 else c for key, c in sums.items() if c}
 
 
-def revalidated(f):
-    """f rebuilt through the checking constructor, for results that were
-    adopted without the check."""
-    return Form(f.degree, dict(f.terms))
-
-
 def assert_well_formed(f):
-    """f holds what the checking constructor would store: it equals
-    ``revalidated(f)``, each key has ``degree`` int indices strictly
-    increasing from 1, and each coefficient is a nonzero int or a
-    non-integral Fraction (equality alone misses Fraction(2, 1) for 2)."""
-    assert f == revalidated(f)
+    """f holds what the checking constructor would store: rebuilt through it,
+    nothing changes, each key has ``degree`` int indices strictly increasing
+    from 1, and each coefficient is a nonzero int or a non-integral Fraction
+    (equality alone misses Fraction(2, 1) for 2)."""
+    assert f == Form(f.degree, dict(f.terms))
     for key, c in f.terms.items():
         assert len(key) == f.degree, key
         assert all(type(i) is int for i in key), key
@@ -157,6 +151,12 @@ def assert_well_formed(f):
             assert c.denominator != 1, (key, c)
         else:
             assert type(c) is int and c != 0, (key, c)
+
+
+def d_columns_oracle(p, keys):
+    """The matrix of d on the basis forms e^key through the public forms:
+    ``ce_diff`` of each checked basis form, read back as its term map."""
+    return [ce_diff(p, Form(len(key), {key: 1})).terms for key in keys]
 
 
 def permutation_sign(seq):

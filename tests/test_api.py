@@ -1,6 +1,7 @@
 import ast
 import enum
 import pathlib
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -22,6 +23,7 @@ from flagflux import (
     parse_form,
     parse_malcev,
     phi_matrix,
+    random_admissible_triple,
     split_pairing,
     three_summand_dims,
 )
@@ -220,19 +222,15 @@ def test_unchecked_build_is_found():
     ]
 
 
-def test_only_exterior_builds_unchecked():
-    # every presentation, and every form built outside exterior's
-    # arithmetic, goes through its checking constructor
+def test_nothing_builds_unchecked():
+    # every form and presentation goes through its checking constructor
     package = pathlib.Path(flagflux.__file__).parent
     found = [
         (path.name, scope, spelling)
         for path in sorted(package.glob("*.py"))
         for scope, spelling in _unchecked_builds(path.read_text(encoding="utf-8"))
     ]
-    assert {name for name, _scope, spelling in found if spelling == "_adopt"} == {"exterior.py"}
-    assert [(name, scope) for name, scope, spelling in found if spelling == "object.__new__"] == [
-        ("exterior.py", "Form._adopt")
-    ]
+    assert found == []
 
 
 class Half(Fraction):
@@ -258,6 +256,8 @@ INTEGER_BOUNDARIES = [
     ("FlagSpec theta", lambda v: FlagSpec("A", 3, (v,)).theta[0], 2, TypeError),
     ("build_root_system rank", lambda v: build_root_system("A", v).rank, 2, TypeError),
     ("three_summand_dims", lambda v: three_summand_dims(v, 1, 1)[0], 2, TypeError),
+    ("random_admissible_triple max_dim",
+     lambda v: random_admissible_triple(random.Random(0), v).algebra.dim, 3, TypeError),
     ("AdmissibleTriple ideal", _heisenberg_ideal, 2, TypeError),
     ("BasisChange perm", lambda v: BasisChange((1, v), (1, 1)).perm[1], 2, TypeError),
     ("dimension_obstruction_scan", lambda v: dimension_obstruction_scan(v).scanned_to, 5,

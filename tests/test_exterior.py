@@ -218,15 +218,16 @@ class TestSettle:
         assert got == want
         assert _types(got) == _types(want)
 
-    @given(forms(2, max_index=5), forms(2, max_index=5), st.data())
-    def test_add_terms(self, f, g, data):
-        # on some keys of a, b brings the sum to 0 or to an integer
+    @given(forms(2, max_index=5), forms(2, max_index=5), st.sampled_from([1, -1]), st.data())
+    def test_add_terms(self, f, g, sign, data):
+        # on some keys of a, sign * b brings the sum to 0 or to an integer
         a = f.terms
         b = dict(g.terms)
         for key in data.draw(st.sets(st.sampled_from(sorted(a)))) if a else ():
             s = data.draw(st.sampled_from([0, 1, -2]))
-            b[key] = s - a[key] if s != a[key] else -a[key]
-        self.assert_settles(_kernel.add_terms(a, b), [*a.items(), *b.items()])
+            b[key] = sign * (s - a[key] if s != a[key] else -a[key])
+        pairs = [*a.items(), *((key, sign * c) for key, c in b.items())]
+        self.assert_settles(_kernel.add_terms(a, b, sign), pairs)
 
     @given(forms(1, max_index=5), forms(1, max_index=5))
     def test_wedge_terms(self, f, g):
@@ -281,9 +282,8 @@ class TestSettle:
 
 
 class TestAdoptedResults:
-    """Form arithmetic stores the kernel's term maps without the input
-    check; each result must still be what the check would store, in a dict
-    of its own."""
+    """Form arithmetic builds its results from the kernel's term maps through
+    the checking constructor; each is well formed, in a dict of its own."""
 
     @settings(max_examples=150)
     @given(
@@ -369,6 +369,13 @@ class TestInterior:
 
     def test_absent_index_gives_zero(self):
         assert interior(5, Form.basis(1, 2)).is_zero()
+
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_index_below_one_is_refused(self, x):
+        # slots start at 1: a lower index names no slot, so it is an error
+        # and not the zero form
+        with pytest.raises(ValueError, match="below 1"):
+            interior(x, Form.basis(1, 2, 3))
 
     @given(st.integers(1, 6), forms(3, max_terms=3))
     def test_matches_oracle(self, x, f):

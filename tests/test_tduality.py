@@ -45,6 +45,7 @@ from conftest import (
     assert_well_formed,
     bracket_series_oracle,
     center_dim_oracle,
+    d_columns_oracle,
     filtered_presentations,
     forms,
     interior_oracle,
@@ -497,6 +498,11 @@ class TestInvolution:
 
 
 class TestRandomTriples:
+    @pytest.mark.parametrize("max_dim", [2, 0, -1])
+    def test_max_dim_below_three_is_refused(self, max_dim):
+        with pytest.raises(ValueError, match="max_dim must be at least 3, got %d" % max_dim):
+            random_admissible_triple(random.Random(0), max_dim)
+
     def test_deterministic_generation(self):
         a = random_admissible_triple(random.Random(7))
         b = random_admissible_triple(random.Random(7))
@@ -620,16 +626,13 @@ COST_ORDER = ("dim", "abelian", "d1_rank", "center_dim", "lcs_dims", "derived_di
 
 
 def refuse_d2_rank(monkeypatch):
-    """Let ``_diff_rank`` rank d on 1-forms, the d1_rank field, and fail the
-    test if it is asked for d on 2-forms, the costliest field."""
-    real = tduality._diff_rank
+    """Fail the test if d is ranked on 2-forms, the costliest field: d1_rank
+    reads the differentials, so only d2_rank asks for ``_d_columns``."""
 
-    def diff_rank(p, degree):
-        if degree != 1:
-            raise AssertionError("d2_rank computed for a rejected pair")
-        return real(p, degree)
+    def d_columns(p, keys):
+        raise AssertionError("d2_rank computed for a rejected pair")
 
-    monkeypatch.setattr(tduality, "_diff_rank", diff_rank)
+    monkeypatch.setattr(tduality, "_d_columns", d_columns)
 
 
 def fresh(p):
@@ -655,6 +658,21 @@ class TestCenterDim:
                 theta = tuple(k + 1 for k in range(rank) if mask >> k & 1)
                 p, _legend = nilradical_presentation(FlagSpec("A", rank, theta))
                 assert tduality._center_dim(p) == center_dim_oracle(p), (rank, theta)
+
+
+class TestDColumns:
+    """d's images read off the kernel's term maps against ``ce_diff`` of
+    checked basis forms."""
+
+    @given(filtered_presentations(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_ce_diff_of_basis_forms(self, p, degree):
+        keys = list(itertools.combinations(range(1, p.dim + 1), degree))
+        columns = d_columns_oracle(p, keys)
+        assert list(tduality._d_columns(p, keys)) == columns
+        if degree == 1:
+            # d e^k = de^k, so the d1_rank row ranks the differentials
+            assert columns == [f.terms for f in p.differentials]
 
 
 class TestBracketSeries:
