@@ -80,39 +80,37 @@ class CorrespondResult:
     legend: Optional[list] = None
 
 
-def _blocks_of_dim(l, dim):
-    """Levi block sizes of every rank-l flag of dimension dim, each flag
-    once, in its larger orientation, by ascending bit mask of its theta.
+def _flags_of_dim(dim):
+    """Levi block sizes of every type-A flag of dimension dim, each flag
+    once, by rank (the block sum less 1), then by ascending theta mask.
 
-    The dimension depends only on the block sizes b of theta,
-    dim = ((l+1)**2 - sum b**2) / 2, so this walks the compositions of l+1
-    with that sum of squares.  A state of c cells and r squares left is
-    entered only when c <= r <= c*c and r - c is even.  No flag is lost:
-    every composition of c cells meets both tests, since b <= b*b <= c*b
-    and b*b - b is even for each of its blocks.  A state that passes them
-    and still cannot be completed ends without output.
+    The dimension is a(1) = sum of b_p * b_q over p < q (``rootsys._gap_dim``),
+    so prepending a block b to blocks that sum to s adds b * s.  The walk
+    prepends blocks, smallest first: with r of the dimension left, a branch
+    takes b <= r // s, and goes on only when what is left is 0 or at least
+    the new sum, which the next block costs.  It reaches every composition
+    of dimension dim, of any length; a point (one block) is not a flag.
 
-    The walk picks the last block first, smallest first: theta's mask is
-    2**l - 1 less that of the cuts, whose top is l+1 - b_k, so masks compare
-    blocks from the end and the walk's order is ascending mask.  A flag and
-    its flip (blocks reversed) are one manifold, and the larger block
-    sequence, the one with the smaller mask, is kept.  Theta itself is not
-    formed here (``theta_of_blocks``): the search needs it only for a target.
+    Theta's mask is 2**l - 1 less that of the cuts, whose top is l+1 - b_k,
+    so within a rank the walk's order, which the stable sort by rank keeps,
+    is ascending mask.  A flag and its flip (blocks reversed) are one
+    manifold: the larger block sequence, with the smaller mask, is kept.
     """
     found = []
 
-    def walk(cells, squares, blocks):
-        if not cells:
+    def walk(left, total, blocks):
+        if not left:
             if blocks >= blocks[::-1]:
                 found.append(blocks)
             return
-        for b in range(1, cells + 1):
-            c, r = cells - b, squares - b * b
-            if c <= r <= c * c and (r - c) % 2 == 0:
-                walk(c, r, (b,) + blocks)
+        for b in range(1, left // total + 1):
+            rest = left - b * total
+            if not rest or rest >= total + b:
+                walk(rest, total + b, (b,) + blocks)
 
-    walk(l + 1, (l + 1) ** 2 - 2 * dim, ())
-    return found
+    for last in range(1, dim + 1):
+        walk(dim, last, (last,))
+    return sorted(found, key=sum)
 
 
 def pretty_name(l, theta):
@@ -141,12 +139,9 @@ def find_targets(dual_algebra):
     could neither map onto it nor prove distinct, whether or not targets
     exist.
 
-    Every rank l from 1 to the dual's dimension is searched, in order: a
-    flag with two or more blocks has dimension at least l (CP^l attains
-    it), so no higher rank holds a candidate, and an empty search proves
-    that no type-A parabolic target exists.  Within a rank the candidates
-    are the flags of the dual's dimension from ``_blocks_of_dim``, each
-    flag once, by ascending theta mask.
+    The candidates are every flag of the dual's dimension (``_flags_of_dim``),
+    each flag once, by rank and then by ascending theta mask, so an empty
+    search proves that no type-A parabolic target exists.
 
     A candidate is decided from its Levi blocks before it is built: every
     fingerprint field but d2_rank follows from them (the ``blocks`` column
@@ -162,31 +157,26 @@ def find_targets(dual_algebra):
     an unconfirmed candidate.
     """
     dim = dual_algebra.dim
+    flags = _flags_of_dim(dim)
     targets = []
     unconfirmed = []
-    candidates = 0
-    rejected = 0
-    for l in range(1, dim + 1):
-        for blocks in _blocks_of_dim(l, dim):
-            candidates += 1
-            differs = _first_difference(lambda row: row.blocks(blocks), dual_algebra, _BLOCK_ORDER)
-            if differs is not None:
-                rejected += 1
+    for blocks in flags:
+        differs = _first_difference(lambda row: row.blocks(blocks), dual_algebra, _BLOCK_ORDER)
+        if differs is not None:
+            continue
+        if len(blocks) <= 2:
+            witness = BasisChange(tuple(range(1, dim + 1)), (1,) * dim)
+        else:
+            cand, _units = _nilradical(blocks)
+            cand._invariants.update((row.name, row.blocks(blocks)) for row in _BLOCK_ORDER)
+            iso = iso_small(cand, dual_algebra)
+            witness = iso.witness
+            if witness is None and iso.proved_distinct:
                 continue
-            if len(blocks) <= 2:
-                witness = BasisChange(tuple(range(1, dim + 1)), (1,) * dim)
-            else:
-                cand, _units = _nilradical(blocks)
-                cand._invariants.update((row.name, row.blocks(blocks)) for row in _BLOCK_ORDER)
-                iso = iso_small(cand, dual_algebra)
-                if iso.witness is None:
-                    if iso.proved_distinct:
-                        rejected += 1
-                    else:
-                        unconfirmed.append((FlagSpec("A", l, theta_of_blocks(blocks)), iso.reason))
-                    continue
-                witness = iso.witness
-            spec = FlagSpec("A", l, theta_of_blocks(blocks))
+        spec = FlagSpec("A", sum(blocks) - 1, theta_of_blocks(blocks))
+        if witness is None:
+            unconfirmed.append((spec, iso.reason))
+        else:
             targets.append(TargetCandidate(spec, witness, _name_of_blocks(blocks)))
     if targets:
         return targets, None, unconfirmed
@@ -194,7 +184,7 @@ def find_targets(dual_algebra):
         "no parabolic nilradical, every rank searched, is isomorphic to the dual: "
         "%d candidates of dimension %d, %d rejected by invariant fingerprint, "
         "%d unconfirmed within search budget"
-        % (candidates, dim, rejected, len(unconfirmed))
+        % (len(flags), dim, len(flags) - len(unconfirmed), len(unconfirmed))
     )
     return targets, reason, unconfirmed
 

@@ -14,6 +14,7 @@ Examples::
     'e^{12}'
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import itemgetter, lt
 
@@ -52,8 +53,9 @@ class Form:
 
     Every form is built by ``Form(degree, terms)``, which ``from_terms``,
     ``parse_form``, ``parse_malcev`` and the form arithmetic (+, -, scalar *,
-    wedge, interior, ce_diff) all call.  It checks the degree and the key
-    indices (``_kernel.integer`` and ``integers``), that each key is strictly
+    wedge, interior, ce_diff) all call.  It checks that terms is a mapping
+    (None, the default, is the zero form), the degree and the key indices
+    (``_kernel.integer`` and ``integers``), that each key is strictly
     increasing from 1 with as many indices as the degree, and every
     coefficient (``_kernel.exact``), and drops zeros, into a dict of its own.
     ``terms`` is never written to after construction.  Code that only needs
@@ -68,8 +70,12 @@ class Form:
         if degree < 0:
             raise ValueError("degree must be non-negative")
         self.degree = degree
+        if type(terms) is not dict and not isinstance(terms, Mapping):
+            if terms is not None:
+                raise TypeError("terms must be a mapping, got %r" % (terms,))
+            terms = {}
         clean = {}
-        for key, c in (terms or {}).items():
+        for key, c in terms.items():
             key = integers(key, "key indices")
             if len(key) != degree:
                 raise ValueError("key %r does not match degree %d" % (key, degree))

@@ -409,8 +409,9 @@ def _completes_oracle(cells, squares):
 
 
 def blocks_of_dim_oracle(l, dim):
-    """Block sizes of the rank-l flags of dimension dim, as the target search
-    lists them, by a walk that enters only states known to complete.
+    """Block sizes of the rank-l flags of dimension dim, in the order the
+    target search lists a rank's flags, by a walk that enters only states
+    known to complete.
 
     Each (cells, squares) state is decided by recursion over every block
     that could come next, memoized, so the walk never enters a dead state;

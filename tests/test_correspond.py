@@ -70,46 +70,56 @@ class TestThetaDimTable:
                 assert 25 - sum(b * b for b in FlagSpec("A", 4, theta).blocks) == 2 * dim
 
     def test_enumerator_matches_oracle(self):
-        # content and order: the oracle's thetas with a flip of the same flag
-        # kept once, by the oracle's own rule; the walk yields block sizes,
-        # and each maps to its theta and back
-        for l in range(1, 15):
-            table = theta_dim_oracle(l)
-            for dim in range(l * (l + 1) // 2 + 2):
-                want = [t for t in table.get(dim, []) if canonical_theta_oracle(l, t) == t]
-                found = C._blocks_of_dim(l, dim)
-                assert [theta_of_blocks(blocks) for blocks in found] == want, (l, dim)
-                assert all(
-                    blocks == FlagSpec("A", l, theta_of_blocks(blocks)).blocks for blocks in found
-                )
+        # content and order: the oracle's thetas of every rank up to dim,
+        # ranks ascending, with a flip of the same flag kept once, by the
+        # oracle's own rule; the walk yields block sizes, and each maps to
+        # its rank and theta and back
+        tables = {l: theta_dim_oracle(l) for l in range(1, 15)}
+        for dim in range(15):
+            want = [
+                (l, t)
+                for l in range(1, dim + 1)
+                for t in tables[l].get(dim, [])
+                if canonical_theta_oracle(l, t) == t
+            ]
+            found = C._flags_of_dim(dim)
+            assert [(sum(b) - 1, theta_of_blocks(b)) for b in found] == want, dim
+            assert all(
+                blocks == FlagSpec("A", sum(blocks) - 1, theta_of_blocks(blocks)).blocks
+                for blocks in found
+            )
 
     def test_enumerator_matches_memo_walk(self):
-        # content and order at every rank the search walks, past the reach of
-        # the 2**l theta table: a rank-l flag of dimension dim has l <= dim
-        # unless it is a point, and two ranks beyond that must come up empty
+        # content and order past the reach of the 2**l theta table: the one
+        # walk is the memo walk's flags of ranks 1..dim, concatenated
         for dim in range(61):
-            for l in range(1, dim + 3):
-                assert C._blocks_of_dim(l, dim) == blocks_of_dim_oracle(l, dim), (l, dim)
+            want = [blocks for l in range(1, dim + 1) for blocks in blocks_of_dim_oracle(l, dim)]
+            assert C._flags_of_dim(dim) == want, dim
 
     def test_no_theta_above_dim(self):
+        # a flag other than a point has rank at most its dimension, so the
+        # memo walk's ranks 1..dim hold every flag, and a point is no flag
+        assert C._flags_of_dim(0) == []
         for dim in range(1, 30):
+            assert all(sum(blocks) - 1 <= dim for blocks in C._flags_of_dim(dim)), dim
             for l in range(dim + 1, 2 * dim + 10):
-                assert C._blocks_of_dim(l, dim) == [], (l, dim)
+                assert blocks_of_dim_oracle(l, dim) == [], (l, dim)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
     def test_enumerator_finds_every_composition(self, blocks):
         # the larger of the two orientations is found, and a reverse that
-        # differs from it is not
+        # differs from it is not; a single block is a point, never found;
+        # ranks ascend, and within a rank the masks do
         blocks = tuple(blocks)
         larger, smaller = max(blocks, blocks[::-1]), min(blocks, blocks[::-1])
         l = sum(blocks) - 1
-        found = C._blocks_of_dim(l, mask_dim_oracle(l, theta_mask(theta_of_blocks(blocks))))
-        assert larger in found
+        found = C._flags_of_dim(mask_dim_oracle(l, theta_mask(theta_of_blocks(blocks))))
+        assert (larger in found) == (len(blocks) > 1)
         if smaller != larger:
             assert smaller not in found
-        masks = [theta_mask(theta_of_blocks(b)) for b in found]
-        assert masks == sorted(set(masks))
+        keys = [(sum(b), theta_mask(theta_of_blocks(b))) for b in found]
+        assert keys == sorted(set(keys))
 
 
 def theta_mask(theta):

@@ -6,9 +6,25 @@ under every PYTHONHASHSEED, as the golden reports are; CI runs this file
 under two seeds.
 """
 
+import importlib
+from collections import Counter
+
 import pytest
 
-from flagflux import FlagSpec, Form, fingerprint, jacobi_check, nilradical_presentation, parse_malcev
+from flagflux import (
+    FlagSpec,
+    FlowingFlag,
+    Form,
+    build_root_system,
+    correspond,
+    fingerprint,
+    isotropy_summands,
+    jacobi_check,
+    nilradical_presentation,
+    parse_malcev,
+)
+
+C = importlib.import_module("flagflux.correspond")
 
 
 @pytest.fixture
@@ -53,3 +69,48 @@ def test_jacobi_failure_builds_its_residual_alone(built_degrees):
     assert built_degrees == [3]
     assert (report.ok, report.failing_index) == (False, 5)
     assert report.residual.terms == {(1, 2, 3): -1}
+
+
+@pytest.fixture
+def search_counts(monkeypatch):
+    """What the target search decides: one "candidates" count per block
+    comparison, the field that rejects each rejected candidate, the
+    "survivors" that agree on every block field, and the iso_small calls."""
+    counts = Counter()
+    first_difference, iso_small = C._first_difference, C.iso_small
+
+    def compared(*args):
+        differs = first_difference(*args)
+        counts["candidates"] += 1
+        counts[differs or "survivors"] += 1
+        return differs
+
+    def counted_iso(p, q):
+        counts["iso_small"] += 1
+        return iso_small(p, q)
+
+    monkeypatch.setattr(C, "_first_difference", compared)
+    monkeypatch.setattr(C, "iso_small", counted_iso)
+    return counts
+
+
+def test_a5_sweep_search_counts(search_counts):
+    # every flag of A5 but the point, zero flux, dualized along its last
+    # summand, which is central
+    rs = build_root_system("A", 5)
+    targets = 0
+    for mask in range((1 << 5) - 1):
+        theta = tuple(i + 1 for i in range(5) if mask >> i & 1)
+        summands = isotropy_summands(rs, theta)
+        dim = sum(s.dim for s in summands)
+        ideal = tuple(range(dim - summands[-1].dim + 1, dim + 1))
+        targets += len(correspond(FlowingFlag(FlagSpec("A", 5, theta), Form.zero(3)), ideal).targets)
+    # each survivor has at most two blocks, so no iso_small call is counted
+    assert targets == 23
+    assert search_counts == {
+        "candidates": 195,
+        "abelian": 87,
+        "d1_rank": 77,
+        "center_dim": 8,
+        "survivors": 23,
+    }

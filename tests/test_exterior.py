@@ -1,6 +1,7 @@
 import enum
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,15 @@ class TestForm:
             Form(degree, {})
         with pytest.raises(TypeError, match="degree must be an integer"):
             Form.from_terms(degree, [])
+
+    @pytest.mark.parametrize("terms", [[((1, 2), 1)], 5, "e12", [], 0])
+    def test_rejects_terms_that_are_not_a_mapping(self, terms):
+        with pytest.raises(TypeError, match="terms must be a mapping"):
+            Form(2, terms)
+
+    def test_terms_none_or_any_mapping(self):
+        assert Form(2) == Form(2, None) == Form.zero(2)
+        assert Form(2, MappingProxyType({(1, 2): 3})) == 3 * Form.basis(1, 2)
 
     def test_rejects_bool_scalar(self):
         with pytest.raises(TypeError):
