@@ -240,6 +240,8 @@ class MalcevPresentation:
 
 class _Scanner:
     def __init__(self, text):
+        if not isinstance(text, str):
+            raise TypeError("text must be a str, got %r" % (text,))
         # the unicode minus shows up when tuples are pasted from print
         self.text = text.replace("−", "-")
         self.pos = 0

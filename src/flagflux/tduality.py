@@ -469,20 +469,6 @@ def _solve_signs(n, base, target):
     return tuple(1 if s == 0 else -1 for s in signs)
 
 
-def _weight_layers(p):
-    """Lower-central-style weight of each slot, from the differentials."""
-    weights = {}
-    for k in range(1, p.dim + 1):
-        f = p.differentials[k - 1]
-        if f.is_zero():
-            weights[k] = 1
-        else:
-            weights[k] = 1 + max(
-                min(weights[i], weights[j]) for i, j in f.terms
-            )
-    return weights
-
-
 def _slot_edges(p, q):
     """Per slot of p, then of q, its (role, |c|, a, b) entries, where slot k
     of p is index k - 1 and slot k of q is index dim + k - 1.
@@ -538,33 +524,28 @@ ISO_BUDGET = 20000
 def iso_small(p, q):
     """Search for a signed, filtration-friendly basis change taking p to q.
 
-    A witness maps each slot of q to a slot of p of the same weight layer
-    (``_weight_layers``) and fixes the signs by ``_solve_signs``.  The
-    search walks q's slots by weight, then by slot, and tries p's unused
-    slots in ascending order, so a relabelling of each layer is visited in
-    itertools.product order of its permutations.  It prunes by colour
-    refinement with individualisation: both sides start coloured by weight
-    and are refined together (``_refine``); a q slot is tried only against
-    p slots of its colour, and when that cell has more than one slot each
-    choice gives the pair a fresh colour and refines again.  A witness keeps
-    every colour, so a pruned branch holds none, and the first witness found
-    is the first of the full walk.
+    A witness maps slot k of q to slot perm[k-1] of p and fixes the signs
+    by ``_solve_signs``.  The search individualises and refines: all slots
+    of p and q start in one colour and are refined together (``_refine``),
+    which already sets apart slots of unequal lower-central weight.  It
+    walks q's slots in slot order and tries each only against the unused p
+    slots of its colour, in ascending order; when that cell has more than
+    one slot, each choice gives the pair a fresh colour and refines again.
+    A witness keeps every colour, so a pruned branch holds none, and the
+    first witness found is the lexicographically least perm of any witness.
 
     Exhausting ISO_BUDGET individualisations is inconclusive, as is a search
-    that ends without a witness, at the root when the weight-layer profiles
-    differ: only a fingerprint mismatch, the dimension its cheapest field,
-    proves the two presentations non-isomorphic.
+    that ends without a witness, at the root when refinement already tells
+    the two sides apart: only a fingerprint mismatch, the dimension its
+    cheapest field, proves the two presentations non-isomorphic.
     """
     n = p.dim
     equal, field = compare_fingerprints(p, q)
     if not equal:
         return IsoResult(None, True, "fingerprint differs: %s" % field)
 
-    wp = _weight_layers(p)
-    wq = _weight_layers(q)
     edges = _slot_edges(p, q)
-    colours = _refine(list(wp.values()) + list(wq.values()), edges, n)
-    order = sorted(range(1, n + 1), key=lambda k: (wq[k], k))
+    colours = _refine([0] * (2 * n), edges, n)
     source = p.structure_constants()
     target = q.structure_constants()
     perm = [0] * n
@@ -576,7 +557,7 @@ def iso_small(p, q):
             moved = _transported_constants(source, perm, (1,) * n)
             signs = _solve_signs(n, moved, target)
             return None if signs is None else BasisChange(tuple(perm), signs)
-        slot_q = order[depth]
+        slot_q = depth + 1
         colour = colours[n + slot_q - 1]
         # assigned slots keep colours of their own, so a cell holds only
         # unused slots

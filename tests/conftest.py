@@ -474,52 +474,51 @@ def find_targets_oracle(dual):
     ), unconfirmed
 
 
-def _arrangements(layers):
-    """One ordering of each layer at a time, in itertools.product order.
-
-    Lazy, unlike itertools.product, which stores every permutation of each
-    layer before it yields.
-    """
-    if not layers:
-        yield ()
-        return
-    for first in itertools.permutations(layers[0]):
-        for rest in _arrangements(layers[1:]):
-            yield (first,) + rest
+def weight_layers_oracle(p):
+    """Lower-central-style weight of each slot, from the differentials: 1
+    for a closed slot, else 1 + the largest min(w_i, w_j) of its terms."""
+    weights = {}
+    for k in range(1, p.dim + 1):
+        f = p.differentials[k - 1]
+        if f.is_zero():
+            weights[k] = 1
+        else:
+            weights[k] = 1 + max(min(weights[i], weights[j]) for i, j in f.terms)
+    return weights
 
 
 def iso_oracle(p, q, budget=tduality.ISO_BUDGET):
-    """iso_small's answer by walking every arrangement of each weight layer.
+    """iso_small's answer by plain backtracking over weight-keeping perms.
 
-    The fingerprint first, as in iso_small, then each relabelling of q's
-    layers onto p's, in ``_arrangements`` order, until one transports p's
-    constants onto q's up to the signs ``_solve_signs`` finds; more than
-    ``budget`` arrangements is inconclusive.  Layers of unequal sizes leave
-    no arrangement to walk, so the search ends there without a witness, as
+    The fingerprint first, as in iso_small.  Then q's slots in slot order,
+    each trying p's unused slots of its weight (``weight_layers_oracle``) in
+    ascending order, so the leaves come in lexicographic perm order; at each
+    leaf ``_solve_signs`` looks for signs that transport p's constants onto
+    q's, and more than ``budget`` leaves is inconclusive.  Layers of unequal
+    sizes leave no leaf, so the search ends without a witness, as
     iso_small's refinement does at the root.
     """
     equal, field = compare_fingerprints(p, q)
     if not equal:
         return IsoResult(None, True, "fingerprint differs: %s" % field)
     n = p.dim
-    wp = tduality._weight_layers(p)
-    wq = tduality._weight_layers(q)
-    layers_p, layers_q = {}, {}
-    for k in range(1, n + 1):
-        layers_p.setdefault(wp[k], []).append(k)
-        layers_q.setdefault(wq[k], []).append(k)
-    if {w: len(v) for w, v in layers_p.items()} != {w: len(v) for w, v in layers_q.items()}:
-        return IsoResult(None, False, "search space exhausted without witness")
-    weights = sorted(layers_p)
+    wp, wq = weight_layers_oracle(p), weight_layers_oracle(q)
+    perm = [0] * n
+
+    def leaves(slot_q):
+        if slot_q > n:
+            yield
+            return
+        for slot_p in range(1, n + 1):
+            if wp[slot_p] == wq[slot_q] and slot_p not in perm[: slot_q - 1]:
+                perm[slot_q - 1] = slot_p
+                yield from leaves(slot_q + 1)
+
     source = p.structure_constants()
     target = q.structure_constants()
-    for tried, combo in enumerate(_arrangements([layers_p[w] for w in weights]), start=1):
+    for tried, _ in enumerate(leaves(1), start=1):
         if tried > budget:
             return IsoResult(None, False, "budget exhausted after %d candidates" % budget)
-        perm = [0] * n
-        for w, arrangement in zip(weights, combo):
-            for slot_q, slot_p in zip(layers_q[w], arrangement):
-                perm[slot_q - 1] = slot_p
         moved = tduality._transported_constants(source, perm, (1,) * n)
         signs = tduality._solve_signs(n, moved, target)
         if signs is not None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from flagflux import (
     AdmissibleTriple,
+    BasisChange,
     FlagSpec,
     FlowingFlag,
     Form,
@@ -198,6 +199,23 @@ class TestTargets:
         for t in result.targets:
             candidate, _ = nilradical_presentation(t.spec)
             assert t.witness.apply(dual) == candidate
+
+    def test_flux_witness_pulls_the_dual_flux_back(self):
+        # n(1,2,1) with flux, a self-dual pair: the iso_small witness carries
+        # the target's nilradical onto the dual and pulls H^v back to H
+        p, _legend = nilradical_presentation(FlagSpec("A", 3, (2,)))
+        flux = parse_form("-e^{145}+e^{235}", 3)
+        result = correspond_presentation(p, (5,), flux)
+        assert result.certificate.ok
+        [target] = result.targets
+        assert target.spec == FlagSpec("A", 3, (2,))
+        assert target.pretty_name == "SU(4)/S(U(1)×U(2)×U(1))"
+        assert target.witness == BasisChange((1, 2, 3, 4, 5), (1, -1, 1, 1, 1))
+        dual = result.dualization.dual
+        assert dual.algebra == parse_malcev("(0,0,0,0,-e^{14}+e^{23})")
+        assert target.witness.apply(p) == dual.algebra
+        assert dual.flux == parse_form("-e^{145}-e^{235}", 3)
+        assert target.witness.pull_form(dual.flux) == flux
 
     def test_undecided_candidate_is_reported_beside_a_target(self):
         dual = fingerprint_tie_dual()

@@ -7,22 +7,28 @@ under two seeds.
 """
 
 import importlib
+import random
 from collections import Counter
 
 import pytest
 
 from flagflux import (
     FlagSpec,
+    BasisChange,
     FlowingFlag,
     Form,
+    IsoResult,
     build_root_system,
     correspond,
     fingerprint,
     isotropy_summands,
+    iso_small,
     jacobi_check,
     nilradical_presentation,
     parse_malcev,
 )
+from flagflux import tduality
+from flagflux.nilradical import _nilradical
 
 C = importlib.import_module("flagflux.correspond")
 
@@ -114,3 +120,56 @@ def test_a5_sweep_search_counts(search_counts):
         "center_dim": 8,
         "survivors": 23,
     }
+
+
+@pytest.fixture
+def refine_counts(monkeypatch):
+    """The "calls" of ``tduality._refine`` and their "rounds": a round walks
+    the slot edges once, so the edges handed to each call count their
+    iterations."""
+    counts = Counter()
+    refine = tduality._refine
+
+    class CountedEdges(list):
+        def __iter__(self):
+            counts["rounds"] += 1
+            return super().__iter__()
+
+    def counted(colours, edges, n):
+        counts["calls"] += 1
+        return refine(colours, CountedEdges(edges), n)
+
+    monkeypatch.setattr(tduality, "_refine", counted)
+    return counts
+
+
+def seeded_relabelling(p, rng):
+    """A signed relabelling of p that keeps its filtration, drawn by rng."""
+    needs = {k: {i for key in f.terms for i in key} for k, f in enumerate(p.differentials, 1)}
+    order = []
+    while needs:
+        k = rng.choice([k for k in sorted(needs) if needs[k] <= set(order)])
+        order.append(k)
+        del needs[k]
+    return BasisChange(tuple(order), tuple(rng.choice((1, -1)) for _ in order))
+
+
+@pytest.mark.parametrize(
+    "blocks, calls, rounds",
+    [((3, 3, 3), 6, 17), ((2, 5, 2), 5, 14), ((2, 2, 2, 2), 3, 9)],
+    ids=["n(3,3,3)", "n(2,5,2)", "n(2,2,2,2)"],
+)
+def test_iso_search_counts_on_a_relabelling(refine_counts, blocks, calls, rounds):
+    # one refinement from a single colour at the root, then one per
+    # individualised pair
+    p, _units = _nilradical(blocks)
+    q = seeded_relabelling(p, random.Random(1)).apply(p)
+    result = iso_small(p, q)
+    assert result.witness.apply(p) == q
+    assert refine_counts == {"calls": calls, "rounds": rounds}
+
+
+def test_iso_search_of_a_fingerprint_tie_ends_at_the_root(refine_counts):
+    result = iso_small(_nilradical((2, 5, 2))[0], _nilradical((4, 4, 1))[0])
+    assert result == IsoResult(None, False, "search space exhausted without witness")
+    assert refine_counts == {"calls": 1, "rounds": 1}

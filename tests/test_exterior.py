@@ -522,6 +522,13 @@ class TestParser:
         with pytest.raises(TypeError):
             parse_form(text, degree)
 
+    @pytest.mark.parametrize("text", [5, None, b"e^{12}", ["e^{12}"]])
+    def test_text_that_is_not_a_str_rejected(self, text):
+        with pytest.raises(TypeError, match="text must be a str"):
+            parse_form(text)
+        with pytest.raises(TypeError, match="text must be a str"):
+            parse_malcev(text)
+
 
 class TestPrinter:
     def test_unit_coefficients(self):

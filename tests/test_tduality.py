@@ -40,7 +40,6 @@ from flagflux.nilradical import _nilradical
 from flagflux.tduality import BasisChange, IsoResult
 
 from conftest import (
-    _arrangements,
     admissibility_oracle,
     assert_well_formed,
     bracket_series_oracle,
@@ -58,6 +57,7 @@ from conftest import (
     signed_relabellings,
     unitriangular_copies,
     wedge_oracle,
+    weight_layers_oracle,
 )
 
 HEISENBERG = "(0,0,-e^{12})"
@@ -826,8 +826,8 @@ class TestIsoSmall:
         # relabelling joins them: refinement fails at its first round
         p = parse_malcev("(0,0,e^{12},0)")
         q = parse_malcev("(0,0,e^{12},e^{12})")
-        assert sorted(tduality._weight_layers(p).values()) != sorted(
-            tduality._weight_layers(q).values()
+        assert sorted(weight_layers_oracle(p).values()) != sorted(
+            weight_layers_oracle(q).values()
         )
         result = iso_small(p, q)
         assert result == IsoResult(None, False, "search space exhausted without witness")
@@ -847,8 +847,8 @@ class TestIsoSmall:
 
     @pytest.mark.parametrize("rank", [5, 6, 7])
     def test_maximal_flag_against_a_signed_relabelling(self, rank):
-        # relabel inside each root height, with random signs; A5 and A6 used
-        # to exhaust the budget of the arrangement walk
+        # relabel inside each root height, with random signs; without
+        # refinement, A5 and A6 exhaust the budget
         p, units = _nilradical((1,) * (rank + 1))
         heights = [j - i for i, j in units]
         rng = random.Random(5)
@@ -862,11 +862,34 @@ class TestIsoSmall:
         assert result.reason == "signed monomial"
         assert result.witness.apply(p) == q
 
-    def test_arrangements_in_product_order(self):
-        layers = [[1, 2, 3], [4], [5, 6]]
-        assert list(_arrangements(layers)) == list(
-            itertools.product(*[itertools.permutations(v) for v in layers])
-        )
+    @pytest.mark.parametrize("blocks", [(1, 1, 1, 1), (1, 2, 1)], ids=["A3", "n(1,2,1)"])
+    def test_witness_is_the_least_matching_permutation(self, blocks):
+        # every filtration-keeping relabelling, with seeded signs; each has
+        # several witnesses, and iso_small returns the first of them in
+        # itertools.permutations order
+        p, _units = _nilradical(blocks)
+        n = p.dim
+        needs = [{i for key in f.terms for i in key} for f in p.differentials]
+        source = p.structure_constants()
+        rng = random.Random(3)
+        relabellings = 0
+        for order in itertools.permutations(range(1, n + 1)):
+            if any(not needs[k - 1] <= set(order[:i]) for i, k in enumerate(order)):
+                continue
+            q = BasisChange(order, tuple(rng.choice((1, -1)) for _ in order)).apply(p)
+            target = q.structure_constants()
+            matches = [
+                perm
+                for perm in itertools.permutations(range(1, n + 1))
+                if tduality._solve_signs(
+                    n, tduality._transported_constants(source, perm, (1,) * n), target
+                )
+                is not None
+            ]
+            assert len(matches) > 1
+            assert iso_small(p, q).witness.perm == matches[0]
+            relabellings += 1
+        assert relabellings > 1
 
     def test_exhausted_search_is_inconclusive(self):
         ours, _ = nilradical_presentation(FlagSpec("A", 3))
@@ -897,7 +920,8 @@ def _presentations_up_to_dim_8():
 
 
 class TestIsoSearchOracle:
-    """iso_small against the walk over every arrangement of each layer."""
+    """iso_small against plain backtracking over the perms that keep each
+    slot's weight (``iso_oracle``)."""
 
     def test_every_relabelling_of_two_heisenberg_blocks(self):
         # the search individualises twice here, and most first witnesses
@@ -938,6 +962,33 @@ class TestIsoSearchOracle:
         assert iso_small(shuffled(p), shuffled(q)) == iso_small(p, q)
 
 
+def _partition(colours):
+    """A colouring renumbered by first occurrence, so that two colourings
+    with the same cells compare equal; None stays None."""
+    if colours is None:
+        return None
+    first = {}
+    return [first.setdefault(c, len(first)) for c in colours]
+
+
+class TestRefinementFromOneColour:
+    """Slots of equal stable colour have equal weight, so refinement from
+    one colour ends where refinement from the weights does."""
+
+    @given(filtered_presentations(max_dim=8), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_partition_as_from_the_weights(self, p, unitriangular, data):
+        if unitriangular:
+            q = data.draw(unitriangular_copies(p))
+        else:
+            q = data.draw(signed_relabellings(p)).apply(p)
+        n = p.dim
+        edges = tduality._slot_edges(p, q)
+        weights = list(weight_layers_oracle(p).values()) + list(weight_layers_oracle(q).values())
+        one = tduality._refine([0] * (2 * n), edges, n)
+        assert _partition(one) == _partition(tduality._refine(weights, edges, n))
+
+
 class TestUnitriangularCopies:
     """Isomorphic copies beyond signed relabellings: a lower-unitriangular
     change of coframe moves slots across weight layers."""
@@ -951,7 +1002,7 @@ class TestUnitriangularCopies:
         assert not result.proved_distinct
         if result.witness is not None:
             assert result.witness.apply(p) == q
-        layers = [sorted(tduality._weight_layers(r).values()) for r in (p, q)]
+        layers = [sorted(weight_layers_oracle(r).values()) for r in (p, q)]
         if layers[0] != layers[1]:
             assert result.reason == "search space exhausted without witness"
         want = iso_oracle(p, q, budget=2000)
